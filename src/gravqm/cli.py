@@ -106,6 +106,20 @@ def _meta(command: str, units: str, **parameters) -> dict:
     }
 
 
+class _PositiveFloat(click.ParamType):
+    """A finite number greater than zero; NaN, infinities and zero are usage errors."""
+
+    name = "positive number"
+
+    def convert(self, value, param, ctx):
+        number = click.FLOAT.convert(value, param, ctx)
+        if not (math.isfinite(number) and number > 0.0):
+            self.fail(f"{value!r} is not a finite positive number", param, ctx)
+        return number
+
+
+_POSITIVE = _PositiveFloat()
+
 _FORMAT_OPTION = click.option(
     "--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table",
     show_default=True, help="Output format.",
@@ -291,7 +305,7 @@ def cmd_cow(wavelength, height, length, accel, si_neutron, via_time_route, fmt, 
 @click.option("--mass", type=float, default=1.0, show_default=True, help="Mass (natural mode).")
 @click.option("--accel", type=float, default=1.0, show_default=True, help="Acceleration (natural mode).")
 @click.option("--hbar", "hbar_value", type=float, default=1.0, show_default=True, help="hbar (natural mode).")
-@click.option("--omega-prime", type=float, default=None,
+@click.option("--omega-prime", type=_POSITIVE, default=None,
               help="Reference angular frequency for the ratio in natural mode.")
 @_FORMAT_OPTION
 @_OUT_OPTION
@@ -344,8 +358,8 @@ _DEMO_DEFAULTS = {
               show_default=True, help="Series output format.")
 @_OUT_OPTION
 @click.option("--n-points", type=int, default=None, help="Override the grid size.")
-@click.option("--dt", type=float, default=None, help="Override the time step.")
-@click.option("--t-final", type=float, default=None, help="Override the total time.")
+@click.option("--dt", type=_POSITIVE, default=None, help="Override the time step.")
+@click.option("--t-final", type=_POSITIVE, default=None, help="Override the total time.")
 def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
     """Time-dependent demos in natural units (m = g = hbar = 1).
 

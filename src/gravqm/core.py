@@ -98,6 +98,7 @@ class Grid:
     def __post_init__(self):
         _require_finite("z_min", self.z_min)
         _require_finite("z_max", self.z_max)
+        _require_finite("dt", self.dt)
         if self.n_points < 3:
             raise ParameterError(f"n_points must be >= 3, got {self.n_points}")
         if self.z_max <= self.z_min:

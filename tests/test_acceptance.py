@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  Every
-tolerance is pinned here, not computed; the slow dual-path comparison
-(criterion 3) takes ~30 s.
+tolerance is pinned here, not computed; the dual-path comparison
+(criterion 3) takes ~2 s.
 """
 
 import dataclasses

@@ -180,6 +180,23 @@ def test_redshift_si_ratio_is_az_over_c_squared():
 FAST_EVOLVE = ["--n-points", "1024", "--dt", "2e-3", "--t-final", "0.2"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evolve", "--demo", "free-dispersion", "--dt", "0"],
+        ["evolve", "--demo", "free-dispersion", "--dt", "nan"],
+        ["evolve", "--demo", "free-dispersion", "--t-final", "-1"],
+        ["redshift", "--z", "1", "--omega-prime", "0"],
+    ],
+)
+def test_non_positive_step_time_and_frequency_are_usage_errors(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "Traceback" not in result.output
+    assert "finite positive number" in result.output
+
+
 def test_evolve_requires_out_for_json(tmp_path):
     result = run("evolve", "--demo", "free-dispersion", "--format", "json", *FAST_EVOLVE)
     assert result.exit_code == 2

@@ -60,6 +60,12 @@ def test_grid_validation_and_spacing():
         Grid(0.0, 1.0, 11, dt=0.0, n_steps=5)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_dt(dt):
+    with pytest.raises(ParameterError, match="dt must be finite"):
+        Grid(0.0, 1.0, 11, dt=dt, n_steps=5)
+
+
 def test_norm_squared_flat_field():
     grid = Grid(0.0, 1.0, 101)
     f = ComplexField(grid, np.ones(101))

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from gravqm import (
+    REFERENCE_FRAME_RUN,
     BoundaryContactError,
     ComplexField,
     FrameTransform,
     Grid,
+    NumericError,
     ParameterError,
     PlaneWaveState,
     frame_equivalence,
@@ -17,6 +19,7 @@ from gravqm import (
     gaussian_packet,
     heisenberg_checks,
     make_natural_system,
+    max_pointwise_mismatch,
     moments,
     pde_residual,
     phase_s,
@@ -63,9 +66,22 @@ def test_cn_final_state_matches_analytic_free_gaussian():
     psi0 = gaussian_packet(grid, 0.0, 0.5)
     report = propagate_linear_potential(psi0, system, 0.0, sample_every=800)
     analytic = ComplexField(grid, free_gaussian_analytic(grid.z, grid.total_time, 0.5))
-    from gravqm import max_pointwise_mismatch
-
     assert max_pointwise_mismatch(report.final_field, analytic) <= 1e-5
+
+
+def test_propagator_fourth_order_in_space():
+    # dt is small enough that the time error sits below the spatial error at
+    # both resolutions; halving dz must cut the error by about 2^4
+    system = natural()
+    errors = []
+    for n_points in (256, 512):
+        grid = Grid(-12.0, 12.0, n_points, dt=2e-5, n_steps=10_000)
+        psi0 = gaussian_packet(grid, 0.0, 0.5)
+        report = propagate_linear_potential(psi0, system, 0.0, sample_every=10_000)
+        analytic = ComplexField(grid, free_gaussian_analytic(grid.z, grid.total_time, 0.5))
+        errors.append(max_pointwise_mismatch(report.final_field, analytic))
+    ratio = errors[0] / errors[1]
+    assert 12.0 <= ratio <= 20.0
 
 
 def test_gravity_translates_packet_without_reshaping():
@@ -101,6 +117,16 @@ def test_boundary_contact_is_diagnosed():
     with pytest.raises(BoundaryContactError) as err:
         propagate_linear_potential(psi0, system, 0.0, sample_every=3000)
     assert 0.0 < err.value.time <= 3.0
+
+
+def test_non_finite_field_fails_at_the_step_it_appears():
+    # a NaN slope turns the field into NaN on the first step; the per-step
+    # edge check must stop the run there, not at the next moment sample
+    grid = Grid(-10.0, 10.0, 512, dt=1e-3, n_steps=50)
+    psi0 = gaussian_packet(grid, 0.0, 0.5)
+    with pytest.raises(NumericError, match=r"non-finite samples at t=0\.001\b") as err:
+        propagate_linear_potential(psi0, natural(), math.nan, sample_every=50)
+    assert not isinstance(err.value, BoundaryContactError)
 
 
 def test_propagate_input_validation():
@@ -303,7 +329,7 @@ def test_frame_equivalence_second_order_in_time():
     system = natural(a=1.0)
     mismatches = []
     for dt in (2e-3, 1e-3):
-        grid = Grid(-20.0, 30.0, 32768, dt=dt, n_steps=round(1.0 / dt))
+        grid = Grid(-20.0, 30.0, REFERENCE_FRAME_RUN["n_points"], dt=dt, n_steps=round(1.0 / dt))
         psi0 = gaussian_packet(grid, 8.0, 0.5)
         mismatches.append(frame_equivalence_test(psi0, system))
     ratio = mismatches[0] / mismatches[1]

@@ -35,14 +35,6 @@ class BouncerLevel:
     p_outside: float
 
 
-def _check_index(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParameterError(f"level index must be an integer, got {n!r}")
-    if n < 1 or n > 50:
-        raise ParameterError(f"level index must be in 1..50, got {n}")
-    return n
-
-
 def alpha(system: PhysicalSystem) -> float:
     """Inverse length scale (2*m_i*F/hbar^2)**(1/3) with F = m_g*g."""
     force = system.m_g * system.g
@@ -65,13 +57,12 @@ def probability_outside(n: int) -> float:
     Ratio of tail integrals of Ai^2, from 0 and from the n-th negative zero;
     dimensionless, hence independent of the field strength.
     """
-    e_tilde = -ai_negative_zero(_check_index(n))
+    e_tilde = -ai_negative_zero(n)
     return ai_squared_tail(0.0) / ai_squared_tail(-e_tilde)
 
 
 def level(system: PhysicalSystem, n: int) -> BouncerLevel:
     """Fully populated level n of the given system."""
-    n = _check_index(n)
     e_tilde = -ai_negative_zero(n)
     norm_sq = 1.0 / ai_squared_tail(-e_tilde)
     return BouncerLevel(

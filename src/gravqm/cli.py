@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 
 import click
 import numpy as np
@@ -56,45 +55,26 @@ def _emit(
     summary_lines: list[str],
 ) -> None:
     if fmt == "table":
-        if out is not None:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(table_lines + summary_lines) + "\n")
-        else:
-            for line in table_lines + summary_lines:
-                click.echo(line)
-        return
-    if fmt == "csv":
-        names = list(columns)
-        length = len(columns[names[0]])
-        lines = [",".join(names)]
-        for i in range(length):
-            lines.append(",".join(_fmt(columns[name][i]) for name in names))
+        text, summary_lines = "\n".join(table_lines + summary_lines) + "\n", []
+    elif fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(_fmt(v) for v in row) for row in zip(*columns.values())]
         text = "\n".join(lines) + "\n"
-        if out is None:
-            click.echo(text, nl=False)
-            # keep the data stream clean for piping
-            for line in summary_lines:
-                click.echo(line, err=True)
-        else:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            for line in summary_lines:
-                click.echo(line)
-        return
-    if fmt == "json":
-        if out is None:
-            raise click.UsageError("--out is required with --format json")
-        payload = {
-            "meta": meta,
-            "data": {k: [None if v is None else v for v in vals] for k, vals in columns.items()},
-        }
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+    else:  # json; _Command has already required --out
+        try:
+            text = json.dumps({"meta": meta, "data": columns}, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NumericError(f"result is not finite, so it has no JSON form ({exc})") from exc
+    if out is None:
+        click.echo(text, nl=False)
+        # keep the data stream clean for piping
         for line in summary_lines:
-            click.echo(line)
+            click.echo(line, err=True)
         return
-    raise click.UsageError(f"unknown format {fmt!r}")
+    with open(out, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    for line in summary_lines:
+        click.echo(line)
 
 
 def _meta(command: str, units: str, **parameters) -> dict:
@@ -119,6 +99,8 @@ class _PositiveFloat(click.ParamType):
 
 
 _POSITIVE = _PositiveFloat()
+# Longest propagation evolve runs; the demos and the reference run take 10^4 steps.
+_MAX_STEPS = 10**7
 
 _FORMAT_OPTION = click.option(
     "--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table",
@@ -130,61 +112,85 @@ _OUT_OPTION = click.option(
 )
 
 
+class _Command(click.Command):
+    """A subcommand under the exit-code contract: 0 ok, 1 numeric failure, 2 usage.
+
+    ``--format json`` without ``--out`` is refused before any computation; a
+    ParameterError is a usage error and a NumericError exits 1 with
+    ``numeric failure: ...`` on stderr.
+    """
+
+    def invoke(self, ctx: click.Context):
+        if ctx.params.get("fmt") == "json" and ctx.params.get("out") is None:
+            raise click.UsageError("--out is required with --format json", ctx)
+        try:
+            return super().invoke(ctx)
+        except ParameterError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except NumericError as exc:
+            click.echo(f"numeric failure: {exc}", err=True)
+            ctx.exit(1)
+
+
+def _neutron_system(a: float = 0.0) -> PhysicalSystem:
+    """CODATA neutron in standard gravity, seen from a frame accelerating at a."""
+    return PhysicalSystem(
+        m_i=NEUTRON_MASS_KG, m_g=NEUTRON_MASS_KG, g=STANDARD_GRAVITY, a=a, hbar=HBAR_SI
+    )
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="gravqm")
 def cli() -> None:
     """Quantum mechanics in a uniform gravitational field, from the terminal."""
 
 
+cli.command_class = _Command
+
+
 @cli.command("airy")
 @click.option("--eval", "eval_x", type=float, default=None, help="Evaluate Ai, Ai', Bi, Bi' at x.")
-@click.option("--zeros", "n_zeros", type=int, default=None, help="Print the first N negative zeros of Ai.")
+@click.option("--zeros", "n_zeros", type=click.IntRange(1, 50), default=None,
+              help="Print the first N negative zeros of Ai (1..50).")
 @_FORMAT_OPTION
 @_OUT_OPTION
 def cmd_airy(eval_x, n_zeros, fmt, out) -> None:
     """Airy function values or negative zeros of Ai."""
     if (eval_x is None) == (n_zeros is None):
         raise click.UsageError("choose exactly one of --eval X or --zeros N")
-    try:
-        if eval_x is not None:
-            value = airy_values(eval_x)
-            columns = {
-                "x": [value.x],
-                "ai": [value.ai],
-                "ai_prime": [value.ai_prime],
-                "bi": [value.bi],
-                "bi_prime": [value.bi_prime],
-            }
-            table = [
-                f"{'x':>12} {'Ai':>16} {'Ai_prime':>16} {'Bi':>16} {'Bi_prime':>16}",
-                f"{value.x:>12.6f} {value.ai:>16.8f} {value.ai_prime:>16.8f} "
-                f"{value.bi:>16.8f} {value.bi_prime:>16.8f}",
-            ]
-            meta = _meta("airy", "dimensionless", eval=eval_x)
-            _emit(columns, meta, fmt, out, table, [])
-            return
-        if n_zeros < 1:
-            raise click.UsageError("--zeros needs a positive count")
-        zeros = [ai_negative_zero(i) for i in range(1, n_zeros + 1)]
+    if eval_x is not None:
+        value = airy_values(eval_x)
         columns = {
-            "n": list(range(1, n_zeros + 1)),
-            "zero": zeros,
-            "magnitude": [-z for z in zeros],
+            "x": [value.x],
+            "ai": [value.ai],
+            "ai_prime": [value.ai_prime],
+            "bi": [value.bi],
+            "bi_prime": [value.bi_prime],
         }
-        table = [f"{'n':>4} {'zero':>16} {'magnitude':>16}"]
-        for i, z in enumerate(zeros, start=1):
-            table.append(f"{i:>4} {z:>16.8f} {-z:>16.8f}")
-        meta = _meta("airy", "dimensionless", zeros=n_zeros)
+        table = [
+            f"{'x':>12} {'Ai':>16} {'Ai_prime':>16} {'Bi':>16} {'Bi_prime':>16}",
+            f"{value.x:>12.6f} {value.ai:>16.8f} {value.ai_prime:>16.8f} "
+            f"{value.bi:>16.8f} {value.bi_prime:>16.8f}",
+        ]
+        meta = _meta("airy", "dimensionless", eval=eval_x)
         _emit(columns, meta, fmt, out, table, [])
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except NumericError as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(1)
+        return
+    zeros = [ai_negative_zero(i) for i in range(1, n_zeros + 1)]
+    columns = {
+        "n": list(range(1, n_zeros + 1)),
+        "zero": zeros,
+        "magnitude": [-z for z in zeros],
+    }
+    table = [f"{'n':>4} {'zero':>16} {'magnitude':>16}"]
+    for i, z in enumerate(zeros, start=1):
+        table.append(f"{i:>4} {z:>16.8f} {-z:>16.8f}")
+    meta = _meta("airy", "dimensionless", zeros=n_zeros)
+    _emit(columns, meta, fmt, out, table, [])
 
 
 @cli.command("bouncer")
-@click.option("--levels", "n_levels", type=int, required=True, help="Number of levels to print (1..50).")
+@click.option("--levels", "n_levels", type=click.IntRange(1, 50), required=True,
+              help="Number of levels to print (1..50).")
 @click.option("--si-neutron", is_flag=True, help="Use CODATA neutron constants and print energies in peV.")
 @_FORMAT_OPTION
 @_OUT_OPTION
@@ -194,24 +200,13 @@ def cmd_bouncer(n_levels, si_neutron, fmt, out) -> None:
     Natural mode uses a system with unit energy scale, so the printed
     energies equal the dimensionless ones.
     """
-    if not 1 <= n_levels <= 50:
-        raise click.UsageError("--levels must be in 1..50")
-    try:
-        if si_neutron:
-            system = PhysicalSystem(
-                m_i=NEUTRON_MASS_KG, m_g=NEUTRON_MASS_KG,
-                g=STANDARD_GRAVITY, hbar=HBAR_SI,
-            )
-            units = "si"
-        else:
-            system = dataclasses.replace(make_natural_system(0.5), g=2.0)
-            units = "natural"
-        levels = [bouncer_level(system, n) for n in range(1, n_levels + 1)]
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except NumericError as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(1)
+    if si_neutron:
+        system = _neutron_system()
+        units = "si"
+    else:
+        system = dataclasses.replace(make_natural_system(0.5), g=2.0)
+        units = "natural"
+    levels = [bouncer_level(system, n) for n in range(1, n_levels + 1)]
 
     columns = {
         "n": [lv.n for lv in levels],
@@ -253,27 +248,18 @@ def cmd_bouncer(n_levels, si_neutron, fmt, out) -> None:
 @_OUT_OPTION
 def cmd_cow(wavelength, height, length, accel, si_neutron, via_time_route, fmt, out) -> None:
     """Interferometric phase shift proportional to the enclosed beam area."""
-    try:
-        if si_neutron:
-            a = STANDARD_GRAVITY if accel is None else accel
-            system = PhysicalSystem(
-                m_i=NEUTRON_MASS_KG, m_g=NEUTRON_MASS_KG, g=STANDARD_GRAVITY,
-                a=a, hbar=HBAR_SI,
-            )
-            units = "si"
-        else:
-            a = 1.0 if accel is None else accel
-            system = dataclasses.replace(make_natural_system(1.0), a=a, g=a)
-            units = "natural"
-        geom = InterferometerGeometry(
-            wavelength=wavelength, height=height, horizontal_length=length
-        )
-        phase = cow_phase_shift(geom, system)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except NumericError as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(1)
+    if si_neutron:
+        a = STANDARD_GRAVITY if accel is None else accel
+        system = _neutron_system(a)
+        units = "si"
+    else:
+        a = 1.0 if accel is None else accel
+        system = dataclasses.replace(make_natural_system(1.0), a=a, g=a)
+        units = "natural"
+    geom = InterferometerGeometry(
+        wavelength=wavelength, height=height, horizontal_length=length
+    )
+    phase = cow_phase_shift(geom, system)
 
     columns = {
         "phase_rad": [phase],
@@ -311,22 +297,13 @@ def cmd_cow(wavelength, height, length, accel, si_neutron, via_time_route, fmt, 
 @_OUT_OPTION
 def cmd_redshift(z_sep, si, mass, accel, hbar_value, omega_prime, fmt, out) -> None:
     """Frequency shift between detectors at different heights."""
-    try:
-        if si:
-            system = PhysicalSystem(
-                m_i=NEUTRON_MASS_KG, m_g=NEUTRON_MASS_KG, g=STANDARD_GRAVITY,
-                a=STANDARD_GRAVITY, hbar=HBAR_SI,
-            )
-            units = "si"
-        else:
-            system = PhysicalSystem(m_i=mass, m_g=mass, a=accel, hbar=hbar_value)
-            units = "natural"
-        delta_omega = frequency_shift(system, z_sep)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except NumericError as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(1)
+    if si:
+        system = _neutron_system(STANDARD_GRAVITY)
+        units = "si"
+    else:
+        system = PhysicalSystem(m_i=mass, m_g=mass, a=accel, hbar=hbar_value)
+        units = "natural"
+    delta_omega = frequency_shift(system, z_sep)
 
     columns = {"z": [z_sep], "delta_omega": [delta_omega]}
     table = [f"delta_omega : {delta_omega:.10g} rad/s" if si else f"delta_omega : {delta_omega:.10g}"]
@@ -373,54 +350,53 @@ def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
         cfg["dt"] = dt
     if t_final is not None:
         cfg["t_final"] = t_final
-    n_steps = max(1, round(cfg["t_final"] / cfg["dt"]))
-    try:
-        grid = Grid(cfg["z_min"], cfg["z_max"], cfg["n_points"], dt=cfg["dt"], n_steps=n_steps)
-        system = dataclasses.replace(make_natural_system(1.0), g=1.0, a=1.0)
-        psi0 = gaussian_packet(grid, center=cfg["center"], sigma=cfg["sigma0"])
-        if demo == "frame-equivalence":
-            result = frame_equivalence(psi0, system)
-            diff = np.abs(result.transformed.values - result.direct.values)
-            columns = {
-                "z": list(grid.z),
-                "abs_transformed": list(np.abs(result.transformed.values)),
-                "abs_direct": list(np.abs(result.direct.values)),
-                "abs_difference": list(diff),
-            }
-            summary = [f"max_mismatch={_fmt(result.max_mismatch)}"]
-        elif demo == "bouncer-moments":
-            report = propagate_linear_potential(
-                psi0, system, system.weight, momentum_method="spectral"
-            )
-            t, mz, mp_, sz, sp_ = report.moment_series.T
-            columns = {
-                "t": list(t), "mean_z": list(mz), "mean_p": list(mp_),
-                "sigma_z": list(sz), "sigma_p": list(sp_),
-            }
-            checks = heisenberg_checks(report, system)
-            summary = [f"norm_drift={_fmt(report.norm_drift)}"]
-            summary += [
-                f"{name}: residual={_fmt(oc.residual)} tol={_fmt(oc.tolerance)} "
-                f"{'pass' if oc.passed else 'FAIL'}"
-                for name, oc in checks.items()
-            ]
-        else:  # free-dispersion
-            system = dataclasses.replace(system, g=0.0, a=0.0)
-            report = propagate_linear_potential(psi0, system, 0.0)
-            t, _, _, sz, _ = report.moment_series.T
-            analytic = free_dispersion_width(cfg["sigma0"], t, system)
-            columns = {
-                "t": list(t),
-                "width": list(sz),
-                "width_analytic": list(analytic),
-            }
-            rel = np.max(np.abs(sz[1:] - analytic[1:]) / analytic[1:]) if t.size > 1 else 0.0
-            summary = [f"max_rel_width_deviation={_fmt(rel)}"]
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except NumericError as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(1)
+    steps = cfg["t_final"] / cfg["dt"]
+    if steps > _MAX_STEPS:
+        raise ParameterError(
+            f"t_final/dt asks for {steps:.3g} steps; evolve takes at most {_MAX_STEPS}"
+        )
+    n_steps = max(1, round(steps))
+    grid = Grid(cfg["z_min"], cfg["z_max"], cfg["n_points"], dt=cfg["dt"], n_steps=n_steps)
+    system = dataclasses.replace(make_natural_system(1.0), g=1.0, a=1.0)
+    psi0 = gaussian_packet(grid, center=cfg["center"], sigma=cfg["sigma0"])
+    if demo == "frame-equivalence":
+        result = frame_equivalence(psi0, system)
+        diff = np.abs(result.transformed.values - result.direct.values)
+        columns = {
+            "z": list(grid.z),
+            "abs_transformed": list(np.abs(result.transformed.values)),
+            "abs_direct": list(np.abs(result.direct.values)),
+            "abs_difference": list(diff),
+        }
+        summary = [f"max_mismatch={_fmt(result.max_mismatch)}"]
+    elif demo == "bouncer-moments":
+        report = propagate_linear_potential(
+            psi0, system, system.weight, momentum_method="spectral"
+        )
+        t, mz, mp_, sz, sp_ = report.moment_series.T
+        columns = {
+            "t": list(t), "mean_z": list(mz), "mean_p": list(mp_),
+            "sigma_z": list(sz), "sigma_p": list(sp_),
+        }
+        checks = heisenberg_checks(report, system)
+        summary = [f"norm_drift={_fmt(report.norm_drift)}"]
+        summary += [
+            f"{name}: residual={_fmt(oc.residual)} tol={_fmt(oc.tolerance)} "
+            f"{'pass' if oc.passed else 'FAIL'}"
+            for name, oc in checks.items()
+        ]
+    else:  # free-dispersion
+        system = dataclasses.replace(system, g=0.0, a=0.0)
+        report = propagate_linear_potential(psi0, system, 0.0)
+        t, _, _, sz, _ = report.moment_series.T
+        analytic = free_dispersion_width(cfg["sigma0"], t, system)
+        columns = {
+            "t": list(t),
+            "width": list(sz),
+            "width_analytic": list(analytic),
+        }
+        rel = np.max(np.abs(sz[1:] - analytic[1:]) / analytic[1:]) if t.size > 1 else 0.0
+        summary = [f"max_rel_width_deviation={_fmt(rel)}"]
     meta = _meta("evolve", "natural", demo=demo, **cfg, n_steps=n_steps)
     _emit(columns, meta, fmt, out, [], summary)
 

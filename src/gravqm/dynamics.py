@@ -53,20 +53,25 @@ REFERENCE_FRAME_RUN = {
     "center": 8.0,
 }
 
+# Tolerances of heisenberg_checks: relative for the two fits, absolute for
+# the spread and uncertainty relations.
+_SLOPE_RTOL = 1e-6
+_PARABOLA_RTOL = 1e-5
+_DP_ATOL = 1e-8
+_GROWTH_ATOL = 1e-9
+_PRODUCT_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PropagationReport:
     """Outcome of one propagation: final field, drift, sampled moments.
 
-    ``moment_series`` has one row (t, <z>, <p>, dz, dp) per sample;
-    ``max_frame_mismatch`` is filled by the frame-equivalence comparison and
-    is NaN for plain runs.
+    ``moment_series`` has one row (t, <z>, <p>, dz, dp) per sample.
     """
 
     final_field: ComplexField
     norm_drift: float
     moment_series: np.ndarray
-    max_frame_mismatch: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -201,7 +206,6 @@ def propagate_linear_potential(
     psi0: ComplexField,
     system: PhysicalSystem,
     slope: float,
-    grid: Grid | None = None,
     *,
     sample_every: int = 1,
     momentum_method: str = "central",
@@ -209,13 +213,10 @@ def propagate_linear_potential(
     """Numerov-Crank-Nicolson evolution under V = slope * z with Dirichlet walls.
 
     ``slope`` is the potential slope F (m_g*g for the field, 0 for free).
-    The time step and step count come from the grid.  Moments are sampled at
-    t = 0 and every ``sample_every`` steps.
+    The grid, with its time step and step count, is the grid of ``psi0``.
+    Moments are sampled at t = 0 and every ``sample_every`` steps.
     """
-    if grid is None:
-        grid = psi0.grid
-    elif grid != psi0.grid:
-        raise ParameterError("grid argument disagrees with the grid of psi0")
+    grid = psi0.grid
     if sample_every < 1:
         raise ParameterError("sample_every must be >= 1")
     _check_initial_state(psi0)
@@ -323,11 +324,7 @@ def pde_residual(
     return float(residual / scale)
 
 
-def frame_equivalence(
-    psi0_free: ComplexField,
-    system: PhysicalSystem,
-    grid: Grid | None = None,
-) -> FrameEquivalenceResult:
+def frame_equivalence(psi0_free: ComplexField, system: PhysicalSystem) -> FrameEquivalenceResult:
     """Run the dual-path comparison behind the equivalence claim.
 
     Path one evolves the initial state freely in the falling frame and
@@ -336,20 +333,19 @@ def frame_equivalence(
     and evolves the result directly in the potential V = m_g*g*z.  When
     a = m_g*g/m_i the two paths agree up to one global phase and
     discretization error; otherwise the mismatch grows with the violation.
+    Both paths run on the grid of ``psi0_free``, with its time step and step
+    count.
     """
-    if grid is None:
-        grid = psi0_free.grid
-    elif grid != psi0_free.grid:
-        raise ParameterError("grid argument disagrees with the grid of psi0_free")
+    grid = psi0_free.grid
     ft = FrameTransform.from_system(system)
     t_final = grid.total_time
     stride = max(1, grid.n_steps)
     free_report = propagate_linear_potential(
-        psi0_free, system, 0.0, grid, sample_every=stride
+        psi0_free, system, 0.0, sample_every=stride
     )
     direct_initial = to_stationary_frame(ft, psi0_free, 0.0)
     direct_report = propagate_linear_potential(
-        direct_initial, system, system.weight, grid, sample_every=stride
+        direct_initial, system, system.weight, sample_every=stride
     )
     shifted = shift_field(free_report.final_field, ft.shift(t_final))
     transformed = to_stationary_frame(ft, shifted, t_final)
@@ -363,13 +359,9 @@ def frame_equivalence(
     )
 
 
-def frame_equivalence_test(
-    psi0_free: ComplexField,
-    system: PhysicalSystem,
-    grid: Grid | None = None,
-) -> float:
+def frame_equivalence_test(psi0_free: ComplexField, system: PhysicalSystem) -> float:
     """Maximum pointwise mismatch of the dual-path comparison."""
-    return frame_equivalence(psi0_free, system, grid).max_mismatch
+    return frame_equivalence(psi0_free, system).max_mismatch
 
 
 def free_dispersion_width(sigma0: float, t, system: PhysicalSystem):
@@ -381,12 +373,6 @@ def free_dispersion_width(sigma0: float, t, system: PhysicalSystem):
 def heisenberg_checks(
     report: PropagationReport,
     system: PhysicalSystem,
-    *,
-    slope_rtol: float = 1e-6,
-    parabola_rtol: float = 1e-5,
-    dp_atol: float = 1e-8,
-    growth_atol: float = 1e-9,
-    product_atol: float = 1e-9,
 ) -> dict[str, CheckOutcome]:
     """Operator-dynamics relations evaluated on a sampled moment series.
 
@@ -417,15 +403,15 @@ def heisenberg_checks(
     product_res = float(np.min(sigma_z * sigma_p - system.hbar / 2.0))
 
     return {
-        "momentum_slope": CheckOutcome(slope_res, slope_rtol, slope_res <= slope_rtol),
+        "momentum_slope": CheckOutcome(slope_res, _SLOPE_RTOL, slope_res <= _SLOPE_RTOL),
         "position_parabola": CheckOutcome(
-            parabola_res, parabola_rtol, parabola_res <= parabola_rtol
+            parabola_res, _PARABOLA_RTOL, parabola_res <= _PARABOLA_RTOL
         ),
-        "momentum_spread_constant": CheckOutcome(dp_res, dp_atol, dp_res <= dp_atol),
+        "momentum_spread_constant": CheckOutcome(dp_res, _DP_ATOL, dp_res <= _DP_ATOL),
         "position_spread_growth": CheckOutcome(
-            growth_res, growth_atol, growth_res >= -growth_atol
+            growth_res, _GROWTH_ATOL, growth_res >= -_GROWTH_ATOL
         ),
         "uncertainty_product": CheckOutcome(
-            product_res, product_atol, product_res >= -product_atol
+            product_res, _PRODUCT_ATOL, product_res >= -_PRODUCT_ATOL
         ),
     }

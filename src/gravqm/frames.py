@@ -117,15 +117,6 @@ def phase_s(ft: FrameTransform, z_prime, t_prime):
     return term_v + term_a
 
 
-def _stationary_phase(ft: FrameTransform, z, t: float):
-    """S rewritten in stationary coordinates via z' = z + v*t + a*t^2/2."""
-    m_over_h = ft.m_i / ft.hbar
-    return -m_over_h * (
-        ft.v * (z + 0.5 * ft.v * t)
-        + ft.a * t * (z + 0.5 * ft.v * t + ft.a * t * t / 6.0)
-    )
-
-
 def to_stationary_frame(ft: FrameTransform, psi_free: ComplexField, t: float) -> ComplexField:
     """Phase-multiply a free-frame field into the stationary frame at time t.
 
@@ -134,7 +125,7 @@ def to_stationary_frame(ft: FrameTransform, psi_free: ComplexField, t: float) ->
     see :func:`gravqm.dynamics.shift_field`).  The factor has unit modulus,
     so |Psi|^2 is preserved sample by sample.
     """
-    phase = _stationary_phase(ft, psi_free.grid.z, t)
+    phase = phase_s(ft, psi_free.grid.z + ft.shift(t), t)
     return ComplexField(psi_free.grid, psi_free.values * np.exp(1j * phase))
 
 
@@ -252,7 +243,6 @@ def falling_box_state(
     boost energy m_i*v^2/2 and the field term m_i*a*(z + v*t/2 + a*t^2/6);
     outside the window it is exactly 0.
     """
-    _check_box(n, box_length)
     if system.m_i != ft.m_i or system.hbar != ft.hbar:
         raise ParameterError("transform and system disagree on m_i or hbar")
     lo, hi = falling_box_window(n, box_length, ft, t)

@@ -168,6 +168,16 @@ def test_redshift_natural_spot_value():
     assert columns["delta_omega"][0] == pytest.approx(1.5 * 0.5 * 2.0, rel=1e-12)
 
 
+def test_non_finite_json_result_exits_one(tmp_path):
+    out = tmp_path / "redshift.json"
+    result = run("redshift", "--z", "1e308", "--mass", "1e10", "--format", "json", "--out", str(out))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "Traceback" not in result.output
+    assert "numeric failure" in result.stderr
+    assert not out.exists()
+
+
 def test_redshift_si_ratio_is_az_over_c_squared():
     result = run("redshift", "--z", "1.0", "--si", "--format", "csv")
     columns = parse_csv(result.output)
@@ -197,9 +207,26 @@ def test_non_positive_step_time_and_frequency_are_usage_errors(args):
     assert "finite positive number" in result.output
 
 
-def test_evolve_requires_out_for_json(tmp_path):
-    result = run("evolve", "--demo", "free-dispersion", "--format", "json", *FAST_EVOLVE)
+def test_evolve_requires_out_for_json(tmp_path, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("propagation ran before the usage check")
+
+    monkeypatch.setattr("gravqm.cli.propagate_linear_potential", must_not_run)
+    monkeypatch.setattr("gravqm.cli.frame_equivalence", must_not_run)
+    for demo in ("free-dispersion", "frame-equivalence"):
+        result = run("evolve", "--demo", demo, "--format", "json", *FAST_EVOLVE)
+        assert result.exit_code == 2
+        assert "Usage: cli evolve" in result.output
+        assert "--out is required" in result.output
+
+
+def test_evolve_step_count_is_bounded():
+    # 8.7e299 steps would never return; the count is refused before any grid is built
+    result = run("evolve", "--demo", "free-dispersion", "--dt", "1e-300")
     assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "Traceback" not in result.output
+    assert "8.66e+299 steps" in result.output
 
 
 def test_evolve_free_dispersion_csv_round_trip(tmp_path):

@@ -6,13 +6,23 @@ representations of the solutions of y'' = x*y:
 * Maclaurin series (the two auxiliary series f, g with 3-term recurrences)
   on the central band, where they are free of harmful cancellation;
 * large-|x| asymptotic expansions, exponential for x >> 0 and trigonometric
-  for x << 0, truncated at the smallest term;
+  for x << 0, truncated at the smallest term, with the coefficients u_k, v_k
+  (DLMF 9.7.2) tabulated once at import;
 * Taylor-step analytic continuation of the ODE between those bands, always
   run in the direction in which the wanted solution is non-recessive, so the
   recessive/dominant dichotomy of Ai and Bi never amplifies errors.
 
-The combination keeps the absolute error of all four values below ~1e-13 on
-[-12, 12] and the Wronskian Ai*Bi' - Ai'*Bi within ~5e-13 of 1/pi there.
+The continuation is tabulated once at import, at every node spaced _ODE_STEP
+apart: Ai marched down from 8 to 3.5, Ai and Bi down from -5 to -8, Bi up
+from 5 to 8.  A call in one of those bands takes a single Taylor step of at
+most _ODE_STEP from the adjacent node on the side the march comes from, so it
+inherits the march's stable direction.
+
+Against scipy.special.airy on [-12, 12], including every band edge and node
+(tests/test_airy.py), the absolute error of Ai and Ai' stays below 1e-13,
+the error of Bi and Bi' below 2e-13 * max(1, |value|) (Bi(12) is about 1e11,
+so an absolute bound on it means nothing), and the Wronskian Ai*Bi' - Ai'*Bi
+within 1e-12 of 1/pi.
 """
 
 from __future__ import annotations
@@ -41,6 +51,11 @@ _ODE_STEP = 0.5
 
 # exp(2/3 * x**1.5) overflows past this point; only Bi is affected.
 _BI_OVERFLOW_X = (709.0 * 1.5) ** (2.0 / 3.0)
+# exp(-2/3 * x**1.5) is zero past this point, and so are Ai and Ai'.
+_AI_UNDERFLOW_X = (746.0 * 1.5) ** (2.0 / 3.0)
+# Below this point the phase 2/3 * |x|**1.5 of the oscillatory expansion
+# passes 2**53, where doubles are 2 apart, so no digit of Ai or Bi is left.
+_PHASE_LOSS_X = -((1.5 * 2.0**53) ** (2.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -90,23 +105,36 @@ def _maclaurin(x: float) -> tuple[float, float, float, float]:
     return ai, aip, bi, bip
 
 
-def _asym_coefficients(zinv: float, max_terms: int = 80):
-    """Yield (k, u_k * zinv^k, v_k * zinv^k) until the terms stop shrinking."""
+def _asym_coefficient_table() -> tuple[tuple[int, float, float], ...]:
+    """(k, u_k, v_k) for k = 1..79, from u_k = u_{k-1} (6k-5)(6k-1)/(72k)."""
+    table = []
     u = 1.0
-    prev = math.inf
-    for k in range(1, max_terms):
+    for k in range(1, 80):
         u *= (6 * k - 5) * (6 * k - 1) / (72.0 * k)
-        v = -u * (6 * k + 1) / (6 * k - 1)
-        tu = u * zinv**k
+        table.append((k, u, -u * (6 * k + 1) / (6 * k - 1)))
+    return tuple(table)
+
+
+_ASYM_COEFFICIENTS = _asym_coefficient_table()
+
+
+def _asym_coefficients(zinv: float):
+    """Yield (k, u_k * zinv^k, v_k * zinv^k) until the terms stop shrinking."""
+    prev = math.inf
+    for k, u, v in _ASYM_COEFFICIENTS:
+        zk = zinv**k
+        tu = u * zk
         if abs(tu) >= prev:
             return
-        yield k, tu, v * zinv**k
+        yield k, tu, v * zk
         if abs(tu) < 1e-18:
             return
         prev = abs(tu)
 
 
 def _asym_pos_ai(x: float) -> tuple[float, float]:
+    if x > _AI_UNDERFLOW_X:
+        return 0.0, -0.0
     zeta = (2.0 / 3.0) * x**1.5
     su, sv = 1.0, 1.0
     for k, tu, tv in _asym_coefficients(1.0 / zeta):
@@ -119,9 +147,9 @@ def _asym_pos_ai(x: float) -> tuple[float, float]:
 
 
 def _asym_pos_bi(x: float) -> tuple[float, float]:
-    zeta = (2.0 / 3.0) * x**1.5
     if x > _BI_OVERFLOW_X:
         raise NumericError(f"Bi({x:g}) overflows double precision")
+    zeta = (2.0 / 3.0) * x**1.5
     su, sv = 1.0, 1.0
     for _, tu, tv in _asym_coefficients(1.0 / zeta):
         su += tu
@@ -133,6 +161,8 @@ def _asym_pos_bi(x: float) -> tuple[float, float]:
 
 def _asym_neg(x: float) -> tuple[float, float, float, float]:
     """Oscillatory expansion for x <= -8, even/odd split in 1/xi."""
+    if x < _PHASE_LOSS_X:
+        raise NumericError(f"Airy functions at {x:g} are beyond double precision: phase lost")
     big_x = -x
     xi = (2.0 / 3.0) * big_x**1.5
     pu, qu, pv, qv = 1.0, 0.0, 1.0, 0.0
@@ -180,16 +210,36 @@ def _ode_taylor_step(x0: float, y: float, yp: float, h: float) -> tuple[float, f
     return yv, yd
 
 
-def _continue_solution(
-    x_from: float, y: float, yp: float, x_to: float
-) -> tuple[float, float]:
-    steps = max(1, math.ceil(abs(x_to - x_from) / _ODE_STEP))
-    h = (x_to - x_from) / steps
+def _march(x_from: float, x_to: float, y: float, yp: float) -> dict[float, tuple[float, float]]:
+    """Tabulate a solution at every node from x_from to x_to, _ODE_STEP apart.
+
+    (y, yp) is the solution at x_from; each further node is one Taylor step
+    from the previous one.  Both ends are included.
+    """
+    h = math.copysign(_ODE_STEP, x_to - x_from)
     x = x_from
-    for _ in range(steps):
+    nodes = {x: (y, yp)}
+    for _ in range(round(abs(x_to - x_from) / _ODE_STEP)):
         y, yp = _ode_taylor_step(x, y, yp, h)
         x += h
-    return y, yp
+        nodes[x] = (y, yp)
+    return nodes
+
+
+# Node tables of the continuation, each marched in its stable direction.
+# _ODE_STEP is a power of two, so the adjacent node computed below is exact.
+_AI_POS_NODES = _march(_ASYM_POS, _SERIES_HI, *_asym_pos_ai(_ASYM_POS))
+_AI_NEG_NODES = _march(_SERIES_LO, _ASYM_NEG, *_maclaurin(_SERIES_LO)[:2])
+_BI_NEG_NODES = _march(_SERIES_LO, _ASYM_NEG, *_maclaurin(_SERIES_LO)[2:])
+_BI_POS_NODES = _march(5.0, _ASYM_POS, *_maclaurin(5.0)[2:])
+
+
+def _step_from(
+    nodes: dict[float, tuple[float, float]], node: float, x: float
+) -> tuple[float, float]:
+    """One Taylor step from a tabulated node to x."""
+    y, yp = nodes[node]
+    return _ode_taylor_step(node, y, yp, x - node)
 
 
 def _eval_ai(x: float) -> tuple[float, float]:
@@ -200,14 +250,12 @@ def _eval_ai(x: float) -> tuple[float, float]:
         if x >= _ASYM_POS:
             return _asym_pos_ai(x)
         # Downward continuation: Ai grows toward smaller x, so it is the
-        # dominant solution in this direction and the march is stable.
-        anchor = _asym_pos_ai(_ASYM_POS)
-        return _continue_solution(_ASYM_POS, anchor[0], anchor[1], x)
+        # dominant solution in this direction and the step from above is stable.
+        return _step_from(_AI_POS_NODES, math.ceil(x / _ODE_STEP) * _ODE_STEP, x)
     if x <= _ASYM_NEG:
         ai, aip, _, _ = _asym_neg(x)
         return ai, aip
-    y, yp, _, _ = _maclaurin(_SERIES_LO)
-    return _continue_solution(_SERIES_LO, y, yp, x)
+    return _step_from(_AI_NEG_NODES, math.ceil(x / _ODE_STEP) * _ODE_STEP, x)
 
 
 def _eval_bi(x: float) -> tuple[float, float]:
@@ -218,17 +266,19 @@ def _eval_bi(x: float) -> tuple[float, float]:
         if x >= _ASYM_POS:
             return _asym_pos_bi(x)
         # Upward continuation: Bi is the growing solution, stable going up.
-        _, _, bi, bip = _maclaurin(5.0)
-        return _continue_solution(5.0, bi, bip, x)
+        return _step_from(_BI_POS_NODES, math.floor(x / _ODE_STEP) * _ODE_STEP, x)
     if x <= _ASYM_NEG:
         _, _, bi, bip = _asym_neg(x)
         return bi, bip
-    _, _, bi, bip = _maclaurin(_SERIES_LO)
-    return _continue_solution(_SERIES_LO, bi, bip, x)
+    return _step_from(_BI_NEG_NODES, math.ceil(x / _ODE_STEP) * _ODE_STEP, x)
 
 
 def airy_ai(x: float) -> float:
-    """Ai(x); underflows gracefully to 0 for large positive x."""
+    """Ai(x); underflows gracefully to 0 for large positive x.
+
+    Raises NumericError below about -5.7e10, where the phase (2/3)|x|^1.5 is
+    past 2**53 and no digit is left; the same holds for Ai', Bi and Bi'.
+    """
     return _eval_ai(_check_arg(x))[0]
 
 

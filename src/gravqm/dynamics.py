@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .core import ComplexField, Grid, PhysicalSystem, norm_squared
 from .errors import BoundaryContactError, NumericError, ParameterError
@@ -216,6 +215,10 @@ def propagate_linear_potential(
     The grid, with its time step and step count, is the grid of ``psi0``.
     Moments are sampled at t = 0 and every ``sample_every`` steps.
     """
+    # Imported here so that importing gravqm, and every CLI command other
+    # than evolve, does not load scipy.linalg.
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
     grid = psi0.grid
     if sample_every < 1:
         raise ParameterError("sample_every must be >= 1")

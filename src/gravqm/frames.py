@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ComplexField, PhysicalSystem
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -207,9 +207,14 @@ def cow_phase_shift_time_route(geom: InterferometerGeometry, system: PhysicalSys
 
     The traversal time uses the horizontal velocity v_h = 2*pi*hbar/(m_i*lambda).
     Kept as a separate route so the algebraic identity with
-    :func:`cow_phase_shift` can be checked rather than assumed.
+    :func:`cow_phase_shift` can be checked rather than assumed.  Raises
+    NumericError where m_i*lambda under- or overflows, so that v_h has no
+    finite nonzero value and the route none either.
     """
-    v_h = 2.0 * math.pi * system.hbar / (system.m_i * geom.wavelength)
+    m_lambda = system.m_i * geom.wavelength
+    v_h = 2.0 * math.pi * system.hbar / m_lambda if m_lambda > 0.0 else math.inf
+    if not 0.0 < v_h < math.inf:
+        raise NumericError(f"horizontal velocity 2*pi*hbar/(m_i*lambda) = {v_h:g} is out of range")
     t = geom.horizontal_length / v_h
     return abs(system.m_i * system.a * t * geom.height / system.hbar)
 

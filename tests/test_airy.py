@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import airy
 
 from gravqm import (
     NumericError,
@@ -60,10 +61,22 @@ def test_ai_rejects_non_finite():
 
 
 def test_bi_overflow_raises():
-    with pytest.raises(NumericError):
-        airy_bi(120.0)
-    # Ai underflows gracefully instead
-    assert airy_ai(120.0) == 0.0
+    for x in (120.0, 1e308):
+        with pytest.raises(NumericError):
+            airy_bi(x)
+        # Ai underflows gracefully instead
+        assert airy_ai(x) == 0.0
+        assert airy_ai_prime(x) == 0.0
+
+
+def test_phase_loss_raises():
+    # past x ~ -5.7e10 the phase 2/3 |x|^1.5 is beyond 2**53: no digit is left
+    for x in (-1e11, -1e20, -1e308):
+        with pytest.raises(NumericError):
+            airy_ai(x)
+        with pytest.raises(NumericError):
+            airy_values(x)
+    assert airy_ai(-1e5) == pytest.approx(airy(-1e5)[0], abs=1e-9)
 
 
 def test_wronskian_at_one():
@@ -76,6 +89,25 @@ def test_wronskian_sweep():
         for x in np.linspace(-10.0, 5.0, 200)
     )
     assert worst <= 1e-10
+
+
+def test_accuracy_against_scipy():
+    # dense grid, every band edge, and every continuation node from both sides
+    nodes = np.r_[np.arange(3.5, 8.25, 0.5), np.arange(-8.0, -4.75, 0.5)]
+    edges = [-8.0, -5.0, 3.5, 5.0, 8.0]
+    xs = np.r_[np.linspace(-12.0, 12.0, 24001), edges, nodes - 1e-9, nodes + 1e-9]
+    ref_ai, ref_aip, ref_bi, ref_bip = airy(xs)
+    values = [airy_values(float(x)) for x in xs]
+    ai = np.array([v.ai for v in values])
+    aip = np.array([v.ai_prime for v in values])
+    bi = np.array([v.bi for v in values])
+    bip = np.array([v.bi_prime for v in values])
+    wronskian = np.array([v.wronskian() for v in values])
+    assert np.max(np.abs(ai - ref_ai)) <= 1e-13
+    assert np.max(np.abs(aip - ref_aip)) <= 1e-13
+    assert np.max(np.abs(bi - ref_bi) / np.maximum(1.0, np.abs(ref_bi))) <= 2e-13
+    assert np.max(np.abs(bip - ref_bip) / np.maximum(1.0, np.abs(ref_bip))) <= 2e-13
+    assert np.max(np.abs(wronskian - 1.0 / math.pi)) <= 1e-12
 
 
 def test_zeros_match_table():

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -295,3 +298,15 @@ def test_table_writes_to_out_when_given(tmp_path):
     assert result.exit_code == 0
     assert result.output == ""
     assert "2.33810741" in out.read_text()
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    # only evolve propagates; the other commands must not pay for scipy.linalg
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, gravqm.cli; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

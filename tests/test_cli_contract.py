@@ -1,0 +1,104 @@
+"""Property test of the CLI exit-code contract: 0 ok, 1 numeric failure, 2 usage.
+
+Arguments of ``airy``, ``bouncer``, ``cow`` and ``redshift`` are drawn from
+wide strategies, non-finite and extreme numbers and malformed tokens
+included.  Every invocation must end with one of the three exit codes and no
+uncaught exception, and every JSON file written must parse strictly and
+validate against the documented schema.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import jsonschema
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gravqm.cli import cli
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "cli_output.schema.json").read_text()
+)
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e309", "0", "-0", "5e-324"]),
+    st.sampled_from(["", "x", "1,5"]),
+)
+_COUNT = st.one_of(st.integers(-3, 60).map(str), st.sampled_from(["2.5", "", "x"]))
+_FORMAT = st.sampled_from(["table", "csv", "json", "json-without-out"])
+
+
+def _option(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _flag(name):
+    return st.sampled_from([[], [name]])
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(lambda ps: [name] + [token for p in ps for token in p])
+
+
+_AIRY = _command("airy", _option("--eval", _NUMBER), _option("--zeros", _COUNT))
+_BOUNCER = _command("bouncer", _option("--levels", _COUNT), _flag("--si-neutron"))
+_COW = _command(
+    "cow",
+    _option("--lambda", _NUMBER),
+    _option("--height", _NUMBER),
+    _option("--length", _NUMBER),
+    _option("--a", _NUMBER),
+    _flag("--si-neutron"),
+    _flag("--via-time-route"),
+)
+_REDSHIFT = _command(
+    "redshift",
+    _option("--z", _NUMBER),
+    _flag("--si"),
+    _option("--mass", _NUMBER),
+    _option("--accel", _NUMBER),
+    _option("--hbar", _NUMBER),
+    _option("--omega-prime", _NUMBER),
+)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def _check_contract(args, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        if fmt == "json":
+            args = args + ["--format", "json", "--out", str(out)]
+        elif fmt == "json-without-out":
+            args = args + ["--format", "json"]
+        else:
+            args = args + ["--format", fmt]
+        result = CliRunner().invoke(cli, args)
+        assert result.exit_code in (0, 1, 2), (args, result.exit_code)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            args, repr(result.exception),
+        )
+        assert "Traceback" not in result.output, args
+        if fmt == "json-without-out":
+            assert result.exit_code == 2, args
+        if fmt == "json":
+            assert out.exists() == (result.exit_code == 0), (args, result.exit_code)
+            if result.exit_code == 0:
+                document = json.loads(out.read_text(), parse_constant=_reject_constant)
+                jsonschema.validate(document, SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "command", [_AIRY, _BOUNCER, _COW, _REDSHIFT], ids=["airy", "bouncer", "cow", "redshift"]
+)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_cli_exit_code_contract(command, data):
+    _check_contract(data.draw(command), data.draw(_FORMAT))
+

@@ -10,6 +10,7 @@ from gravqm import (
     FrameTransform,
     Grid,
     InterferometerGeometry,
+    NumericError,
     ParameterError,
     PlaneWaveState,
     box_eigenvalues,
@@ -250,6 +251,19 @@ def test_cow_routes_agree_on_random_geometries():
         direct = cow_phase_shift(geom, s)
         via_time = cow_phase_shift_time_route(geom, s)
         assert via_time == pytest.approx(direct, rel=1e-12)
+
+
+def test_cow_time_route_out_of_double_range():
+    natural = make_natural_system(1.0)
+    neutron = dataclasses.replace(natural, m_i=NEUTRON_MASS_KG, m_g=NEUTRON_MASS_KG, hbar=HBAR_SI)
+    for system, wavelength in (
+        (neutron, 5e-324),  # m_i*lambda underflows to 0
+        (natural, 1e-320),  # v_h overflows
+        (dataclasses.replace(natural, hbar=1e-300), 1e100),  # v_h underflows
+    ):
+        geom = InterferometerGeometry(wavelength=wavelength, height=1.0, horizontal_length=1.0)
+        with pytest.raises(NumericError):
+            cow_phase_shift_time_route(geom, system)
 
 
 def test_cow_neutron_si():

@@ -54,6 +54,13 @@ def _emit(
     table_lines: list[str],
     summary_lines: list[str],
 ) -> None:
+    # one exit code per result, whatever the format: a non-finite number
+    # fails before anything is printed or written
+    numbers = [v for values in columns.values() for v in values]
+    numbers += meta["parameters"].values()
+    bad = [v for v in numbers if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise NumericError(f"result is not finite ({bad[0]})")
     if fmt == "table":
         text, summary_lines = "\n".join(table_lines + summary_lines) + "\n", []
     elif fmt == "csv":
@@ -61,10 +68,7 @@ def _emit(
         lines += [",".join(_fmt(v) for v in row) for row in zip(*columns.values())]
         text = "\n".join(lines) + "\n"
     else:  # json; _Command has already required --out
-        try:
-            text = json.dumps({"meta": meta, "data": columns}, indent=2, allow_nan=False) + "\n"
-        except ValueError as exc:
-            raise NumericError(f"result is not finite, so it has no JSON form ({exc})") from exc
+        text = json.dumps({"meta": meta, "data": columns}, indent=2, allow_nan=False) + "\n"
     if out is None:
         click.echo(text, nl=False)
         # keep the data stream clean for piping

@@ -158,9 +158,6 @@ class ComplexField:
             raise NumericError("cannot normalize a zero field")
         return ComplexField(self.grid, self.values / math.sqrt(n2))
 
-    def density(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
-
 
 def norm_squared(f: ComplexField) -> float:
     """Trapezoidal integral of |psi|^2 over the grid."""

@@ -14,6 +14,13 @@ most about 1e-12 over 1e4 steps on the test grids) rather than to rounding.
 The caller sizes the domain so the packet never reaches the edges (a contact
 is reported as an error naming the time).
 
+The step loop allocates no grid-sized array: the right-hand side is built
+with ``out=`` products into a preallocated buffer, the solve overwrites that
+buffer in place and the two state buffers swap, and moments are sampled by
+one kernel (``_Moments``) whose weights, wavenumbers and work arrays are
+built once per propagation.  The public :func:`moments` is the same kernel
+built for a single call.
+
 On top of the propagator sit the consistency checks used throughout the
 package: a finite-difference residual of the governing equation for
 analytically given fields, the dual-path comparison between free evolution
@@ -107,19 +114,40 @@ def gaussian_packet(
     return field.normalized()
 
 
+def _wavenumbers(grid: Grid) -> np.ndarray:
+    """Angular wavenumbers 2*pi*fftfreq of the grid, in FFT order."""
+    return 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dz)
+
+
 def shift_field(field: ComplexField, offset: float) -> ComplexField:
     """Resample a field at z + offset by trigonometric interpolation.
 
     Spectrally exact for packets that vanish at the grid edges (the periodic
     extension is then smooth to machine precision); used to evaluate a free
-    run at the shifted coordinate of the falling frame.
+    run at the shifted coordinate of the falling frame.  The resampling is
+    periodic, so the samples within |offset| of the incoming edge reappear
+    at the far side: NumericError is raised when they exceed the contact
+    amplitude, or when |offset| is not smaller than the domain.
     """
     if offset == 0.0:
         return field
-    z = field.grid.z
-    k = 2.0 * math.pi * np.fft.fftfreq(z.size, d=field.grid.dz)
+    grid = field.grid
+    span = grid.z_max - grid.z_min
+    if not abs(offset) < span:
+        raise NumericError(
+            f"shift offset {offset:g} is not smaller than the domain length {span:g}"
+        )
+    carried = int(abs(offset) / grid.dz) + 1
+    incoming = field.values[:carried] if offset > 0.0 else field.values[-carried:]
+    amplitude = float(np.max(np.abs(incoming)))
+    if not amplitude <= _CONTACT_AMPLITUDE:
+        raise NumericError(
+            f"shift offset {offset:g} carries amplitude {amplitude:.3e} across the "
+            "grid edge; enlarge the domain"
+        )
+    k = _wavenumbers(grid)
     shifted = np.fft.ifft(np.fft.fft(field.values) * np.exp(1j * k * offset))
-    return ComplexField(field.grid, shifted)
+    return ComplexField(grid, shifted)
 
 
 def align_global_phase(field: ComplexField, reference: ComplexField) -> ComplexField:
@@ -159,6 +187,84 @@ def _check_initial_state(psi0: ComplexField) -> None:
         )
 
 
+class _Moments:
+    """Moment kernel for one (grid, system, method): (<z>, <p>, dz, dp) of samples.
+
+    The trapezoid weights, the wavenumbers and three work arrays are built
+    once; a call fills the work arrays with ``out=`` ufuncs and reduces them
+    with numpy's pairwise ``sum``, so sampling a propagation allocates no
+    grid-sized array and starts no BLAS threads.  (A BLAS dot product from
+    about 10^4 points may hand the work to its threads, which costs more
+    than the product and stalls on a busy host.)  Position moments use
+    trapezoidal quadrature.  Momentum moments use -i*hbar times central
+    differences (``method="central"``) or the Fourier representation
+    (``method="spectral"``).
+    """
+
+    def __init__(self, grid: Grid, system: PhysicalSystem, method: str):
+        if method not in ("central", "spectral"):
+            raise ParameterError(f"unknown momentum method {method!r}")
+        n, dz = grid.n_points, grid.dz
+        self._method = method
+        self._hbar = system.hbar
+        self._two_dz = 2.0 * dz
+        self._z = grid.z
+        self._weights = np.full(n, dz)
+        self._weights[[0, -1]] = dz / 2.0
+        if method == "spectral":
+            self._k = _wavenumbers(grid)
+            self._k_sq = self._k**2
+        self._density = np.empty(n)
+        self._work = np.empty(n)
+        self._complex_work = np.empty(n, dtype=complex)
+
+    def __call__(self, psi: np.ndarray) -> tuple[float, float, float, float]:
+        hbar, rho, work, c = self._hbar, self._density, self._work, self._complex_work
+        # trapezoid-weighted density: its sum is the norm
+        np.abs(psi, out=rho)
+        rho *= rho
+        rho *= self._weights
+        nrm = float(rho.sum())
+        # written so that a NaN norm fails the check
+        if not abs(nrm - 1.0) <= 1e-6:
+            if not np.all(np.isfinite(psi)):
+                raise NumericError("field contains NaN or infinite samples")
+            raise ParameterError("moments require a normalized field")
+        np.multiply(self._z, rho, out=work)
+        mean_z = float(work.sum()) / nrm
+        np.subtract(self._z, mean_z, out=work)
+        work *= work
+        work *= rho
+        var_z = float(work.sum()) / nrm
+        if self._method == "central":
+            np.subtract(psi[2:], psi[:-2], out=c[1:-1])
+            # one-sided edges with the Dirichlet zero just outside the grid
+            c[0] = psi[1]
+            c[-1] = -psi[-2]
+            c /= self._two_dz
+            np.abs(c, out=work)
+            work *= work
+            work *= self._weights
+            p_sq = hbar**2 * float(work.sum()) / nrm
+            # Im(conj(psi) dpsi) = -Im(conj(dpsi) psi)
+            np.conjugate(c, out=c)
+            c *= psi
+            np.multiply(self._weights, c.imag, out=work)
+            mean_p = -hbar * float(work.sum()) / nrm
+        else:
+            np.fft.fft(psi, out=c)
+            np.abs(c, out=work)
+            work *= work
+            total = float(work.sum())
+            # the density is no longer needed: reuse it for the products
+            np.multiply(self._k, work, out=rho)
+            mean_p = hbar * float(rho.sum()) / total
+            np.multiply(self._k_sq, work, out=rho)
+            p_sq = hbar**2 * float(rho.sum()) / total
+        sigma_p = math.sqrt(max(p_sq - mean_p**2, 0.0))
+        return mean_z, mean_p, math.sqrt(max(var_z, 0.0)), sigma_p
+
+
 def moments(
     field: ComplexField,
     system: PhysicalSystem,
@@ -169,36 +275,12 @@ def moments(
     Position moments use trapezoidal quadrature.  Momentum moments use
     -i*hbar times central differences by default; ``method="spectral"`` uses
     the Fourier representation instead (same contract, sharper for smooth
-    packets away from the edges).
+    packets away from the edges).  This is the kernel that
+    :func:`propagate_linear_potential` samples with, built for one call.
+    Raises ParameterError for an unnormalized field or an unknown method
+    and NumericError for non-finite samples.
     """
-    if not field.is_normalized(tol=1e-6):
-        raise ParameterError("moments require a normalized field")
-    z = field.grid.z
-    dz = field.grid.dz
-    hbar = system.hbar
-    rho = field.density()
-    nrm = np.trapezoid(rho, dx=dz)
-    mean_z = float(np.trapezoid(z * rho, dx=dz) / nrm)
-    var_z = float(np.trapezoid((z - mean_z) ** 2 * rho, dx=dz) / nrm)
-    psi = field.values
-    if method == "central":
-        dpsi = np.zeros_like(psi)
-        dpsi[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * dz)
-        # one-sided edges with the Dirichlet zero just outside the grid
-        dpsi[0] = psi[1] / (2.0 * dz)
-        dpsi[-1] = -psi[-2] / (2.0 * dz)
-        mean_p = float(np.trapezoid((np.conj(psi) * (-1j * hbar) * dpsi).real, dx=dz) / nrm)
-        p_sq = float(hbar**2 * np.trapezoid(np.abs(dpsi) ** 2, dx=dz) / nrm)
-    elif method == "spectral":
-        k = 2.0 * math.pi * np.fft.fftfreq(psi.size, d=dz)
-        spec = np.abs(np.fft.fft(psi)) ** 2
-        total = float(np.sum(spec))
-        mean_p = float(hbar * np.sum(k * spec) / total)
-        p_sq = float(hbar**2 * np.sum(k**2 * spec) / total)
-    else:
-        raise ParameterError(f"unknown momentum method {method!r}")
-    sigma_p = math.sqrt(max(p_sq - mean_p**2, 0.0))
-    return mean_z, mean_p, math.sqrt(max(var_z, 0.0)), sigma_p
+    return _Moments(field.grid, system, method)(field.values)
 
 
 def propagate_linear_potential(
@@ -223,13 +305,11 @@ def propagate_linear_potential(
     if sample_every < 1:
         raise ParameterError("sample_every must be >= 1")
     _check_initial_state(psi0)
+    sample = _Moments(grid, system, momentum_method)
+    rows = [(0.0, *sample(psi0.values))]
     if grid.n_steps == 0:
         # zero-step evolution: the initial state, with a single moment sample
-        return PropagationReport(
-            final_field=psi0,
-            norm_drift=0.0,
-            moment_series=np.array([(0.0, *moments(psi0, system, momentum_method))]),
-        )
+        return PropagationReport(final_field=psi0, norm_drift=0.0, moment_series=np.array(rows))
 
     dt = grid.dt
     kin = system.hbar**2 / (2.0 * system.m_i * grid.dz**2)
@@ -247,29 +327,37 @@ def propagate_linear_potential(
     b_diag = 10.0 / 12.0 - r * k_diag
     b_lower = 1.0 / 12.0 - r * k_lower
     b_upper = 1.0 / 12.0 - r * k_upper
-    edge_points = np.r_[0:3, grid.n_points - 3 : grid.n_points]
 
+    # Two state buffers swapped around the in-place solve, and one product
+    # buffer for the off-diagonals: the loop allocates no grid-sized array.
     psi = psi0.values.copy()
+    rhs = np.empty_like(psi)
+    product = np.empty(grid.n_points - 1, dtype=complex)
+    edge_amplitudes = np.empty(6)
     norm0 = norm_squared(psi0)
-    rows = [(0.0, *moments(psi0, system, momentum_method))]
     for step in range(1, grid.n_steps + 1):
-        rhs = b_diag * psi
-        rhs[:-1] += b_upper * psi[1:]
-        rhs[1:] += b_lower * psi[:-1]
-        psi, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+        np.multiply(b_diag, psi, out=rhs)
+        np.multiply(b_upper, psi[1:], out=product)
+        rhs[:-1] += product
+        np.multiply(b_lower, psi[:-1], out=product)
+        rhs[1:] += product
+        # zgttrs solves in place for a contiguous complex128 right-hand side
+        solution, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
         if info != 0:
             raise NumericError(
                 f"tridiagonal solve failed at t={step * dt:.6g} (zgttrs info={info})"
             )
-        edge = float(np.max(np.abs(psi[edge_points])))
-        # written so that a NaN edge fails the check
+        psi, rhs = solution, psi
+        np.abs(psi[:3], out=edge_amplitudes[:3])
+        np.abs(psi[-3:], out=edge_amplitudes[3:])
+        # a numpy reduction, so that a NaN edge fails the check
+        edge = float(edge_amplitudes.max())
         if not edge <= _CONTACT_AMPLITUDE:
             if not math.isfinite(edge):
                 raise NumericError(f"propagation produced non-finite samples at t={step * dt:.6g}")
             raise BoundaryContactError(time=step * dt, amplitude=edge)
         if step % sample_every == 0 or step == grid.n_steps:
-            field = ComplexField(grid, psi)
-            rows.append((step * dt, *moments(field, system, momentum_method)))
+            rows.append((step * dt, *sample(psi)))
     final = ComplexField(grid, psi)
     return PropagationReport(
         final_field=final,

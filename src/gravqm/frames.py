@@ -195,11 +195,12 @@ def cow_phase_shift(geom: InterferometerGeometry, system: PhysicalSystem) -> flo
     """Interferometric phase shift m_i^2 * a * lambda * A / (2*pi*hbar^2).
 
     A is the enclosed beam area; set a = g for equal masses.  Radians.
+    Raises NumericError where 2*pi*hbar^2 under- or overflows.
     """
-    return (
-        system.m_i**2 * system.a * geom.wavelength * geom.area
-        / (2.0 * math.pi * system.hbar**2)
-    )
+    denominator = 2.0 * math.pi * system.hbar * system.hbar
+    if not 0.0 < denominator < math.inf:
+        raise NumericError(f"2*pi*hbar^2 = {denominator:g} is out of range")
+    return system.m_i**2 * system.a * geom.wavelength * geom.area / denominator
 
 
 def cow_phase_shift_time_route(geom: InterferometerGeometry, system: PhysicalSystem) -> float:

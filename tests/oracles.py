@@ -61,3 +61,31 @@ def free_gaussian_analytic(z, t, sigma0, z0=0.0, k0=0.0, m=1.0, hbar=1.0):
             - 1j * hbar * k0**2 * t / (2.0 * m)
         )
     )
+
+
+def trapezoid_moments(psi, z, dz, hbar, method):
+    """(<z>, <p>, dz, dp) by np.trapezoid quadrature, one fresh array per term.
+
+    The straightforward formulas of the moment kernel: position moments by
+    the trapezoid rule, momentum by -i*hbar central differences with the
+    Dirichlet zero outside the grid, or by the FFT power spectrum.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    rho = np.abs(psi) ** 2
+    nrm = np.trapezoid(rho, dx=dz)
+    mean_z = float(np.trapezoid(z * rho, dx=dz) / nrm)
+    var_z = float(np.trapezoid((z - mean_z) ** 2 * rho, dx=dz) / nrm)
+    if method == "central":
+        dpsi = np.zeros_like(psi)
+        dpsi[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * dz)
+        dpsi[0] = psi[1] / (2.0 * dz)
+        dpsi[-1] = -psi[-2] / (2.0 * dz)
+        mean_p = float(np.trapezoid((np.conj(psi) * (-1j * hbar) * dpsi).real, dx=dz) / nrm)
+        p_sq = float(hbar**2 * np.trapezoid(np.abs(dpsi) ** 2, dx=dz) / nrm)
+    else:
+        k = 2.0 * math.pi * np.fft.fftfreq(psi.size, d=dz)
+        spec = np.abs(np.fft.fft(psi)) ** 2
+        total = float(np.sum(spec))
+        mean_p = float(hbar * np.sum(k * spec) / total)
+        p_sq = float(hbar**2 * np.sum(k**2 * spec) / total)
+    return mean_z, mean_p, math.sqrt(max(var_z, 0.0)), math.sqrt(max(p_sq - mean_p**2, 0.0))

@@ -181,6 +181,17 @@ def test_non_finite_json_result_exits_one(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_non_finite_result_exits_one_in_every_format(tmp_path, fmt):
+    out = tmp_path / f"redshift.{fmt}"
+    for extra in ([], ["--out", str(out)]):
+        result = run("redshift", "--z", "1e308", "--mass", "1e308", "--format", fmt, *extra)
+        assert result.exit_code == 1
+        assert "numeric failure" in result.stderr
+        assert "inf" not in result.stdout
+    assert not out.exists()
+
+
 def test_redshift_si_ratio_is_az_over_c_squared():
     result = run("redshift", "--z", "1.0", "--si", "--format", "csv")
     columns = parse_csv(result.output)

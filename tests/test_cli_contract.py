@@ -4,7 +4,8 @@ Arguments of ``airy``, ``bouncer``, ``cow`` and ``redshift`` are drawn from
 wide strategies, non-finite and extreme numbers and malformed tokens
 included.  Every invocation must end with one of the three exit codes and no
 uncaught exception, and every JSON file written must parse strictly and
-validate against the documented schema.
+validate against the documented schema.  The exit code of a result does not
+depend on its output format.
 """
 
 import json
@@ -70,16 +71,20 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
+def _invoke(args, fmt, out):
+    if fmt == "json":
+        args = args + ["--format", "json", "--out", str(out)]
+    elif fmt == "json-without-out":
+        args = args + ["--format", "json"]
+    else:
+        args = args + ["--format", fmt]
+    return CliRunner().invoke(cli, args)
+
+
 def _check_contract(args, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.json"
-        if fmt == "json":
-            args = args + ["--format", "json", "--out", str(out)]
-        elif fmt == "json-without-out":
-            args = args + ["--format", "json"]
-        else:
-            args = args + ["--format", fmt]
-        result = CliRunner().invoke(cli, args)
+        result = _invoke(args, fmt, out)
         assert result.exit_code in (0, 1, 2), (args, result.exit_code)
         assert result.exception is None or isinstance(result.exception, SystemExit), (
             args, repr(result.exception),
@@ -102,3 +107,17 @@ def _check_contract(args, fmt):
 def test_cli_exit_code_contract(command, data):
     _check_contract(data.draw(command), data.draw(_FORMAT))
 
+
+@pytest.mark.parametrize(
+    "command", [_AIRY, _BOUNCER, _COW, _REDSHIFT], ids=["airy", "bouncer", "cow", "redshift"]
+)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_exit_code_does_not_depend_on_format(command, data):
+    args = data.draw(command)
+    with tempfile.TemporaryDirectory() as tmp:
+        codes = {
+            fmt: _invoke(args, fmt, Path(tmp) / f"out.{fmt}").exit_code
+            for fmt in ("table", "csv", "json")
+        }
+    assert len(set(codes.values())) == 1, (args, codes)

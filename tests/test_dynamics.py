@@ -26,8 +26,9 @@ from gravqm import (
     plane_wave_stationary,
     propagate_linear_potential,
     sample_stencil,
+    shift_field,
 )
-from oracles import free_gaussian_analytic
+from oracles import free_gaussian_analytic, trapezoid_moments
 
 
 def natural(v=0.0, a=0.0, g=None):
@@ -143,6 +144,68 @@ def test_propagate_input_validation():
         propagate_linear_potential(near_edge, system, 0.0)
 
 
+def test_last_moment_sample_is_the_final_field():
+    grid = Grid(-10.0, 10.0, 512, dt=1e-3, n_steps=40)
+    system = natural(a=1.0)
+    psi0 = gaussian_packet(grid, 0.5, 0.5, k0=1.0)
+    for method in ("central", "spectral"):
+        report = propagate_linear_potential(
+            psi0, system, system.weight, sample_every=7, momentum_method=method
+        )
+        assert report.moment_series[:, 0].tolist() == pytest.approx(
+            [0.0, 0.007, 0.014, 0.021, 0.028, 0.035, 0.04], rel=1e-12
+        )
+        last = (grid.total_time, *moments(report.final_field, system, method=method))
+        assert tuple(report.moment_series[-1]) == last
+
+
+def test_lapack_solve_writes_in_place():
+    # the propagation loop swaps two state buffers around this solve
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
+    rng = np.random.default_rng(5)
+    n = 64
+    lower, upper = (rng.random(n - 1) + 1j * rng.random(n - 1) for _ in range(2))
+    diag = 4.0 + rng.random(n) + 1j * rng.random(n)
+    dl, d, du, du2, ipiv, info = zgttrf(lower, diag, upper)
+    assert info == 0
+    rhs = rng.random(n) + 1j * rng.random(n)
+    expected = np.linalg.solve(np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1), rhs)
+    solution, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+    assert info == 0
+    assert solution is rhs
+    assert np.allclose(solution, expected, rtol=1e-12, atol=0.0)
+
+
+# ------------------------------------------------------------- shift_field
+
+
+def test_shift_field_moves_a_packet():
+    grid = Grid(-10.0, 10.0, 1024)
+    psi = gaussian_packet(grid, 1.0, 0.5, k0=2.0)
+    shifted = shift_field(psi, 0.75)
+    expected = gaussian_packet(grid, 0.25, 0.5, k0=2.0).values * np.exp(1j * 2.0 * 0.75)
+    assert np.max(np.abs(shifted.values - expected)) <= 1e-12
+    assert shift_field(psi, 0.0) is psi
+
+
+@pytest.mark.parametrize(
+    "center, offset",
+    [
+        (-8.5, 2.0),  # the packet leaves through z_min and would reappear at z_max
+        (8.5, -2.0),  # and the other way round
+        (0.0, 20.0),  # the whole domain
+        (0.0, -25.0),
+        (0.0, math.nan),
+    ],
+)
+def test_shift_field_refuses_wrap_around(center, offset):
+    grid = Grid(-10.0, 10.0, 1024)
+    psi = gaussian_packet(grid, center, 0.5)
+    with pytest.raises(NumericError, match="shift offset"):
+        shift_field(psi, offset)
+
+
 # ----------------------------------------------------------------- moments
 
 
@@ -173,6 +236,32 @@ def test_minimum_uncertainty_product():
     for method in ("central", "spectral"):
         _, _, sigma_z, sigma_p = moments(psi0, system, method=method)
         assert sigma_z * sigma_p == pytest.approx(system.hbar / 2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("method", ["central", "spectral"])
+def test_moments_match_trapezoid_oracle(method):
+    rng = np.random.default_rng(17)
+    grid = Grid(-14.0, 13.0, 4097)
+    system = dataclasses.replace(make_natural_system(1.0), hbar=0.7)
+    for _ in range(6):
+        field = gaussian_packet(
+            grid,
+            center=float(rng.uniform(-3.0, 3.0)),
+            sigma=float(rng.uniform(0.3, 1.5)),
+            k0=float(rng.uniform(-4.0, 4.0)),
+        )
+        expected = trapezoid_moments(field.values, grid.z, grid.dz, system.hbar, method)
+        got = moments(field, system, method=method)
+        assert got == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
+def test_moments_of_non_finite_field_are_a_numeric_error():
+    grid = Grid(-10.0, 10.0, 101)
+    values = gaussian_packet(grid, 0.0, 1.0).values.copy()
+    values[50] = math.nan
+    for method in ("central", "spectral"):
+        with pytest.raises(NumericError):
+            moments(ComplexField(grid, values), natural(), method=method)
 
 
 def test_moments_reject_unnormalized_field():

@@ -266,6 +266,14 @@ def test_cow_time_route_out_of_double_range():
             cow_phase_shift_time_route(geom, system)
 
 
+def test_cow_phase_out_of_double_range():
+    geom = InterferometerGeometry(wavelength=1.0, height=1.0, horizontal_length=1.0)
+    natural = dataclasses.replace(make_natural_system(1.0), g=1.0, a=1.0)
+    for hbar in (1e-200, 1e200):  # 2*pi*hbar^2 under- and overflows
+        with pytest.raises(NumericError):
+            cow_phase_shift(geom, dataclasses.replace(natural, hbar=hbar))
+
+
 def test_cow_neutron_si():
     geom = InterferometerGeometry(wavelength=1.419e-10, height=1.0e-3 / 2.0e-2, horizontal_length=2.0e-2)
     s = dataclasses.replace(

@@ -8,21 +8,29 @@ representations of the solutions of y'' = x*y:
 * large-|x| asymptotic expansions, exponential for x >> 0 and trigonometric
   for x << 0, truncated at the smallest term, with the coefficients u_k, v_k
   (DLMF 9.7.2) tabulated once at import;
-* Taylor-step analytic continuation of the ODE between those bands, always
-  run in the direction in which the wanted solution is non-recessive, so the
-  recessive/dominant dichotomy of Ai and Bi never amplifies errors.
+* Taylor polynomials of the ODE about nodes spaced _ODE_STEP apart.
 
-The continuation is tabulated once at import, at every node spaced _ODE_STEP
-apart: Ai marched down from 8 to 3.5, Ai and Bi down from -5 to -8, Bi up
-from 5 to 8.  A call in one of those bands takes a single Taylor step of at
-most _ODE_STEP from the adjacent node on the side the march comes from, so it
-inherits the march's stable direction.
+At import, every node k*_ODE_STEP on [-8, 8] gets the Taylor coefficients
+of Ai and of Bi about it, cut after three successive terms at a step of
+_ODE_STEP fall below 1e-19 of the node's |y| + |y'|.  Nodes on the series
+bands ([-5, 2.5] for Ai, [-5, 5] for Bi) are seeded by the Maclaurin
+series, which runs only then.  The other nodes are marched one polynomial
+step at a time in the direction in which the wanted solution is not
+recessive, so the recessive/dominant dichotomy of Ai and Bi never amplifies
+errors: Ai down from its asymptotic value at 8 to 3, Bi up from 5 to 8,
+both down from -5 to -8.
 
-Against scipy.special.airy on [-12, 12], including every band edge and node
-(tests/test_airy.py), the absolute error of Ai and Ai' stays below 1e-13,
-the error of Bi and Bi' below 2e-13 * max(1, |value|) (Bi(12) is about 1e11,
-so an absolute bound on it means nothing), and the Wronskian Ai*Bi' - Ai'*Bi
-within 1e-12 of 1/pi.
+A call on (-8, 8) is then one table lookup and one Horner evaluation of
+value and slope, a step of at most _ODE_STEP in the same stable direction:
+Ai from the node above, Bi from the node below for x >= 0 and from the node
+above for x < 0.  Calls with |x| >= 8 sum the asymptotic expansion.
+
+Against scipy.special.airy on [-12, 12], including every node and the
+points half a step from it (tests/test_airy.py), the absolute error of Ai
+and Ai' stays below 1e-13 (measured 1.5e-14 and 3.7e-14), the error of Bi
+and Bi' below 2e-13 * max(1, |value|) (measured 3.8e-14 and 7.4e-14; Bi(12)
+is about 1e11, so an absolute bound on it means nothing), and the Wronskian
+Ai*Bi' - Ai'*Bi within 1e-12 of 1/pi (measured 1.3e-14).
 """
 
 from __future__ import annotations
@@ -42,8 +50,13 @@ AI_PRIME_ZERO = -1.0 / (3.0 ** (1.0 / 3.0) * math.gamma(1.0 / 3.0))
 BI_ZERO = _SQRT3 * AI_ZERO
 BI_PRIME_ZERO = -_SQRT3 * AI_PRIME_ZERO
 
-# Band edges of the evaluation scheme.
-_SERIES_HI = 3.5     # Maclaurin upper edge (Ai cancellation grows beyond)
+# Band edges of the evaluation scheme.  The Maclaurin series seeds the nodes
+# on [_SERIES_LO, _SERIES_HI] for Ai and on [_SERIES_LO, _BI_SERIES_HI] for Bi.
+# Its Ai loses digits to cancellation as x grows: at 3.5 its Ai' is off by
+# 1.4e-14, which the Wronskian multiplies by Bi(3.5) ~ 32, while the march
+# down from 8 is good to 3e-18 there.  So Ai is marched down to 3.
+_SERIES_HI = 2.5
+_BI_SERIES_HI = 5.0
 _SERIES_LO = -5.0
 _ASYM_POS = 8.0      # exponential asymptotics trusted from here up
 _ASYM_NEG = -8.0     # trigonometric asymptotics trusted from here down
@@ -81,7 +94,10 @@ def _check_arg(x: float) -> float:
 
 
 def _maclaurin(x: float) -> tuple[float, float, float, float]:
-    """Power series about 0 for all four values; reliable on [-5, 3.5]."""
+    """Power series about 0 for all four values; reliable on [-5, 3.5].
+
+    Run only at import, to seed the node tables.
+    """
     if x == 0.0:
         return AI_ZERO, AI_PRIME_ZERO, BI_ZERO, BI_PRIME_ZERO
     x3 = x * x * x
@@ -105,58 +121,76 @@ def _maclaurin(x: float) -> tuple[float, float, float, float]:
     return ai, aip, bi, bip
 
 
-def _asym_coefficient_table() -> tuple[tuple[int, float, float], ...]:
-    """(k, u_k, v_k) for k = 1..79, from u_k = u_{k-1} (6k-5)(6k-1)/(72k)."""
-    table = []
+def _asym_terms(sign) -> tuple[tuple[bool, float, float], ...]:
+    """(k odd, sign(k)*u_k, sign(k)*v_k) for k = 1..79.
+
+    u_k = u_{k-1} (6k-5)(6k-1)/(72k) with u_0 = 1, and v_k = -u_k (6k+1)/(6k-1).
+    """
+    terms = []
     u = 1.0
     for k in range(1, 80):
         u *= (6 * k - 5) * (6 * k - 1) / (72.0 * k)
-        table.append((k, u, -u * (6 * k + 1) / (6 * k - 1)))
-    return tuple(table)
+        su = sign(k) * u
+        terms.append((k % 2 == 1, su, -su * (6 * k + 1) / (6 * k - 1)))
+    return tuple(terms)
 
 
-_ASYM_COEFFICIENTS = _asym_coefficient_table()
+# The three expansions differ only in the sign of term k: Ai for x >> 0
+# alternates, Bi for x >> 0 does not, and the oscillatory pair for x << 0
+# alternates in pairs (its even and odd terms form two series).
+_AI_POS_TERMS = _asym_terms(lambda k: (-1.0) ** k)
+_BI_POS_TERMS = _asym_terms(lambda k: 1.0)
+_NEG_TERMS = _asym_terms(lambda k: (-1.0) ** (k // 2))
 
 
-def _asym_coefficients(zinv: float):
-    """Yield (k, u_k * zinv^k, v_k * zinv^k) until the terms stop shrinking."""
+def _asym_sums(
+    zinv: float, terms: tuple[tuple[bool, float, float], ...]
+) -> tuple[float, float, float, float]:
+    """Sums of the signed u_k*zinv^k and v_k*zinv^k, split by the parity of k.
+
+    Returns (even u, odd u, even v, odd v); the even sums include the k = 0
+    term 1.  The series is cut before its terms stop shrinking, or after a
+    term below 1e-18.
+    """
+    eu, ou, ev, ov = 1.0, 0.0, 1.0, 0.0
+    power = 1.0
     prev = math.inf
-    for k, u, v in _ASYM_COEFFICIENTS:
-        zk = zinv**k
-        tu = u * zk
-        if abs(tu) >= prev:
-            return
-        yield k, tu, v * zk
-        if abs(tu) < 1e-18:
-            return
-        prev = abs(tu)
+    for odd, u, v in terms:
+        power *= zinv
+        tu = u * power
+        size = abs(tu)
+        if size >= prev:
+            break
+        if odd:
+            ou += tu
+            ov += v * power
+        else:
+            eu += tu
+            ev += v * power
+        if size < 1e-18:
+            break
+        prev = size
+    return eu, ou, ev, ov
 
 
 def _asym_pos_ai(x: float) -> tuple[float, float]:
     if x > _AI_UNDERFLOW_X:
         return 0.0, -0.0
     zeta = (2.0 / 3.0) * x**1.5
-    su, sv = 1.0, 1.0
-    for k, tu, tv in _asym_coefficients(1.0 / zeta):
-        sgn = -1.0 if k % 2 else 1.0
-        su += sgn * tu
-        sv += sgn * tv
+    eu, ou, ev, ov = _asym_sums(1.0 / zeta, _AI_POS_TERMS)
     x4 = x**0.25
     damp = math.exp(-zeta)
-    return damp * su / (2.0 * _SQRT_PI * x4), -x4 * damp * sv / (2.0 * _SQRT_PI)
+    return damp * (eu + ou) / (2.0 * _SQRT_PI * x4), -x4 * damp * (ev + ov) / (2.0 * _SQRT_PI)
 
 
 def _asym_pos_bi(x: float) -> tuple[float, float]:
     if x > _BI_OVERFLOW_X:
         raise NumericError(f"Bi({x:g}) overflows double precision")
     zeta = (2.0 / 3.0) * x**1.5
-    su, sv = 1.0, 1.0
-    for _, tu, tv in _asym_coefficients(1.0 / zeta):
-        su += tu
-        sv += tv
+    eu, ou, ev, ov = _asym_sums(1.0 / zeta, _BI_POS_TERMS)
     x4 = x**0.25
     grow = math.exp(zeta)
-    return grow * su / (_SQRT_PI * x4), x4 * grow * sv / _SQRT_PI
+    return grow * (eu + ou) / (_SQRT_PI * x4), x4 * grow * (ev + ov) / _SQRT_PI
 
 
 def _asym_neg(x: float) -> tuple[float, float, float, float]:
@@ -165,16 +199,7 @@ def _asym_neg(x: float) -> tuple[float, float, float, float]:
         raise NumericError(f"Airy functions at {x:g} are beyond double precision: phase lost")
     big_x = -x
     xi = (2.0 / 3.0) * big_x**1.5
-    pu, qu, pv, qv = 1.0, 0.0, 1.0, 0.0
-    for k, tu, tv in _asym_coefficients(1.0 / xi):
-        if k % 2 == 0:
-            sgn = -1.0 if (k // 2) % 2 else 1.0
-            pu += sgn * tu
-            pv += sgn * tv
-        else:
-            sgn = -1.0 if ((k - 1) // 2) % 2 else 1.0
-            qu += sgn * tu
-            qv += sgn * tv
+    pu, qu, pv, qv = _asym_sums(1.0 / xi, _NEG_TERMS)
     c = math.cos(xi + math.pi / 4.0)
     s = math.sin(xi + math.pi / 4.0)
     x4 = big_x**0.25
@@ -185,92 +210,100 @@ def _asym_neg(x: float) -> tuple[float, float, float, float]:
     return ai, aip, bi, bip
 
 
-def _ode_taylor_step(x0: float, y: float, yp: float, h: float) -> tuple[float, float]:
-    """Advance a solution of y'' = x*y from x0 to x0+h by its local Taylor series.
+# Per term n of the Taylor recurrence: its divisor (n+2)(n+1) and the power
+# _ODE_STEP**(n+2) that scales coefficient n+2 at the longest step.
+_TAYLOR_TERMS = tuple(((n + 2.0) * (n + 1.0), _ODE_STEP ** (n + 2)) for n in range(60))
 
-    Coefficients obey (n+2)(n+1)*c_{n+2} = x0*c_n + c_{n-1} with c_{-1} := 0.
+
+def _taylor(x0: float, y: float, yp: float) -> tuple[float, ...]:
+    """Taylor coefficients about x0, highest first, of the solution of y'' = x*y.
+
+    (y, yp) are its value and slope at x0.  The coefficients obey
+    (n+2)(n+1)*c_{n+2} = x0*c_n + c_{n-1} with c_{-1} := 0, and are cut once
+    three in a row fall below 1e-19 * (|y| + |yp|) at a step of _ODE_STEP.
+    A single small one does not end the series: about x0 = 0 every third
+    coefficient is zero.
     """
-    c0, c1 = y, yp
-    c = [c0, c1, x0 * c0 / 2.0]
-    scale = abs(c0) + abs(c1) + 1e-300
-    hn = h * h
-    n = 1
-    while n < 60:
-        c.append((x0 * c[n] + c[n - 1]) / ((n + 2.0) * (n + 1.0)))
-        hn *= h
-        if abs(c[-1] * hn) < 1e-19 * scale and n > 6:
-            break
-        n += 1
-    yv = 0.0
-    yd = 0.0
-    for m in range(len(c) - 1, 0, -1):
-        yv = yv * h + c[m]
-        yd = yd * h + m * c[m]
-    yv = yv * h + c[0]
-    return yv, yd
+    c = [y, yp]
+    cutoff = 1e-19 * (abs(y) + abs(yp) + 1e-300)
+    before, current, after = 0.0, y, yp  # c_{n-1}, c_n, c_{n+1}
+    small = 0
+    for divisor, hn in _TAYLOR_TERMS:
+        before, current, after = current, after, (x0 * current + before) / divisor
+        c.append(after)
+        if abs(after) * hn < cutoff:
+            small += 1
+            if small == 3:
+                break
+        else:
+            small = 0
+    return tuple(reversed(c))
 
 
-def _march(x_from: float, x_to: float, y: float, yp: float) -> dict[float, tuple[float, float]]:
-    """Tabulate a solution at every node from x_from to x_to, _ODE_STEP apart.
+def _horner(coeffs: tuple[float, ...], h: float) -> tuple[float, float]:
+    """Value and derivative at offset h of a polynomial given highest coefficient first."""
+    y = d = 0.0
+    for c in coeffs:
+        d = d * h + y
+        y = y * h + c
+    return y, d
 
-    (y, yp) is the solution at x_from; each further node is one Taylor step
-    from the previous one.  Both ends are included.
+
+def _node_table(
+    seeds: dict[int, tuple[float, float]], marches: tuple[tuple[int, int], ...]
+) -> tuple[tuple[float, ...], ...]:
+    """Taylor polynomial at every node k*_ODE_STEP, k = -_NODES.._NODES.
+
+    ``seeds`` maps k to a solution's (value, slope) at that node.  Each march
+    (start, stop) fills the nodes after the seeded node ``start`` up to and
+    including ``stop``, each by one step of the previous node's polynomial.
     """
-    h = math.copysign(_ODE_STEP, x_to - x_from)
-    x = x_from
-    nodes = {x: (y, yp)}
-    for _ in range(round(abs(x_to - x_from) / _ODE_STEP)):
-        y, yp = _ode_taylor_step(x, y, yp, h)
-        x += h
-        nodes[x] = (y, yp)
-    return nodes
+    polys = {k: _taylor(k * _ODE_STEP, y, yp) for k, (y, yp) in seeds.items()}
+    for start, stop in marches:
+        step = 1 if stop > start else -1
+        for k in range(start, stop, step):
+            node = (k + step) * _ODE_STEP
+            polys[k + step] = _taylor(node, *_horner(polys[k], step * _ODE_STEP))
+    return tuple(polys[k] for k in range(-_NODES, _NODES + 1))
 
 
-# Node tables of the continuation, each marched in its stable direction.
-# _ODE_STEP is a power of two, so the adjacent node computed below is exact.
-_AI_POS_NODES = _march(_ASYM_POS, _SERIES_HI, *_asym_pos_ai(_ASYM_POS))
-_AI_NEG_NODES = _march(_SERIES_LO, _ASYM_NEG, *_maclaurin(_SERIES_LO)[:2])
-_BI_NEG_NODES = _march(_SERIES_LO, _ASYM_NEG, *_maclaurin(_SERIES_LO)[2:])
-_BI_POS_NODES = _march(5.0, _ASYM_POS, *_maclaurin(5.0)[2:])
-
-
-def _step_from(
-    nodes: dict[float, tuple[float, float]], node: float, x: float
-) -> tuple[float, float]:
-    """One Taylor step from a tabulated node to x."""
-    y, yp = nodes[node]
-    return _ode_taylor_step(node, y, yp, x - node)
+# Node k*_ODE_STEP is entry k + _NODES of each table, seeded and marched as
+# the module docstring describes.
+_NODES = round(_ASYM_POS / _ODE_STEP)
+_K_LO = round(_SERIES_LO / _ODE_STEP)
+_K_AI_HI = round(_SERIES_HI / _ODE_STEP)
+_K_BI_HI = round(_BI_SERIES_HI / _ODE_STEP)
+_SERIES = {k: _maclaurin(k * _ODE_STEP) for k in range(_K_LO, _K_BI_HI + 1)}
+_AI_TABLE = _node_table(
+    {k: v[:2] for k, v in _SERIES.items() if k <= _K_AI_HI} | {_NODES: _asym_pos_ai(_ASYM_POS)},
+    ((_NODES, _K_AI_HI + 1), (_K_LO, -_NODES)),
+)
+_BI_TABLE = _node_table(
+    {k: v[2:] for k, v in _SERIES.items()}, ((_K_BI_HI, _NODES), (_K_LO, -_NODES))
+)
+del _SERIES
 
 
 def _eval_ai(x: float) -> tuple[float, float]:
-    if _SERIES_LO <= x <= _SERIES_HI:
-        ai, aip, _, _ = _maclaurin(x)
-        return ai, aip
-    if x > _SERIES_HI:
-        if x >= _ASYM_POS:
-            return _asym_pos_ai(x)
-        # Downward continuation: Ai grows toward smaller x, so it is the
-        # dominant solution in this direction and the step from above is stable.
-        return _step_from(_AI_POS_NODES, math.ceil(x / _ODE_STEP) * _ODE_STEP, x)
+    if x >= _ASYM_POS:
+        return _asym_pos_ai(x)
     if x <= _ASYM_NEG:
-        ai, aip, _, _ = _asym_neg(x)
-        return ai, aip
-    return _step_from(_AI_NEG_NODES, math.ceil(x / _ODE_STEP) * _ODE_STEP, x)
+        return _asym_neg(x)[:2]
+    # From the node above: toward smaller x Ai grows (x > 0) or oscillates,
+    # so the step runs in a stable direction.
+    k = math.ceil(x / _ODE_STEP)
+    return _horner(_AI_TABLE[k + _NODES], x - k * _ODE_STEP)
 
 
 def _eval_bi(x: float) -> tuple[float, float]:
-    if _SERIES_LO <= x <= 5.0:
-        _, _, bi, bip = _maclaurin(x)
-        return bi, bip
-    if x > 5.0:
-        if x >= _ASYM_POS:
-            return _asym_pos_bi(x)
-        # Upward continuation: Bi is the growing solution, stable going up.
-        return _step_from(_BI_POS_NODES, math.floor(x / _ODE_STEP) * _ODE_STEP, x)
+    if x >= _ASYM_POS:
+        return _asym_pos_bi(x)
     if x <= _ASYM_NEG:
-        _, _, bi, bip = _asym_neg(x)
-        return bi, bip
-    return _step_from(_BI_NEG_NODES, math.ceil(x / _ODE_STEP) * _ODE_STEP, x)
+        return _asym_neg(x)[2:]
+    # Bi grows with x for x > 0, so step up from the node below; below 0 it
+    # oscillates, and the step runs down from the node above, as the march does.
+    k = math.floor(x / _ODE_STEP) if x >= 0.0 else math.ceil(x / _ODE_STEP)
+    return _horner(_BI_TABLE[k + _NODES], x - k * _ODE_STEP)
 
 
 def airy_ai(x: float) -> float:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .airy import ai_negative_zero, ai_squared_tail, airy_ai
-from .core import PhysicalSystem
+from .core import PhysicalSystem, checked_square
 from .errors import ParameterError
 
 
@@ -36,19 +36,26 @@ class BouncerLevel:
 
 
 def alpha(system: PhysicalSystem) -> float:
-    """Inverse length scale (2*m_i*F/hbar^2)**(1/3) with F = m_g*g."""
+    """Inverse length scale (2*m_i*F/hbar^2)**(1/3) with F = m_g*g.
+
+    Raises NumericError where hbar^2 under- or overflows.
+    """
     force = system.m_g * system.g
     if force <= 0.0:
         raise ParameterError("alpha requires m_g > 0 and g > 0")
-    return (2.0 * system.m_i * force / system.hbar**2) ** (1.0 / 3.0)
+    return (2.0 * system.m_i * force / checked_square("hbar", system.hbar)) ** (1.0 / 3.0)
 
 
 def energy_scale(system: PhysicalSystem) -> float:
-    """(hbar^2 F^2 / (2 m_i))**(1/3), the unit of the physical energies."""
+    """(hbar^2 F^2 / (2 m_i))**(1/3), the unit of the physical energies.
+
+    Raises NumericError where hbar^2 or F^2 under- or overflows.
+    """
     force = system.m_g * system.g
     if force <= 0.0:
         raise ParameterError("energy scale requires m_g > 0 and g > 0")
-    return (system.hbar**2 * force**2 / (2.0 * system.m_i)) ** (1.0 / 3.0)
+    hbar_sq = checked_square("hbar", system.hbar)
+    return (hbar_sq * checked_square("m_g*g", force) / (2.0 * system.m_i)) ** (1.0 / 3.0)
 
 
 def probability_outside(n: int) -> float:

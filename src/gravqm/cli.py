@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .airy import ai_negative_zero, airy_values
 from .bouncer import level as bouncer_level
-from .core import Grid, PhysicalSystem, make_natural_system
+from .core import MAX_STEPS, Grid, PhysicalSystem, make_natural_system
 from .dynamics import (
     REFERENCE_FRAME_RUN,
     frame_equivalence,
@@ -103,8 +103,6 @@ class _PositiveFloat(click.ParamType):
 
 
 _POSITIVE = _PositiveFloat()
-# Longest propagation evolve runs; the demos and the reference run take 10^4 steps.
-_MAX_STEPS = 10**7
 
 _FORMAT_OPTION = click.option(
     "--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table",
@@ -355,9 +353,10 @@ def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
     if t_final is not None:
         cfg["t_final"] = t_final
     steps = cfg["t_final"] / cfg["dt"]
-    if steps > _MAX_STEPS:
+    # checked before round(), which raises on inf
+    if steps > MAX_STEPS:
         raise ParameterError(
-            f"t_final/dt asks for {steps:.3g} steps; evolve takes at most {_MAX_STEPS}"
+            f"t_final/dt asks for {steps:.3g} steps; evolve takes at most {MAX_STEPS}"
         )
     n_steps = max(1, round(steps))
     grid = Grid(cfg["z_min"], cfg["z_max"], cfg["n_points"], dt=cfg["dt"], n_steps=n_steps)

@@ -25,6 +25,8 @@ from .errors import NumericError, ParameterError
 # Tolerance for the free-fall identity a*m_i = m_g*g.  This is an algebraic
 # check, not a physical one, so it sits just above double rounding.
 FREE_FALL_RTOL = 1e-12
+# Longest propagation a Grid describes; the demos and the reference run take 10^4 steps.
+MAX_STEPS = 10**7
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -32,6 +34,18 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value}")
     return value
+
+
+def checked_square(name: str, value: float) -> float:
+    """value*value, or NumericError where it is not a finite nonzero double.
+
+    ``value**2`` would raise OverflowError for a large float, and a tiny one
+    squares to 0, which a later division turns into ZeroDivisionError.
+    """
+    square = value * value
+    if not 0.0 < square < math.inf:
+        raise NumericError(f"{name}^2 = {square:g} is out of double range ({name} = {value:g})")
+    return square
 
 
 @dataclass(frozen=True)
@@ -105,6 +119,8 @@ class Grid:
             raise ParameterError("z_max must exceed z_min")
         if self.n_steps < 0:
             raise ParameterError(f"n_steps must be non-negative, got {self.n_steps}")
+        if self.n_steps > MAX_STEPS:
+            raise ParameterError(f"n_steps must be at most {MAX_STEPS}, got {self.n_steps}")
         if self.n_steps > 0 and self.dt <= 0:
             raise ParameterError("dt must be positive when n_steps > 0")
         z = np.linspace(self.z_min, self.z_max, self.n_points)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexField, Grid, PhysicalSystem, norm_squared
+from .core import ComplexField, Grid, PhysicalSystem, checked_square, norm_squared
 from .errors import BoundaryContactError, NumericError, ParameterError
 from .frames import FrameTransform, to_stationary_frame
 
@@ -207,6 +207,7 @@ class _Moments:
         n, dz = grid.n_points, grid.dz
         self._method = method
         self._hbar = system.hbar
+        self._hbar_sq = checked_square("hbar", system.hbar)
         self._two_dz = 2.0 * dz
         self._z = grid.z
         self._weights = np.full(n, dz)
@@ -245,7 +246,7 @@ class _Moments:
             np.abs(c, out=work)
             work *= work
             work *= self._weights
-            p_sq = hbar**2 * float(work.sum()) / nrm
+            p_sq = self._hbar_sq * float(work.sum()) / nrm
             # Im(conj(psi) dpsi) = -Im(conj(dpsi) psi)
             np.conjugate(c, out=c)
             c *= psi
@@ -260,7 +261,7 @@ class _Moments:
             np.multiply(self._k, work, out=rho)
             mean_p = hbar * float(rho.sum()) / total
             np.multiply(self._k_sq, work, out=rho)
-            p_sq = hbar**2 * float(rho.sum()) / total
+            p_sq = self._hbar_sq * float(rho.sum()) / total
         sigma_p = math.sqrt(max(p_sq - mean_p**2, 0.0))
         return mean_z, mean_p, math.sqrt(max(var_z, 0.0)), sigma_p
 
@@ -312,7 +313,7 @@ def propagate_linear_potential(
         return PropagationReport(final_field=psi0, norm_drift=0.0, moment_series=np.array(rows))
 
     dt = grid.dt
-    kin = system.hbar**2 / (2.0 * system.m_i * grid.dz**2)
+    kin = checked_square("hbar", system.hbar) / (2.0 * system.m_i * checked_square("dz", grid.dz))
     potential = slope * grid.z
     r = 1j * dt / (2.0 * system.hbar)
     # K = T + M diag(V): diagonal, K[j+1, j] and K[j, j+1]
@@ -406,7 +407,7 @@ def pde_residual(
     psi_t = (values[2:, 1:-1] - values[:-2, 1:-1]) / (2.0 * dt)
     psi_zz = (values[1:-1, 2:] - 2.0 * inner + values[1:-1, :-2]) / dz**2
     term_t = 1j * hbar * psi_t
-    term_zz = hbar**2 / (2.0 * m) * psi_zz
+    term_zz = checked_square("hbar", hbar) / (2.0 * m) * psi_zz
     term_v = slope * z_values[None, 1:-1] * inner
     residual = np.max(np.abs(term_t + term_zz - term_v))
     scale = max(

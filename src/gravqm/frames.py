@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexField, PhysicalSystem
+from .core import ComplexField, PhysicalSystem, checked_square
 from .errors import NumericError, ParameterError
 
 
@@ -195,12 +195,13 @@ def cow_phase_shift(geom: InterferometerGeometry, system: PhysicalSystem) -> flo
     """Interferometric phase shift m_i^2 * a * lambda * A / (2*pi*hbar^2).
 
     A is the enclosed beam area; set a = g for equal masses.  Radians.
-    Raises NumericError where 2*pi*hbar^2 under- or overflows.
+    Raises NumericError where 2*pi*hbar^2 or m_i^2 under- or overflows.
     """
     denominator = 2.0 * math.pi * system.hbar * system.hbar
     if not 0.0 < denominator < math.inf:
         raise NumericError(f"2*pi*hbar^2 = {denominator:g} is out of range")
-    return system.m_i**2 * system.a * geom.wavelength * geom.area / denominator
+    m_sq = checked_square("m_i", system.m_i)
+    return m_sq * system.a * geom.wavelength * geom.area / denominator
 
 
 def cow_phase_shift_time_route(geom: InterferometerGeometry, system: PhysicalSystem) -> float:

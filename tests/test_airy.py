@@ -13,6 +13,7 @@ from gravqm import (
     airy_ai,
     airy_ai_prime,
     airy_bi,
+    airy_bi_prime,
     airy_values,
 )
 from oracles import ai_prime_series_oracle, ai_series_oracle
@@ -91,11 +92,17 @@ def test_wronskian_sweep():
     assert worst <= 1e-10
 
 
+# Every node of the evaluator's Taylor tables, 0.5 apart on [-8, 8].
+TABLE_NODES = np.arange(-8.0, 8.25, 0.5)
+
+
 def test_accuracy_against_scipy():
-    # dense grid, every band edge, and every continuation node from both sides
-    nodes = np.r_[np.arange(3.5, 8.25, 0.5), np.arange(-8.0, -4.75, 0.5)]
-    edges = [-8.0, -5.0, 3.5, 5.0, 8.0]
-    xs = np.r_[np.linspace(-12.0, 12.0, 24001), edges, nodes - 1e-9, nodes + 1e-9]
+    # dense grid, every band edge, and every table node from both sides.  A
+    # point node +- 1e-9 is also 0.5 - 1e-9 from the neighbouring node on the
+    # other side, the farthest any call steps: Ai steps down from the node
+    # above, Bi up from the node below for x >= 0 and down for x < 0.
+    edges = [-8.0, -5.0, 2.5, 3.5, 5.0, 8.0]
+    xs = np.r_[np.linspace(-12.0, 12.0, 24001), edges, TABLE_NODES - 1e-9, TABLE_NODES + 1e-9]
     ref_ai, ref_aip, ref_bi, ref_bip = airy(xs)
     values = [airy_values(float(x)) for x in xs]
     ai = np.array([v.ai for v in values])
@@ -157,12 +164,24 @@ def test_tail_derivative_is_minus_ai_squared():
 
 
 def test_band_seams_are_smooth():
-    # the evaluator switches representation at 3.5, 5, +-8; across each seam
-    # the finite change must match the derivative, with no representation jump
+    # the evaluator switches polynomial at every table node and representation
+    # at +-8; across each seam the finite change must match the derivative,
+    # with no representation jump
     h = 1e-6
-    for seam in (3.5, 5.0, 8.0, -5.0, -8.0):
+    for seam in TABLE_NODES:
         below = airy_values(seam - h)
         above = airy_values(seam + h)
         mid = airy_values(seam)
         assert above.ai - below.ai == pytest.approx(2.0 * h * mid.ai_prime, rel=1e-4, abs=1e-12)
         assert above.bi - below.bi == pytest.approx(2.0 * h * mid.bi_prime, rel=1e-4, abs=1e-12)
+
+
+def test_single_functions_match_airy_values_bit_for_bit():
+    # one evaluation path: each function returns exactly its field of airy_values
+    xs = np.r_[np.linspace(-12.0, 12.0, 4801), TABLE_NODES - 1e-9, TABLE_NODES + 1e-9]
+    for x in map(float, xs):
+        values = airy_values(x)
+        assert airy_ai(x) == values.ai
+        assert airy_ai_prime(x) == values.ai_prime
+        assert airy_bi(x) == values.bi
+        assert airy_bi_prime(x) == values.bi_prime

@@ -6,11 +6,13 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from gravqm import (
+    NumericError,
     ParameterError,
     PhysicalSystem,
     airy_ai,
     alpha,
     eigenfunction,
+    energy_scale,
     level,
     make_natural_system,
     probability_outside,
@@ -168,3 +170,17 @@ def test_level_index_validation():
     for bad in (0, 51, -2):
         with pytest.raises(ParameterError):
             level(s, bad)
+
+
+@pytest.mark.parametrize(
+    "scale, system",
+    [
+        (alpha, PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0, hbar=1e-200)),  # hbar^2 underflows
+        (lambda s: level(s, 1), PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0, hbar=1e200)),
+        (energy_scale, PhysicalSystem(m_i=1.0, m_g=1e200, g=1.0)),  # F^2 overflows
+    ],
+    ids=["alpha-small-hbar", "level-large-hbar", "energy-scale-large-force"],
+)
+def test_scales_out_of_double_range(scale, system):
+    with pytest.raises(NumericError):
+        scale(system)

@@ -60,6 +60,13 @@ def test_grid_validation_and_spacing():
         Grid(0.0, 1.0, 11, dt=0.0, n_steps=5)
 
 
+def test_grid_bounds_the_step_count():
+    assert Grid(0.0, 1.0, 11, dt=1e-3, n_steps=10**7).n_steps == 10**7
+    for n_steps in (10**7 + 1, 10**300):
+        with pytest.raises(ParameterError, match="n_steps must be at most"):
+            Grid(0.0, 1.0, 11, dt=1e-300, n_steps=n_steps)
+
+
 @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
 def test_grid_rejects_non_finite_dt(dt):
     with pytest.raises(ParameterError, match="dt must be finite"):

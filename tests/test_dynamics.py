@@ -12,6 +12,7 @@ from gravqm import (
     Grid,
     NumericError,
     ParameterError,
+    PhysicalSystem,
     PlaneWaveState,
     frame_equivalence,
     frame_equivalence_test,
@@ -262,6 +263,20 @@ def test_moments_of_non_finite_field_are_a_numeric_error():
     for method in ("central", "spectral"):
         with pytest.raises(NumericError):
             moments(ComplexField(grid, values), natural(), method=method)
+
+
+def test_moments_with_hbar_out_of_double_range():
+    packet = gaussian_packet(Grid(-10.0, 10.0, 256), 0.0, 1.0)
+    with pytest.raises(NumericError):  # hbar^2 overflows
+        moments(packet, PhysicalSystem(m_i=1.0, m_g=1.0, hbar=1e200))
+
+
+def test_propagation_with_spacing_out_of_double_range():
+    grid = Grid(0.0, 1e-170, 11, dt=1e-3, n_steps=2)
+    values = np.zeros(11, dtype=complex)
+    values[5] = 1.0 / math.sqrt(grid.dz)
+    with np.errstate(over="ignore"), pytest.raises(NumericError):  # dz^2 underflows
+        propagate_linear_potential(ComplexField(grid, values), natural(), 0.0)
 
 
 def test_moments_reject_unnormalized_field():

@@ -12,6 +12,7 @@ from gravqm import (
     InterferometerGeometry,
     NumericError,
     ParameterError,
+    PhysicalSystem,
     PlaneWaveState,
     box_eigenvalues,
     cow_phase_shift,
@@ -272,6 +273,12 @@ def test_cow_phase_out_of_double_range():
     for hbar in (1e-200, 1e200):  # 2*pi*hbar^2 under- and overflows
         with pytest.raises(NumericError):
             cow_phase_shift(geom, dataclasses.replace(natural, hbar=hbar))
+
+
+def test_cow_phase_with_mass_out_of_double_range():
+    geom = InterferometerGeometry(wavelength=1.0, height=1.0, horizontal_length=1.0)
+    with pytest.raises(NumericError):  # m_i^2 overflows
+        cow_phase_shift(geom, PhysicalSystem(m_i=1e200, m_g=1.0, g=1.0, a=1.0))
 
 
 def test_cow_neutron_si():

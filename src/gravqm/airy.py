@@ -121,14 +121,20 @@ def _maclaurin(x: float) -> tuple[float, float, float, float]:
     return ai, aip, bi, bip
 
 
+# Terms tabulated per expansion.  For |x| >= 8 the cut in _asym_sums reads at
+# most 40 of them (at x near 9.33; tests/test_airy.py replays the cut), so
+# the sum always ends at a cut, never at the end of the table.
+_ASYM_TERMS = 44
+
+
 def _asym_terms(sign) -> tuple[tuple[bool, float, float], ...]:
-    """(k odd, sign(k)*u_k, sign(k)*v_k) for k = 1..79.
+    """(k odd, sign(k)*u_k, sign(k)*v_k) for k = 1.._ASYM_TERMS.
 
     u_k = u_{k-1} (6k-5)(6k-1)/(72k) with u_0 = 1, and v_k = -u_k (6k+1)/(6k-1).
     """
     terms = []
     u = 1.0
-    for k in range(1, 80):
+    for k in range(1, _ASYM_TERMS + 1):
         u *= (6 * k - 5) * (6 * k - 1) / (72.0 * k)
         su = sign(k) * u
         terms.append((k % 2 == 1, su, -su * (6 * k + 1) / (6 * k - 1)))

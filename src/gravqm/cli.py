@@ -12,14 +12,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 
 import click
-import numpy as np
 
 from . import __version__
 from .airy import ai_negative_zero, airy_values
 from .bouncer import level as bouncer_level
-from .core import MAX_STEPS, Grid, PhysicalSystem, make_natural_system
+from .core import MAX_STEPS, Grid, PhysicalSystem, make_natural_system, np
 from .dynamics import (
     REFERENCE_FRAME_RUN,
     frame_equivalence,
@@ -41,7 +41,8 @@ EV_IN_JOULE = 1.602176634e-19
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
+    # numpy registers its integer types as numbers.Integral
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return format(float(value), ".17g")
 

@@ -11,16 +11,52 @@ Sign convention used everywhere: z increases upward, the uniform field acts
 along -z (potential ``V = m_g * g * z``), and a positive frame acceleration
 ``a`` means the primed frame accelerates downward, so its coordinate is
 ``z' = z + v*t + a*t**2/2``.
+
+numpy is bound here as ``np``, a module whose import runs at its first
+attribute access (:func:`lazy_module`); ``frames``, ``dynamics`` and ``cli``
+take ``np`` from here.  So the scalar commands (``airy``, ``bouncer``,
+``cow``, ``redshift``) and ``import gravqm`` never run numpy's import, while
+the first grid, field or propagation does.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import NumericError, ParameterError
+
+
+def lazy_module(name: str):
+    """The module ``name``, imported at its first attribute access.
+
+    A module already in ``sys.modules`` is returned as it is.  Otherwise a
+    lazy module (``importlib.util.LazyLoader``) is put there: its code runs
+    at the first attribute access, after which it is an ordinary module, so
+    later accesses cost nothing extra.
+
+    On Python 3.10 and 3.11 that first access is not guarded by a lock: a
+    thread that touches the module while another one runs its import may
+    find it half initialised.  Callers that import the module themselves
+    beforehand get the real module back and are not affected.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = lazy_module("numpy")
 
 # Tolerance for the free-fall identity a*m_i = m_g*g.  This is an algebraic
 # check, not a physical one, so it sits just above double rounding.
@@ -37,13 +73,15 @@ def _require_finite(name: str, value: float) -> float:
 
 
 def checked_square(name: str, value: float) -> float:
-    """value*value, or NumericError where it is not a finite nonzero double.
+    """value*value, or NumericError where a nonzero value does not square to
+    a finite nonzero double.
 
     ``value**2`` would raise OverflowError for a large float, and a tiny one
-    squares to 0, which a later division turns into ZeroDivisionError.
+    squares to 0, which a later division turns into ZeroDivisionError.  An
+    exact 0 squares to 0.
     """
     square = value * value
-    if not 0.0 < square < math.inf:
+    if not 0.0 < square < math.inf and value != 0.0:
         raise NumericError(f"{name}^2 = {square:g} is out of double range ({name} = {value:g})")
     return square
 

@@ -33,9 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import ComplexField, Grid, PhysicalSystem, checked_square, norm_squared
+from .core import ComplexField, Grid, PhysicalSystem, checked_square, norm_squared, np
 from .errors import BoundaryContactError, NumericError, ParameterError
 from .frames import FrameTransform, to_stationary_frame
 
@@ -107,8 +105,9 @@ def gaussian_packet(
     if sigma <= 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     z = grid.z
-    psi = (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(
-        -((z - center) ** 2) / (4.0 * sigma**2) + 1j * k0 * z
+    sigma_sq = checked_square("sigma", sigma)
+    psi = (2.0 * math.pi * sigma_sq) ** -0.25 * np.exp(
+        -((z - center) ** 2) / (4.0 * sigma_sq) + 1j * k0 * z
     )
     field = ComplexField(grid, psi)
     return field.normalized()
@@ -458,7 +457,8 @@ def frame_equivalence_test(psi0_free: ComplexField, system: PhysicalSystem) -> f
 
 def free_dispersion_width(sigma0: float, t, system: PhysicalSystem):
     """Analytic free-packet width sigma0*sqrt(1 + (hbar t/(2 m sigma0^2))^2)."""
-    tau = system.hbar * np.asarray(t, dtype=float) / (2.0 * system.m_i * sigma0**2)
+    sigma0_sq = checked_square("sigma0", sigma0)
+    tau = system.hbar * np.asarray(t, dtype=float) / (2.0 * system.m_i * sigma0_sq)
     return sigma0 * np.sqrt(1.0 + tau**2)
 
 

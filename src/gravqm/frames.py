@@ -33,9 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import ComplexField, PhysicalSystem, checked_square
+from .core import ComplexField, PhysicalSystem, checked_square, np
 from .errors import NumericError, ParameterError
 
 
@@ -94,11 +92,12 @@ class PlaneWaveState:
     @classmethod
     def from_momentum(cls, p_prime: float, system: PhysicalSystem) -> "PlaneWaveState":
         """Build with the free dispersion hbar*omega' = p'^2/(2 m_i)."""
-        return cls(p_prime=p_prime, omega_prime=p_prime**2 / (2.0 * system.m_i * system.hbar))
+        p_sq = checked_square("p_prime", p_prime)
+        return cls(p_prime=p_prime, omega_prime=p_sq / (2.0 * system.m_i * system.hbar))
 
     def dispersion_residual(self, system: PhysicalSystem) -> float:
         """Relative violation of hbar*omega' = p'^2/(2 m_i)."""
-        kinetic = self.p_prime**2 / (2.0 * system.m_i)
+        kinetic = checked_square("p_prime", self.p_prime) / (2.0 * system.m_i)
         scale = max(abs(kinetic), abs(system.hbar * self.omega_prime), 1e-300)
         return abs(system.hbar * self.omega_prime - kinetic) / scale
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import airy
 
+import gravqm.airy as kernel
 from gravqm import (
     NumericError,
     ParameterError,
@@ -115,6 +116,24 @@ def test_accuracy_against_scipy():
     assert np.max(np.abs(bi - ref_bi) / np.maximum(1.0, np.abs(ref_bi))) <= 2e-13
     assert np.max(np.abs(bip - ref_bip) / np.maximum(1.0, np.abs(ref_bip))) <= 2e-13
     assert np.max(np.abs(wronskian - 1.0 / math.pi)) <= 1e-12
+
+
+def test_asymptotic_sums_end_at_their_cut():
+    # replay _asym_sums' stopping rule on |x| in [8, 200] for each table: every
+    # sum must stop at the smallest-term or 1e-18 cut, before the table ends
+    # (larger |x| shrinks every term, so the cut only comes sooner)
+    xs = np.linspace(8.0, 200.0, 200001)
+    zinv = np.array([1.0 / ((2.0 / 3.0) * float(x) ** 1.5) for x in xs])
+    for terms in (kernel._AI_POS_TERMS, kernel._BI_POS_TERMS, kernel._NEG_TERMS):
+        power = np.ones_like(zinv)
+        prev = np.full_like(zinv, np.inf)
+        running = np.ones(zinv.shape, dtype=bool)
+        for _, u, _ in terms:
+            power *= zinv
+            size = np.abs(u * power)
+            running &= (size < prev) & (size >= 1e-18)
+            prev = size
+        assert not running.any()
 
 
 def test_zeros_match_table():

@@ -311,13 +311,68 @@ def test_table_writes_to_out_when_given(tmp_path):
     assert "2.33810741" in out.read_text()
 
 
-def test_cli_import_does_not_load_scipy_linalg():
-    # only evolve propagates; the other commands must not pay for scipy.linalg
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter with the repo's src first."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, gravqm.cli; print('scipy.linalg' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    # only evolve propagates; the other commands must not pay for scipy.linalg
+    code = "import sys, gravqm.cli; print('scipy.linalg' in sys.modules)"
+    assert run_fresh(code).strip() == "False"
+
+
+# Runs each command line (argv[1] holds them as JSON) in one process, then
+# prints, as its last line, the gravqm submodules that import gravqm alone
+# loaded, the exit codes and the numpy submodules loaded.
+LOADED_MODULES = """
+import json, sys
+import gravqm
+package = sorted(m for m in sys.modules if m.startswith("gravqm."))
+from gravqm.cli import cli
+codes = []
+for args in json.loads(sys.argv[1]):
+    try:
+        cli.main(args, prog_name="gravqm")
+    except SystemExit as exc:
+        codes.append(exc.code)
+numpy = sorted(m for m in sys.modules if m.startswith("numpy."))
+print(json.dumps({"package": package, "codes": codes, "numpy": numpy}))
+"""
+
+
+def test_scalar_commands_never_run_numpy(tmp_path):
+    # numpy is bound lazily: airy, bouncer, cow and redshift must not run its
+    # import in any format; numpy itself is in sys.modules (lazy), so look for
+    # its submodules, which its import always loads
+    commands = [
+        ["airy", "--eval", "0"],
+        ["airy", "--zeros", "3"],
+        ["bouncer", "--levels", "3"],
+        ["cow", "--lambda", "6.2831853", "--height", "1", "--length", "1", "--via-time-route"],
+        ["redshift", "--z", "1", "--si"],
+    ]
+    runs = [
+        [*args, "--format", fmt, "--out", str(tmp_path / f"{i}.{fmt}")]
+        for i, args in enumerate(commands)
+        for fmt in ("table", "csv", "json")
+    ]
+    report = json.loads(run_fresh(LOADED_MODULES, json.dumps(runs)).splitlines()[-1])
+    # the benchmark's tracer finds every submodule in sys.modules after import gravqm
+    assert report["package"] == [
+        f"gravqm.{name}" for name in ("airy", "bouncer", "core", "dynamics", "errors", "frames")
+    ]
+    assert report["codes"] == [0] * len(runs)
+    assert report["numpy"] == []
+
+    evolve = ["evolve", "--demo", "free-dispersion", "--n-points", "128", "--dt", "1e-2",
+              "--t-final", "0.05", "--out", str(tmp_path / "width.csv")]
+    report = json.loads(run_fresh(LOADED_MODULES, json.dumps([evolve])).splitlines()[-1])
+    assert report["codes"] == [0]
+    assert report["numpy"]

@@ -271,6 +271,21 @@ def test_moments_with_hbar_out_of_double_range():
         moments(packet, PhysicalSystem(m_i=1.0, m_g=1.0, hbar=1e200))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gaussian_packet(Grid(-10.0, 10.0, 256), 0.0, 1e200),  # sigma^2 overflows
+        lambda: gaussian_packet(Grid(-10.0, 10.0, 256), 0.0, 1e-200),  # sigma^2 underflows
+        lambda: free_dispersion_width(1e200, 1.0, natural()),
+        lambda: free_dispersion_width(1e-200, 1.0, natural()),
+    ],
+    ids=["packet-wide", "packet-narrow", "width-wide", "width-narrow"],
+)
+def test_packet_width_out_of_double_range(call):
+    with pytest.raises(NumericError):
+        call()
+
+
 def test_propagation_with_spacing_out_of_double_range():
     grid = Grid(0.0, 1e-170, 11, dt=1e-3, n_steps=2)
     values = np.zeros(11, dtype=complex)

@@ -131,6 +131,26 @@ def test_plane_wave_dispersion_invariant():
     assert s.hbar * pw.omega_prime == pytest.approx(pw.p_prime**2 / (2.0 * s.m_i), rel=1e-12)
 
 
+def test_plane_wave_at_rest():
+    s = natural()
+    pw = PlaneWaveState.from_momentum(0.0, s)
+    assert pw.omega_prime == 0.0
+    assert pw.dispersion_residual(s) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: PlaneWaveState.from_momentum(1e200, s),  # p'^2 overflows
+        lambda s: PlaneWaveState(1e200, 1.0).dispersion_residual(s),
+    ],
+    ids=["from-momentum", "dispersion-residual"],
+)
+def test_plane_wave_momentum_out_of_double_range(call):
+    with pytest.raises(NumericError):
+        call(natural())
+
+
 def test_momentum_eigenvalue_examples():
     s = natural(v=0.0, a=1.0)
     ft = FrameTransform.from_system(s)

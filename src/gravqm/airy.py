@@ -1,10 +1,8 @@
 """From-scratch Airy functions Ai, Bi, derivatives, and the negative zeros of Ai.
 
-Everything here is double precision, built from three classical
+Everything here is double precision, built from two classical
 representations of the solutions of y'' = x*y:
 
-* Maclaurin series (the two auxiliary series f, g with 3-term recurrences)
-  on the central band, where they are free of harmful cancellation;
 * large-|x| asymptotic expansions, exponential for x >> 0 and trigonometric
   for x << 0, truncated at the smallest term, with the coefficients u_k, v_k
   (DLMF 9.7.2) tabulated once at import;
@@ -12,13 +10,12 @@ representations of the solutions of y'' = x*y:
 
 At import, every node k*_ODE_STEP on [-8, 8] gets the Taylor coefficients
 of Ai and of Bi about it, cut after three successive terms at a step of
-_ODE_STEP fall below 1e-19 of the node's |y| + |y'|.  Nodes on the series
-bands ([-5, 2.5] for Ai, [-5, 5] for Bi) are seeded by the Maclaurin
-series, which runs only then.  The other nodes are marched one polynomial
-step at a time in the direction in which the wanted solution is not
-recessive, so the recessive/dominant dichotomy of Ai and Bi never amplifies
-errors: Ai down from its asymptotic value at 8 to 3, Bi up from 5 to 8,
-both down from -5 to -8.
+_ODE_STEP fall below 1e-19 of the node's |y| + |y'|.  Each table has one
+seed and is marched one polynomial step at a time in the direction in
+which the wanted solution is not recessive, so the recessive/dominant
+dichotomy of Ai and Bi never amplifies errors: Ai is seeded by its
+asymptotic value at 8 and marched down to -8; Bi is seeded by its exact
+values at 0 and marched up to 8 and down to -8.
 
 A call on (-8, 8) is then one table lookup and one Horner evaluation of
 value and slope, a step of at most _ODE_STEP in the same stable direction:
@@ -27,10 +24,10 @@ above for x < 0.  Calls with |x| >= 8 sum the asymptotic expansion.
 
 Against scipy.special.airy on [-12, 12], including every node and the
 points half a step from it (tests/test_airy.py), the absolute error of Ai
-and Ai' stays below 1e-13 (measured 1.5e-14 and 3.7e-14), the error of Bi
+and Ai' stays below 1e-13 (measured 7.6e-15 and 1.4e-14), the error of Bi
 and Bi' below 2e-13 * max(1, |value|) (measured 3.8e-14 and 7.4e-14; Bi(12)
 is about 1e11, so an absolute bound on it means nothing), and the Wronskian
-Ai*Bi' - Ai'*Bi within 1e-12 of 1/pi (measured 1.3e-14).
+Ai*Bi' - Ai'*Bi within 1e-12 of 1/pi (measured 3.9e-16).
 """
 
 from __future__ import annotations
@@ -50,14 +47,7 @@ AI_PRIME_ZERO = -1.0 / (3.0 ** (1.0 / 3.0) * math.gamma(1.0 / 3.0))
 BI_ZERO = _SQRT3 * AI_ZERO
 BI_PRIME_ZERO = -_SQRT3 * AI_PRIME_ZERO
 
-# Band edges of the evaluation scheme.  The Maclaurin series seeds the nodes
-# on [_SERIES_LO, _SERIES_HI] for Ai and on [_SERIES_LO, _BI_SERIES_HI] for Bi.
-# Its Ai loses digits to cancellation as x grows: at 3.5 its Ai' is off by
-# 1.4e-14, which the Wronskian multiplies by Bi(3.5) ~ 32, while the march
-# down from 8 is good to 3e-18 there.  So Ai is marched down to 3.
-_SERIES_HI = 2.5
-_BI_SERIES_HI = 5.0
-_SERIES_LO = -5.0
+# Band edges of the evaluation scheme.
 _ASYM_POS = 8.0      # exponential asymptotics trusted from here up
 _ASYM_NEG = -8.0     # trigonometric asymptotics trusted from here down
 _ODE_STEP = 0.5
@@ -91,34 +81,6 @@ def _check_arg(x: float) -> float:
     if not math.isfinite(x):
         raise ParameterError(f"argument must be finite, got {x}")
     return x
-
-
-def _maclaurin(x: float) -> tuple[float, float, float, float]:
-    """Power series about 0 for all four values; reliable on [-5, 3.5].
-
-    Run only at import, to seed the node tables.
-    """
-    if x == 0.0:
-        return AI_ZERO, AI_PRIME_ZERO, BI_ZERO, BI_PRIME_ZERO
-    x3 = x * x * x
-    f, fp = 1.0, 0.0
-    g, gp = x, 1.0
-    tf, tg = 1.0, x
-    for k in range(1, 300):
-        # f-term ratio x^3/((3k)(3k-1)), g-term ratio x^3/((3k+1)(3k))
-        tf *= x3 / ((3 * k) * (3 * k - 1))
-        tg *= x3 / ((3 * k + 1) * (3 * k))
-        f += tf
-        g += tg
-        fp += tf * (3 * k) / x
-        gp += tg * (3 * k + 1) / x
-        if abs(tf) < 1e-18 * (abs(f) + 1.0) and abs(tg) < 1e-18 * (abs(g) + 1.0):
-            break
-    ai = AI_ZERO * f + AI_PRIME_ZERO * g
-    aip = AI_ZERO * fp + AI_PRIME_ZERO * gp
-    bi = _SQRT3 * (AI_ZERO * f - AI_PRIME_ZERO * g)
-    bip = _SQRT3 * (AI_ZERO * fp - AI_PRIME_ZERO * gp)
-    return ai, aip, bi, bip
 
 
 # Terms tabulated per expansion.  For |x| >= 8 the cut in _asym_sums reads at
@@ -276,18 +238,8 @@ def _node_table(
 # Node k*_ODE_STEP is entry k + _NODES of each table, seeded and marched as
 # the module docstring describes.
 _NODES = round(_ASYM_POS / _ODE_STEP)
-_K_LO = round(_SERIES_LO / _ODE_STEP)
-_K_AI_HI = round(_SERIES_HI / _ODE_STEP)
-_K_BI_HI = round(_BI_SERIES_HI / _ODE_STEP)
-_SERIES = {k: _maclaurin(k * _ODE_STEP) for k in range(_K_LO, _K_BI_HI + 1)}
-_AI_TABLE = _node_table(
-    {k: v[:2] for k, v in _SERIES.items() if k <= _K_AI_HI} | {_NODES: _asym_pos_ai(_ASYM_POS)},
-    ((_NODES, _K_AI_HI + 1), (_K_LO, -_NODES)),
-)
-_BI_TABLE = _node_table(
-    {k: v[2:] for k, v in _SERIES.items()}, ((_K_BI_HI, _NODES), (_K_LO, -_NODES))
-)
-del _SERIES
+_AI_TABLE = _node_table({_NODES: _asym_pos_ai(_ASYM_POS)}, ((_NODES, -_NODES),))
+_BI_TABLE = _node_table({0: (BI_ZERO, BI_PRIME_ZERO)}, ((0, _NODES), (0, -_NODES)))
 
 
 def _eval_ai(x: float) -> tuple[float, float]:
@@ -345,49 +297,30 @@ def airy_values(x: float) -> AiryValue:
 
 
 def ai_negative_zero(n: int) -> float:
-    """The n-th negative zero of Ai (n >= 1), accurate to better than 1e-8.
+    """The n-th negative zero of Ai (n >= 1), accurate to better than 1e-10.
 
-    Starts from the asymptotic seed -(3*pi*(4n-1)/8)**(2/3) and refines by
-    Newton iteration, falling back to bisection on [seed-0.5, seed+0.5] if an
-    iterate ever leaves that bracket.
+    Newton iteration from the asymptotic seed -(3*pi*(4n-1)/8)**(2/3); on
+    1..50 it converges in at most 3 steps without leaving the bracket
+    [seed-0.5, seed+0.5].  Raises NumericError if an iterate leaves that
+    bracket, if Ai' vanishes at one, or if 50 steps do not converge.
     """
     if not isinstance(n, (int,)) or isinstance(n, bool):
         raise ParameterError(f"zero index must be an integer, got {n!r}")
     if n < 1 or n > 50:
         raise ParameterError(f"zero index must be in 1..50, got {n}")
     seed = -((3.0 * math.pi * (4.0 * n - 1.0) / 8.0) ** (2.0 / 3.0))
-    lo, hi = seed - 0.5, seed + 0.5
     x = seed
     for _ in range(50):
         ai, aip = _eval_ai(x)
         if aip == 0.0:
             break
         step = ai / aip
-        x_new = x - step
-        if not (lo <= x_new <= hi):
+        x -= step
+        if not abs(x - seed) <= 0.5:
             break
-        x = x_new
         if abs(step) <= 1e-13 * (1.0 + abs(x)):
             return x
-    # Bisection fallback on the seed bracket (zeros of Ai are simple).
-    f_lo = _eval_ai(lo)[0]
-    f_hi = _eval_ai(hi)[0]
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise NumericError(f"no sign change around seed for zero index {n}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = _eval_ai(mid)[0]
-        if f_mid == 0.0 or (hi - lo) <= 1e-14 * (1.0 + abs(mid)):
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    raise NumericError(f"zero refinement failed to converge for index {n}")
+    raise NumericError(f"Newton refinement of zero index {n} failed near {x:g}")
 
 
 def ai_squared_tail(x: float) -> float:

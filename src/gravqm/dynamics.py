@@ -459,7 +459,7 @@ def free_dispersion_width(sigma0: float, t, system: PhysicalSystem):
     """Analytic free-packet width sigma0*sqrt(1 + (hbar t/(2 m sigma0^2))^2)."""
     sigma0_sq = checked_square("sigma0", sigma0)
     tau = system.hbar * np.asarray(t, dtype=float) / (2.0 * system.m_i * sigma0_sq)
-    return sigma0 * np.sqrt(1.0 + tau**2)
+    return sigma0 * np.hypot(1.0, tau)
 
 
 def heisenberg_checks(

@@ -106,14 +106,19 @@ def phase_s(ft: FrameTransform, z_prime, t_prime):
     """Phase S(z', t') of the map, in falling-frame coordinates.
 
     S = -(m_i*v/hbar)*(z' - v*t'/2) - (m_i*a*t'/hbar)*(z' - v*t' - a*t'^2/3).
-    Accepts scalars or numpy arrays.
+    Accepts scalars or numpy arrays.  Raises NumericError where the phase is
+    not finite.
     """
     m_over_h = ft.m_i / ft.hbar
-    term_v = -m_over_h * ft.v * (z_prime - 0.5 * ft.v * t_prime)
-    term_a = -m_over_h * ft.a * t_prime * (
-        z_prime - ft.v * t_prime - ft.a * t_prime**2 / 3.0
-    )
-    return term_v + term_a
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        term_v = -m_over_h * ft.v * (z_prime - 0.5 * ft.v * t_prime)
+        term_a = -m_over_h * ft.a * t_prime * (
+            z_prime - ft.v * t_prime - ft.a * (t_prime * t_prime) / 3.0
+        )
+        phase = term_v + term_a
+    if not np.all(np.isfinite(phase)):
+        raise NumericError("phase S of the frame map is out of double range")
+    return phase
 
 
 def to_stationary_frame(ft: FrameTransform, psi_free: ComplexField, t: float) -> ComplexField:
@@ -258,7 +263,7 @@ def falling_box_state(
     amplitude = math.sqrt(2.0 / box_length) * math.sin(
         n * math.pi * (z - lo) / box_length
     )
-    kinetic = (n * math.pi * hbar / box_length) ** 2 / (2.0 * m)
+    kinetic = checked_square("n*pi*hbar/L", n * math.pi * hbar / box_length) / (2.0 * m)
     phase = -(
         m * v * z
         + t * (kinetic + 0.5 * m * v * v + m * a * (z + 0.5 * v * t + a * t * t / 6.0))

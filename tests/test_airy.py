@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import airy
+from scipy.special import ai_zeros, airy
 
 import gravqm.airy as kernel
 from gravqm import (
@@ -98,12 +98,13 @@ TABLE_NODES = np.arange(-8.0, 8.25, 0.5)
 
 
 def test_accuracy_against_scipy():
-    # dense grid, every band edge, and every table node from both sides.  A
-    # point node +- 1e-9 is also 0.5 - 1e-9 from the neighbouring node on the
-    # other side, the farthest any call steps: Ai steps down from the node
-    # above, Bi up from the node below for x >= 0 and down for x < 0.
-    edges = [-8.0, -5.0, 2.5, 3.5, 5.0, 8.0]
-    xs = np.r_[np.linspace(-12.0, 12.0, 24001), edges, TABLE_NODES - 1e-9, TABLE_NODES + 1e-9]
+    # dense grid, a few fixed points (+-8 is where the asymptotics take over),
+    # and every table node from both sides.  A point node +- 1e-9 is also
+    # 0.5 - 1e-9 from the neighbouring node on the other side, the farthest
+    # any call steps: Ai steps down from the node above, Bi up from the node
+    # below for x >= 0 and down for x < 0.
+    fixed = [-8.0, -5.0, 2.5, 3.5, 5.0, 8.0]
+    xs = np.r_[np.linspace(-12.0, 12.0, 24001), fixed, TABLE_NODES - 1e-9, TABLE_NODES + 1e-9]
     ref_ai, ref_aip, ref_bi, ref_bip = airy(xs)
     values = [airy_values(float(x)) for x in xs]
     ai = np.array([v.ai for v in values])
@@ -143,11 +144,28 @@ def test_zeros_match_table():
 
 def test_zeros_are_roots_and_ordered():
     previous = 0.0
+    reference = ai_zeros(50)[0]
     for n in range(1, 51):
         zero = ai_negative_zero(n)
         assert zero < previous
         assert abs(airy_ai(zero)) <= 1e-8
+        assert zero == pytest.approx(reference[n - 1], abs=1e-10)
         previous = zero
+
+
+@pytest.mark.parametrize(
+    "fake",
+    [
+        lambda ai, aip: (2.0 + ai, aip),  # no root near any seed: Newton leaves the bracket
+        lambda ai, aip: (ai, 0.0),  # Ai' vanishes at the seed
+    ],
+    ids=["no-root", "flat"],
+)
+def test_zero_refinement_failure_raises(monkeypatch, fake):
+    eval_ai = kernel._eval_ai
+    monkeypatch.setattr(kernel, "_eval_ai", lambda x: fake(*eval_ai(x)))
+    with pytest.raises(NumericError, match="zero index 3"):
+        ai_negative_zero(3)
 
 
 def test_zero_index_validation():

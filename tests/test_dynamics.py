@@ -286,6 +286,12 @@ def test_packet_width_out_of_double_range(call):
         call()
 
 
+def test_narrow_packet_width_stays_finite():
+    # tau = hbar*t/(2*m*sigma0^2) = 5e199 squares past double range; the width
+    # sigma0*tau = 5e99 does not
+    assert free_dispersion_width(1e-100, 1.0, natural()) == pytest.approx(5e99, rel=1e-15)
+
+
 def test_propagation_with_spacing_out_of_double_range():
     grid = Grid(0.0, 1e-170, 11, dt=1e-3, n_steps=2)
     values = np.zeros(11, dtype=complex)

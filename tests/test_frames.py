@@ -359,6 +359,29 @@ def test_falling_box_density_translates():
     assert falling_box_state(n, box, ft, s, hi + 0.01, t) == 0.0
 
 
+def _box_call(box_length, hbar):
+    s = dataclasses.replace(natural(), hbar=hbar)
+    ft = FrameTransform.from_system(s)
+    return lambda: falling_box_state(1, box_length, ft, s, 0.5 * box_length, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        _box_call(1.0, 1e200),  # (n*pi*hbar/L)^2 overflows
+        _box_call(1e-200, 1.0),
+        lambda: phase_s(FrameTransform(v=0.0, a=1.0, m_i=1.0, hbar=1.0), 0.0, 1e200),  # t'^2
+        lambda: phase_s(
+            FrameTransform(v=0.0, a=1.0, m_i=1.0, hbar=1.0), np.zeros(3), np.array([0.0, 1e200, 1.0])
+        ),
+    ],
+    ids=["box-hbar", "box-length", "phase-time", "phase-time-array"],
+)
+def test_frame_squares_out_of_double_range(call):
+    with pytest.raises(NumericError):
+        call()
+
+
 def test_box_eigenvalue_examples():
     s = natural()
     ft = FrameTransform.from_system(s)

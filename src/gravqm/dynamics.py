@@ -197,7 +197,9 @@ class _Moments:
     than the product and stalls on a busy host.)  Position moments use
     trapezoidal quadrature.  Momentum moments use -i*hbar times central
     differences (``method="central"``) or the Fourier representation
-    (``method="spectral"``).
+    (``method="spectral"``).  Both work in units of the grid spacing and
+    apply hbar/dz in Python arithmetic, so a momentum scale out of double
+    range raises NumericError instead of overflowing in numpy.
     """
 
     def __init__(self, grid: Grid, system: PhysicalSystem, method: str):
@@ -207,19 +209,21 @@ class _Moments:
         self._method = method
         self._hbar = system.hbar
         self._hbar_sq = checked_square("hbar", system.hbar)
-        self._two_dz = 2.0 * dz
+        # central differences step 2*dz; spectral wavenumbers are k*dz
+        self._step = 2.0 * dz if method == "central" else dz
         self._z = grid.z
         self._weights = np.full(n, dz)
         self._weights[[0, -1]] = dz / 2.0
         if method == "spectral":
-            self._k = _wavenumbers(grid)
-            self._k_sq = self._k**2
+            self._k = 2.0 * math.pi * np.fft.fftfreq(n)
+            self._k_sq = self._k * self._k
         self._density = np.empty(n)
         self._work = np.empty(n)
         self._complex_work = np.empty(n, dtype=complex)
 
     def __call__(self, psi: np.ndarray) -> tuple[float, float, float, float]:
-        hbar, rho, work, c = self._hbar, self._density, self._work, self._complex_work
+        hbar, step = self._hbar, self._step
+        rho, work, c = self._density, self._work, self._complex_work
         # trapezoid-weighted density: its sum is the norm
         np.abs(psi, out=rho)
         rho *= rho
@@ -241,16 +245,15 @@ class _Moments:
             # one-sided edges with the Dirichlet zero just outside the grid
             c[0] = psi[1]
             c[-1] = -psi[-2]
-            c /= self._two_dz
             np.abs(c, out=work)
             work *= work
             work *= self._weights
-            p_sq = self._hbar_sq * float(work.sum()) / nrm
+            p_sq = self._hbar_sq * (float(work.sum()) / step / step) / nrm
             # Im(conj(psi) dpsi) = -Im(conj(dpsi) psi)
             np.conjugate(c, out=c)
             c *= psi
             np.multiply(self._weights, c.imag, out=work)
-            mean_p = -hbar * float(work.sum()) / nrm
+            mean_p = -hbar * (float(work.sum()) / step) / nrm
         else:
             np.fft.fft(psi, out=c)
             np.abs(c, out=work)
@@ -258,11 +261,13 @@ class _Moments:
             total = float(work.sum())
             # the density is no longer needed: reuse it for the products
             np.multiply(self._k, work, out=rho)
-            mean_p = hbar * float(rho.sum()) / total
+            mean_p = hbar * (float(rho.sum()) / step) / total
             np.multiply(self._k_sq, work, out=rho)
-            p_sq = self._hbar_sq * float(rho.sum()) / total
-        sigma_p = math.sqrt(max(p_sq - mean_p**2, 0.0))
-        return mean_z, mean_p, math.sqrt(max(var_z, 0.0)), sigma_p
+            p_sq = self._hbar_sq * (float(rho.sum()) / step / step) / total
+        var_p = p_sq - mean_p * mean_p
+        if not math.isfinite(var_p):
+            raise NumericError(f"momentum moments are out of double range (<p^2> = {p_sq:g})")
+        return mean_z, mean_p, math.sqrt(max(var_z, 0.0)), math.sqrt(max(var_p, 0.0))
 
 
 def moments(
@@ -278,7 +283,8 @@ def moments(
     packets away from the edges).  This is the kernel that
     :func:`propagate_linear_potential` samples with, built for one call.
     Raises ParameterError for an unnormalized field or an unknown method
-    and NumericError for non-finite samples.
+    and NumericError for non-finite samples or momentum moments out of
+    double range.
     """
     return _Moments(field.grid, system, method)(field.values)
 

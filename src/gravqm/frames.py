@@ -20,16 +20,16 @@ differ by the arbitrary constant in S are compared modulo one global phase.
 Sign convention (shared with :mod:`gravqm.core`): z increases upward, the
 field acts along -z, and a > 0 means the primed frame accelerates downward.
 
-Everything downstream of the map is also here: plane-wave momentum/energy
-eigenvalues for the stationary observer, the interferometric phase shift
-proportional to the enclosed beam area, the frequency shift between detectors
-at different heights (the redshift once an effective mass hbar*omega'/c^2 is
-inserted), the Galilean limit a = 0, and the falling-box eigenstates.
+The stationary-frame states (plane wave, falling box) are the map applied to
+free states, so its algebra lives only in :meth:`FrameTransform.shift` and
+:func:`phase_s`.  Also here: the stationary observer's momentum and energy
+eigenvalues, the COW phase shift proportional to the enclosed beam area, the
+frequency shift between detectors at different heights (the redshift once an
+effective mass hbar*omega'/c^2 is inserted) and the Galilean limit a = 0.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -91,9 +91,11 @@ class PlaneWaveState:
 
     @classmethod
     def from_momentum(cls, p_prime: float, system: PhysicalSystem) -> "PlaneWaveState":
-        """Build with the free dispersion hbar*omega' = p'^2/(2 m_i)."""
-        p_sq = checked_square("p_prime", p_prime)
-        return cls(p_prime=p_prime, omega_prime=p_sq / (2.0 * system.m_i * system.hbar))
+        """Build with hbar*omega' = p'^2/(2 m_i); NumericError out of double range."""
+        omega = checked_square("p_prime", p_prime) / (2.0 * system.m_i) / system.hbar
+        if not math.isfinite(omega):
+            raise NumericError(f"omega' = {omega:g} is out of double range (p' = {p_prime:g})")
+        return cls(p_prime=p_prime, omega_prime=omega)
 
     def dispersion_residual(self, system: PhysicalSystem) -> float:
         """Relative violation of hbar*omega' = p'^2/(2 m_i)."""
@@ -116,7 +118,7 @@ def phase_s(ft: FrameTransform, z_prime, t_prime):
             z_prime - ft.v * t_prime - ft.a * (t_prime * t_prime) / 3.0
         )
         phase = term_v + term_a
-    if not np.all(np.isfinite(phase)):
+    if not np.isfinite(phase).all():  # .all() also serves a scalar, at half the cost
         raise NumericError("phase S of the frame map is out of double range")
     return phase
 
@@ -144,27 +146,27 @@ def galilean_boost(ft: FrameTransform, psi_free: ComplexField, t: float) -> Comp
     return to_stationary_frame(ft, psi_free, t)
 
 
-def plane_wave_stationary(pw: PlaneWaveState, ft: FrameTransform, z, t):
-    """Stationary-frame image of the free plane wave exp(i(k'z' - w't')).
-
-    The full phase, with p' = hbar*k':
-
-        (1/hbar) * [ (p' - m_i v) z - (p'^2/(2 m_i) - v (p' - m_i v/2)) t
-                     - m_i a t z + (a t^2/2)(p' - m_i v - m_i a t/3) ].
-
-    Not normalizable; evaluated pointwise only.
-    """
-    m, v, a, hbar = ft.m_i, ft.v, ft.a, ft.hbar
-    p = pw.p_prime
-    phase = (
-        (p - m * v) * z
-        - (p * p / (2.0 * m) - v * (p - 0.5 * m * v)) * t
-        - m * a * t * z
-        + 0.5 * a * t * t * (p - m * v - m * a * t / 3.0)
-    ) / hbar
-    if np.ndim(phase) == 0:
-        return cmath.exp(1j * float(phase))
+def _stationary_image(free_phase, ft: FrameTransform, z_prime, t):
+    """exp(i*(free_phase + S(z', t))), or NumericError where that phase is not finite."""
+    phase = free_phase + phase_s(ft, z_prime, t)
+    if not np.isfinite(phase).all():
+        raise NumericError("phase of the stationary-frame state is out of double range")
     return np.exp(1j * phase)
+
+
+def plane_wave_stationary(pw: PlaneWaveState, ft: FrameTransform, z, t):
+    """The map applied to the free plane wave exp(i(p'z' - p'^2 t/(2 m_i))/hbar).
+
+    The wave is evaluated at z' = z + v*t + a*t^2/2 and multiplied by
+    exp(i*S(z', t)); its frequency is p'^2/(2 m_i hbar), not ``pw.omega_prime``.
+    Scalars or numpy arrays; not normalizable.  NumericError where the phase
+    is out of double range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        z_prime = z + ft.shift(t)
+        p = pw.p_prime
+        free = (p * z_prime - checked_square("p_prime", p) * t / (2.0 * ft.m_i)) / ft.hbar
+        return _stationary_image(free, ft, z_prime, t)
 
 
 def momentum_eigenvalue(pw: PlaneWaveState, ft: FrameTransform, t: float) -> float:
@@ -175,11 +177,14 @@ def momentum_eigenvalue(pw: PlaneWaveState, ft: FrameTransform, t: float) -> flo
 def energy_eigenvalue(
     pw: PlaneWaveState, ft: FrameTransform, system: PhysicalSystem, z: float, t: float
 ) -> float:
-    """Energy seen by the stationary observer: E = p(t)^2/(2 m_i) + m_i*a*z."""
+    """Energy seen by the stationary observer, E = p(t)^2/(2 m_i) + m_i*a*z, or NumericError."""
     if system.m_i != ft.m_i or system.hbar != ft.hbar:
         raise ParameterError("transform and system disagree on m_i or hbar")
     p = momentum_eigenvalue(pw, ft, t)
-    return p * p / (2.0 * ft.m_i) + ft.m_i * ft.a * z
+    energy = p * p / (2.0 * ft.m_i) + ft.m_i * ft.a * z
+    if not math.isfinite(energy):
+        raise NumericError(f"energy eigenvalue {energy:g} is out of double range")
+    return energy
 
 
 def frequency_shift(system: PhysicalSystem, z: float) -> float:
@@ -240,52 +245,34 @@ def falling_box_window(n: int, box_length: float, ft: FrameTransform, t: float) 
 
 
 def falling_box_state(
-    n: int,
-    box_length: float,
-    ft: FrameTransform,
-    system: PhysicalSystem,
-    z: float,
-    t: float,
+    n: int, box_length: float, ft: FrameTransform, system: PhysicalSystem, z: float, t: float
 ) -> complex:
     """Stationary-frame eigenstate of a rigid box in free fall.
 
-    Inside the falling window the state is sqrt(2/L)*sin(n*pi*(z+v*t+a*t^2/2)/L)
-    times a phase collecting the box kinetic term (n*pi*hbar/L)^2/(2 m_i), the
-    boost energy m_i*v^2/2 and the field term m_i*a*(z + v*t/2 + a*t^2/6);
-    outside the window it is exactly 0.
+    The map applied to the free box state: inside the falling window
+    z' = z + v*t + a*t^2/2 runs over [0, L] and the state is
+    sqrt(2/L)*sin(n*pi*z'/L)*exp(i*(S(z', t) - E_box*t/hbar)), with
+    E_box = (n*pi*hbar/L)^2/(2 m_i); outside it the state is exactly 0.
     """
     if system.m_i != ft.m_i or system.hbar != ft.hbar:
         raise ParameterError("transform and system disagree on m_i or hbar")
     lo, hi = falling_box_window(n, box_length, ft, t)
     if z < lo or z > hi:
         return 0.0 + 0.0j
-    m, v, a, hbar = ft.m_i, ft.v, ft.a, ft.hbar
-    amplitude = math.sqrt(2.0 / box_length) * math.sin(
-        n * math.pi * (z - lo) / box_length
-    )
-    kinetic = checked_square("n*pi*hbar/L", n * math.pi * hbar / box_length) / (2.0 * m)
-    phase = -(
-        m * v * z
-        + t * (kinetic + 0.5 * m * v * v + m * a * (z + 0.5 * v * t + a * t * t / 6.0))
-    ) / hbar
-    return amplitude * cmath.exp(1j * phase)
+    z_prime = z - lo
+    wave = PlaneWaveState.from_momentum(n * math.pi * ft.hbar / box_length, system)
+    amplitude = math.sqrt(2.0 / box_length) * math.sin(n * math.pi * z_prime / box_length)
+    return amplitude * _stationary_image(-wave.omega_prime * t, ft, z_prime, t)
 
 
 def box_eigenvalues(
-    n: int,
-    box_length: float,
-    ft: FrameTransform,
-    system: PhysicalSystem,
-    z: float,
-    t: float,
+    n: int, box_length: float, ft: FrameTransform, system: PhysicalSystem, z: float, t: float
 ) -> tuple[float, float]:
     """(p_n(t), E_n(z, t)) of the falling-box state for the stationary observer.
 
-    p_n(t) = n*pi*hbar/L - m_i*(v + a*t) and E_n = p_n^2/(2 m_i) + m_i*a*z.
+    The plane-wave eigenvalues of the box's free momentum p' = n*pi*hbar/L:
+    p_n(t) = p' - m_i*(v + a*t) and E_n = p_n^2/(2 m_i) + m_i*a*z.
     """
     _check_box(n, box_length)
-    if system.m_i != ft.m_i or system.hbar != ft.hbar:
-        raise ParameterError("transform and system disagree on m_i or hbar")
-    p_n = n * math.pi * ft.hbar / box_length - ft.m_i * (ft.v + ft.a * t)
-    e_n = p_n * p_n / (2.0 * ft.m_i) + ft.m_i * ft.a * z
-    return p_n, e_n
+    wave = PlaneWaveState.from_momentum(n * math.pi * ft.hbar / box_length, system)
+    return momentum_eigenvalue(wave, ft, t), energy_eigenvalue(wave, ft, system, z, t)

@@ -199,6 +199,17 @@ def test_redshift_si_ratio_is_az_over_c_squared():
     assert columns["ratio"][0] == pytest.approx(9.80665 / SPEED_OF_LIGHT**2, rel=1e-12)
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_redshift_natural_ratio_to_omega_prime(fmt):
+    # delta_omega = m*a*z/hbar = 2 against omega' = 4
+    result = run("redshift", "--z", "2", "--omega-prime", "4", "--format", fmt)
+    assert result.exit_code == 0
+    if fmt == "table":
+        assert "delta_omega/omega' : 0.5" in result.output
+    else:
+        assert parse_csv(result.output)["ratio"] == [0.5]
+
+
 # ------------------------------------------------------------------ evolve
 
 FAST_EVOLVE = ["--n-points", "1024", "--dt", "2e-3", "--t-final", "0.2"]
@@ -256,6 +267,16 @@ def test_evolve_free_dispersion_csv_round_trip(tmp_path):
     recomputed = float(np.max(np.abs(width[1:] - analytic[1:]) / analytic[1:]))
     # 17-significant-digit serialization makes the recomputation exact
     assert recomputed == float(summary["max_rel_width_deviation"])
+
+
+def test_evolve_without_out_keeps_stdout_to_csv_rows():
+    result = run("evolve", "--demo", "free-dispersion", *FAST_EVOLVE)
+    assert result.exit_code == 0
+    columns = parse_csv(result.stdout)
+    assert list(columns) == ["t", "width", "width_analytic"]
+    assert len(columns["t"]) == 101
+    assert result.stderr.startswith("max_rel_width_deviation=")
+    assert "max_rel_width_deviation" not in result.stdout
 
 
 def test_evolve_json_schema_and_precision(tmp_path):

@@ -14,6 +14,7 @@ from gravqm import (
     ParameterError,
     PhysicalSystem,
     PlaneWaveState,
+    align_global_phase,
     frame_equivalence,
     frame_equivalence_test,
     free_dispersion_width,
@@ -292,12 +293,56 @@ def test_narrow_packet_width_stays_finite():
     assert free_dispersion_width(1e-100, 1.0, natural()) == pytest.approx(5e99, rel=1e-15)
 
 
-def test_propagation_with_spacing_out_of_double_range():
-    grid = Grid(0.0, 1e-170, 11, dt=1e-3, n_steps=2)
+def _spike_on_fine_grid(n_steps=0):
+    # one sample of height 1/sqrt(dz): <p^2> ~ (hbar/dz)^2 = 1e342 leaves double range
+    grid = Grid(0.0, 1e-170, 11, dt=1e-3, n_steps=n_steps)
     values = np.zeros(11, dtype=complex)
     values[5] = 1.0 / math.sqrt(grid.dz)
-    with np.errstate(over="ignore"), pytest.raises(NumericError):  # dz^2 underflows
-        propagate_linear_potential(ComplexField(grid, values), natural(), 0.0)
+    return ComplexField(grid, values)
+
+
+def test_propagation_with_spacing_out_of_double_range():
+    with pytest.raises(NumericError):  # at the first moment sample, before dz^2 underflows
+        propagate_linear_potential(_spike_on_fine_grid(n_steps=2), natural(), 0.0)
+
+
+@pytest.mark.parametrize("method", ["central", "spectral"])
+def test_moments_with_spacing_out_of_double_range(method):
+    # a NumericError with no RuntimeWarning (pyproject.toml turns one into an error)
+    with pytest.raises(NumericError):
+        moments(_spike_on_fine_grid(), natural(), method=method)
+
+
+def _short_report():
+    # zero steps: a moment series with a single row
+    psi0 = gaussian_packet(Grid(-10.0, 10.0, 128), 0.0, 1.0)
+    return propagate_linear_potential(psi0, natural(), 0.0)
+
+
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        (ParameterError, lambda: Grid(-1.0, 1.0, 16, dt=1e-3, n_steps=-1)),
+        (ParameterError, lambda: ComplexField(Grid(-1.0, 1.0, 16), np.zeros(15))),
+        (NumericError, lambda: ComplexField(Grid(-1.0, 1.0, 16), np.zeros(16)).normalized()),
+        (ParameterError, lambda: gaussian_packet(Grid(-1.0, 1.0, 16), 0.0, 0.0)),
+        (ParameterError, lambda: gaussian_packet(Grid(-1.0, 1.0, 16), 0.0, -1.0)),
+        (ParameterError, lambda: pde_residual(
+            np.ones((5, 6), dtype=complex), np.arange(5.0), np.arange(5.0), natural(), 0.0)),
+        (NumericError, lambda: pde_residual(
+            np.full((5, 5), complex(math.nan)), np.arange(5.0), np.arange(5.0), natural(), 0.0)),
+        (ParameterError, lambda: heisenberg_checks(_short_report(), natural())),
+        (ParameterError, lambda: align_global_phase(
+            gaussian_packet(Grid(-10.0, 10.0, 128), 0.0, 1.0),
+            gaussian_packet(Grid(-10.0, 10.0, 129), 0.0, 1.0))),
+    ],
+    ids=["grid-negative-steps", "field-shape", "normalize-zero-field", "packet-zero-width",
+         "packet-negative-width", "residual-shape", "residual-non-finite", "heisenberg-short",
+         "align-across-grids"],
+)
+def test_validation_raises(error, call):
+    with pytest.raises(error):
+        call()
 
 
 def test_moments_reject_unnormalized_field():

@@ -143,12 +143,30 @@ def test_plane_wave_at_rest():
     [
         lambda s: PlaneWaveState.from_momentum(1e200, s),  # p'^2 overflows
         lambda s: PlaneWaveState(1e200, 1.0).dispersion_residual(s),
+        # 2*m_i*hbar underflows to 0, and omega' = 1/(2*m_i*hbar) overflows
+        lambda s: PlaneWaveState.from_momentum(
+            1.0, dataclasses.replace(s, m_i=1e-200, hbar=1e-200)
+        ),
     ],
-    ids=["from-momentum", "dispersion-residual"],
+    ids=["from-momentum", "dispersion-residual", "from-momentum-frequency"],
 )
 def test_plane_wave_momentum_out_of_double_range(call):
     with pytest.raises(NumericError):
         call(natural())
+
+
+def test_plane_wave_on_arrays_matches_scalar_calls():
+    s = natural(v=0.3, a=1.0)
+    ft = FrameTransform.from_system(s)
+    pw = PlaneWaveState.from_momentum(1.2, s)
+    rng = np.random.default_rng(23)
+    z = rng.uniform(-3.0, 3.0, 16)
+    t = rng.uniform(0.0, 2.0, 16)
+    on_arrays = plane_wave_stationary(pw, ft, z, t)
+    assert on_arrays.shape == (16,)
+    scalar = [plane_wave_stationary(pw, ft, float(zz), float(tt)) for zz, tt in zip(z, t)]
+    assert all(isinstance(value, complex) for value in scalar)
+    np.testing.assert_allclose(on_arrays, scalar, rtol=0.0, atol=1e-15)
 
 
 def test_momentum_eigenvalue_examples():
@@ -378,6 +396,36 @@ def _box_call(box_length, hbar):
     ids=["box-hbar", "box-length", "phase-time", "phase-time-array"],
 )
 def test_frame_squares_out_of_double_range(call):
+    with pytest.raises(NumericError):
+        call()
+
+
+def _plane_wave_call(z, t):
+    s = natural(v=0.3, a=1.0)
+    pw = PlaneWaveState.from_momentum(1.2, s)
+    return lambda: plane_wave_stationary(pw, FrameTransform.from_system(s), z, t)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        _plane_wave_call(0.0, 1e110),  # a*t^3 leaves double range
+        _plane_wave_call(np.zeros(3), np.array([0.0, 1e110, 1.0])),
+        _plane_wave_call(1e300, 1e10),  # a*t*z'
+        # v = a = 0, so S = 0: the free phase E_box*t/hbar = 5e200 * 1e108 overflows
+        lambda: falling_box_state(1, 1e-100, FrameTransform.from_system(natural()), natural(),
+                                  0.5e-100, 1e108),
+        # n*pi*hbar/L overflows, and so does its square
+        lambda: box_eigenvalues(1, 1e-320, FrameTransform.from_system(natural()), natural(),
+                                0.0, 0.0),
+        # p(t) = p' - m_i*v = -1e200 squares past double range
+        lambda: box_eigenvalues(1, 1.0, FrameTransform.from_system(natural(v=1e200)),
+                                natural(v=1e200), 0.0, 0.0),
+    ],
+    ids=["plane-wave-time", "plane-wave-time-array", "plane-wave-height", "box-free-phase",
+         "box-eigenvalues-length", "box-energy-drift"],
+)
+def test_stationary_states_out_of_double_range(call):
     with pytest.raises(NumericError):
         call()
 

@@ -372,7 +372,10 @@ def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
             "abs_direct": list(np.abs(result.direct.values)),
             "abs_difference": list(diff),
         }
-        summary = [f"max_mismatch={_fmt(result.max_mismatch)}"]
+        summary = [
+            f"max_mismatch={_fmt(result.max_mismatch)}",
+            f"time_correction={_fmt(result.time_correction)}",
+        ]
     elif demo == "bouncer-moments":
         report = propagate_linear_potential(
             psi0, system, system.weight, momentum_method="spectral"

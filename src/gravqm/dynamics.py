@@ -8,7 +8,8 @@ K = T + M diag(V), where T is the three-point kinetic matrix, one step solves
 (M + i dt K/(2 hbar)) psi_new = (M - i dt K/(2 hbar)) psi.  Both sides stay
 tridiagonal, so each step is one complex tridiagonal solve, factored once
 since the Hamiltonian is time independent.  The spatial error is fourth order
-and the time error second order.  K is not Hermitian when V varies, so the
+and the time error second order (:func:`frame_equivalence` extrapolates its
+comparison to fourth order).  K is not Hermitian when V varies, so the
 trapezoid norm is conserved up to the discretization error (drifts of at
 most about 1e-12 over 1e4 steps on the test grids) rather than to rounding.
 The caller sizes the domain so the packet never reaches the edges (a contact
@@ -43,15 +44,16 @@ _CONTACT_AMPLITUDE = 1e-6
 _INITIAL_EDGE_AMPLITUDE = 1e-12
 
 # Reference configuration of the dual-path equivalence run (natural units,
-# m = g = hbar = 1, packet at rest).  The grid is fine enough that the
-# fourth-order spatial error of the two paths stays below the 1e-6 mismatch
-# budget (1.4e-7 measured); see the dynamics tests for the measured
-# convergence behaviour.
+# m = g = hbar = 1, packet at rest).  frame_equivalence extrapolates each
+# path in time from 500 and 250 steps, so the comparison is fourth order in
+# dt as well as in dz; 2048 points and dt = 2e-3 keep the mismatch well
+# below the 1e-6 budget (9.2e-8 measured, 1.4e-7 for 10^4 plain steps of
+# 1e-4).  See the dynamics tests for the measured convergence behaviour.
 REFERENCE_FRAME_RUN = {
     "z_min": -20.0,
     "z_max": 30.0,
     "n_points": 2048,
-    "dt": 1e-4,
+    "dt": 2e-3,
     "t_final": 1.0,
     "sigma0": 0.5,
     "center": 8.0,
@@ -89,9 +91,16 @@ class CheckOutcome:
 
 @dataclass(frozen=True)
 class FrameEquivalenceResult:
-    """Dual-path comparison: transformed free run vs direct potential run."""
+    """Dual-path comparison: transformed free run vs direct potential run.
+
+    ``transformed`` and ``direct`` are the final fields extrapolated in
+    time, ``transformed`` rotated to the global phase of ``direct``;
+    ``time_correction`` is max |extrapolated - fine| over both paths, the
+    Richardson estimate of the fine runs' time error.
+    """
 
     max_mismatch: float
+    time_correction: float
     transformed: ComplexField
     direct: ComplexField
     free_report: PropagationReport
@@ -197,9 +206,11 @@ class _Moments:
     than the product and stalls on a busy host.)  Position moments use
     trapezoidal quadrature.  Momentum moments use -i*hbar times central
     differences (``method="central"``) or the Fourier representation
-    (``method="spectral"``).  Both work in units of the grid spacing and
-    apply hbar/dz in Python arithmetic, so a momentum scale out of double
-    range raises NumericError instead of overflowing in numpy.
+    (``method="spectral"``).  Position and momentum moments are both taken
+    in units of the grid spacing (positions as u = (z - z_mid)/dz) and
+    scaled by dz and hbar/dz in Python arithmetic, so any spread that is a
+    double comes out right, and <p^2> out of double range raises
+    NumericError instead of overflowing in numpy.
     """
 
     def __init__(self, grid: Grid, system: PhysicalSystem, method: str):
@@ -208,10 +219,11 @@ class _Moments:
         n, dz = grid.n_points, grid.dz
         self._method = method
         self._hbar = system.hbar
-        self._hbar_sq = checked_square("hbar", system.hbar)
         # central differences step 2*dz; spectral wavenumbers are k*dz
         self._step = 2.0 * dz if method == "central" else dz
-        self._z = grid.z
+        self._dz = dz
+        self._z_mid = 0.5 * grid.z_min + 0.5 * grid.z_max
+        self._u = np.arange(n) - (n - 1) / 2.0
         self._weights = np.full(n, dz)
         self._weights[[0, -1]] = dz / 2.0
         if method == "spectral":
@@ -222,7 +234,6 @@ class _Moments:
         self._complex_work = np.empty(n, dtype=complex)
 
     def __call__(self, psi: np.ndarray) -> tuple[float, float, float, float]:
-        hbar, step = self._hbar, self._step
         rho, work, c = self._density, self._work, self._complex_work
         # trapezoid-weighted density: its sum is the norm
         np.abs(psi, out=rho)
@@ -234,12 +245,13 @@ class _Moments:
             if not np.all(np.isfinite(psi)):
                 raise NumericError("field contains NaN or infinite samples")
             raise ParameterError("moments require a normalized field")
-        np.multiply(self._z, rho, out=work)
-        mean_z = float(work.sum()) / nrm
-        np.subtract(self._z, mean_z, out=work)
+        np.multiply(self._u, rho, out=work)
+        mean_u = float(work.sum()) / nrm
+        np.subtract(self._u, mean_u, out=work)
         work *= work
         work *= rho
-        var_z = float(work.sum()) / nrm
+        var_u = float(work.sum()) / nrm
+        # momentum moments in units of hbar/step
         if self._method == "central":
             np.subtract(psi[2:], psi[:-2], out=c[1:-1])
             # one-sided edges with the Dirichlet zero just outside the grid
@@ -248,12 +260,12 @@ class _Moments:
             np.abs(c, out=work)
             work *= work
             work *= self._weights
-            p_sq = self._hbar_sq * (float(work.sum()) / step / step) / nrm
+            q_sq = float(work.sum()) / nrm
             # Im(conj(psi) dpsi) = -Im(conj(dpsi) psi)
             np.conjugate(c, out=c)
             c *= psi
             np.multiply(self._weights, c.imag, out=work)
-            mean_p = -hbar * (float(work.sum()) / step) / nrm
+            mean_q = -float(work.sum()) / nrm
         else:
             np.fft.fft(psi, out=c)
             np.abs(c, out=work)
@@ -261,13 +273,21 @@ class _Moments:
             total = float(work.sum())
             # the density is no longer needed: reuse it for the products
             np.multiply(self._k, work, out=rho)
-            mean_p = hbar * (float(rho.sum()) / step) / total
+            mean_q = float(rho.sum()) / total
             np.multiply(self._k_sq, work, out=rho)
-            p_sq = self._hbar_sq * (float(rho.sum()) / step / step) / total
-        var_p = p_sq - mean_p * mean_p
-        if not math.isfinite(var_p):
+            q_sq = float(rho.sum()) / total
+        scale = self._hbar / self._step
+        # Python floats: an overflow gives inf, not a numpy warning
+        p_sq = scale * scale * q_sq
+        if not math.isfinite(p_sq):
             raise NumericError(f"momentum moments are out of double range (<p^2> = {p_sq:g})")
-        return mean_z, mean_p, math.sqrt(max(var_z, 0.0)), math.sqrt(max(var_p, 0.0))
+        dz = self._dz
+        return (
+            self._z_mid + mean_u * dz,
+            scale * mean_q,
+            math.sqrt(max(var_u, 0.0)) * dz,
+            scale * math.sqrt(max(q_sq - mean_q * mean_q, 0.0)),
+        )
 
 
 def moments(
@@ -421,6 +441,17 @@ def pde_residual(
     return float(residual / scale)
 
 
+def _both_paths(
+    free_initial: ComplexField, direct_initial: ComplexField, system: PhysicalSystem
+) -> tuple[PropagationReport, PropagationReport]:
+    """Free run and direct run in V = m_g*g*z, each sampled at its two ends."""
+    stride = max(1, free_initial.grid.n_steps)
+    return (
+        propagate_linear_potential(free_initial, system, 0.0, sample_every=stride),
+        propagate_linear_potential(direct_initial, system, system.weight, sample_every=stride),
+    )
+
+
 def frame_equivalence(psi0_free: ComplexField, system: PhysicalSystem) -> FrameEquivalenceResult:
     """Run the dual-path comparison behind the equivalence claim.
 
@@ -430,27 +461,52 @@ def frame_equivalence(psi0_free: ComplexField, system: PhysicalSystem) -> FrameE
     and evolves the result directly in the potential V = m_g*g*z.  When
     a = m_g*g/m_i the two paths agree up to one global phase and
     discretization error; otherwise the mismatch grows with the violation.
-    Both paths run on the grid of ``psi0_free``, with its time step and step
-    count.
+
+    Both paths run on the grid of ``psi0_free`` (n steps of dt) and once
+    more on the same spatial grid with m = ceil(n/2) steps of T/m.  The
+    Crank-Nicolson error of a time-independent Hamiltonian is even in dt,
+    so each path's final field is extrapolated to psi_f + (psi_f -
+    psi_c)/(q^2 - 1) with q = n/m (Richardson), which cancels the dt^2 term
+    and leaves the comparison fourth order in time.  The mismatch and the
+    global-phase alignment are taken on the extrapolated fields;
+    ``free_report`` and ``direct_report`` are the runs on the given grid,
+    and ``time_correction`` is the largest change the extrapolation made to
+    either path (0 for fewer than two steps, which are compared plainly).
     """
     grid = psi0_free.grid
     ft = FrameTransform.from_system(system)
     t_final = grid.total_time
-    stride = max(1, grid.n_steps)
-    free_report = propagate_linear_potential(
-        psi0_free, system, 0.0, sample_every=stride
-    )
     direct_initial = to_stationary_frame(ft, psi0_free, 0.0)
-    direct_report = propagate_linear_potential(
-        direct_initial, system, system.weight, sample_every=stride
-    )
-    shifted = shift_field(free_report.final_field, ft.shift(t_final))
-    transformed = to_stationary_frame(ft, shifted, t_final)
-    mismatch = max_pointwise_mismatch(transformed, direct_report.final_field)
+    free_report, direct_report = _both_paths(psi0_free, direct_initial, system)
+    free = free_report.final_field.values
+    direct = direct_report.final_field.values
+    time_correction = 0.0
+    if grid.n_steps >= 2:
+        coarse_steps = (grid.n_steps + 1) // 2
+        coarse = Grid(
+            grid.z_min, grid.z_max, grid.n_points, dt=t_final / coarse_steps, n_steps=coarse_steps
+        )
+        coarse_free, coarse_direct = _both_paths(
+            ComplexField(coarse, psi0_free.values),
+            ComplexField(coarse, direct_initial.values),
+            system,
+        )
+        weight = 1.0 / ((grid.n_steps / coarse_steps) ** 2 - 1.0)
+        free_correction = (free - coarse_free.final_field.values) * weight
+        direct_correction = (direct - coarse_direct.final_field.values) * weight
+        time_correction = float(
+            max(np.max(np.abs(free_correction)), np.max(np.abs(direct_correction)))
+        )
+        free = free + free_correction
+        direct = direct + direct_correction
+    shifted = shift_field(ComplexField(grid, free), ft.shift(t_final))
+    direct_field = ComplexField(grid, direct)
+    transformed = align_global_phase(to_stationary_frame(ft, shifted, t_final), direct_field)
     return FrameEquivalenceResult(
-        max_mismatch=mismatch,
-        transformed=align_global_phase(transformed, direct_report.final_field),
-        direct=direct_report.final_field,
+        max_mismatch=float(np.max(np.abs(transformed.values - direct))),
+        time_correction=time_correction,
+        transformed=transformed,
+        direct=direct_field,
         free_report=free_report,
         direct_report=direct_report,
     )

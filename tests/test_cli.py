@@ -309,6 +309,8 @@ def test_evolve_frame_equivalence_small(tmp_path):
     columns = parse_csv(out.read_text())
     assert float(summary["max_mismatch"]) == max(columns["abs_difference"])
     assert float(summary["max_mismatch"]) < 1e-3
+    # the Richardson estimate of the 300-step runs' time error
+    assert 0.0 < float(summary["time_correction"]) < 1e-3
 
 
 def test_airy_json_output_validates(tmp_path):

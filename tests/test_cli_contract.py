@@ -2,10 +2,13 @@
 
 Arguments of ``airy``, ``bouncer``, ``cow`` and ``redshift`` are drawn from
 wide strategies, non-finite and extreme numbers and malformed tokens
-included.  Every invocation must end with one of the three exit codes and no
-uncaught exception, and every JSON file written must parse strictly and
-validate against the documented schema.  The exit code of a result does not
-depend on its output format.
+included.  ``evolve`` runs each demo on small grids (at most 64 points and
+21 steps, odd and single-step counts included) or with a malformed grid
+token, so its propagations stay cheap.  Every invocation must end with one
+of the three exit codes and no uncaught exception, and every JSON file
+written must parse strictly and validate against the documented schema.
+The exit code of a scalar command's result does not depend on its output
+format.
 """
 
 import json
@@ -67,6 +70,32 @@ _REDSHIFT = _command(
 )
 
 
+# An evolve grid: n points, and dt with t_final = steps * dt, so that
+# round(t_final / dt) is the drawn step count.  Below about 32 points the
+# packet starts near an edge, which is a usage error.
+_EVOLVE_GRID = st.tuples(
+    st.one_of(st.integers(32, 64), st.integers(-1, 31)),
+    st.sampled_from([1e-3, 2e-3, 7e-3, 0.05]),
+    st.integers(1, 21),
+).map(lambda g: ["--n-points", str(g[0]), "--dt", repr(g[1]), "--t-final", repr(g[1] * g[2])])
+_BAD_GRID_TOKEN = st.one_of(
+    st.tuples(st.just("--n-points"), st.sampled_from(["", "x", "2.5", "nan", "1e3"])),
+    st.tuples(
+        st.sampled_from(["--dt", "--t-final"]),
+        st.sampled_from(["", "x", "0", "-0", "-1", "nan", "inf", "-inf", "1e309", "5e-324"]),
+    ),
+).map(list)
+_EVOLVE_FORMAT = st.sampled_from(["csv", "json", "json-without-out"])
+
+
+def _evolve(demo):
+    # a malformed token goes last, so it overrides the valid value
+    bad = st.one_of(st.just([]), st.just([]), _BAD_GRID_TOKEN)
+    return st.tuples(_EVOLVE_GRID, bad).map(
+        lambda ps: ["evolve", "--demo", demo] + ps[0] + ps[1]
+    )
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -121,3 +150,10 @@ def test_exit_code_does_not_depend_on_format(command, data):
             for fmt in ("table", "csv", "json")
         }
     assert len(set(codes.values())) == 1, (args, codes)
+
+
+@pytest.mark.parametrize("demo", ["frame-equivalence", "bouncer-moments", "free-dispersion"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_evolve_exit_code_contract(demo, data):
+    _check_contract(data.draw(_evolve(demo)), data.draw(_EVOLVE_FORMAT))

@@ -29,6 +29,7 @@ from gravqm import (
     propagate_linear_potential,
     sample_stencil,
     shift_field,
+    to_stationary_frame,
 )
 from oracles import free_gaussian_analytic, trapezoid_moments
 
@@ -255,6 +256,20 @@ def test_moments_match_trapezoid_oracle(method):
         expected = trapezoid_moments(field.values, grid.z, grid.dz, system.hbar, method)
         got = moments(field, system, method=method)
         assert got == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("method", ["central", "spectral"])
+def test_moments_of_packet_wider_than_its_square_range(method):
+    # sigma_z^2 = 1e398 and sigma_p^2 = 2.5e-399 leave double range, the
+    # spreads do not; no RuntimeWarning (pyproject.toml turns one into an error)
+    grid = Grid(-1e200, 1e200, 101)
+    values = np.exp(-((grid.z / 1e199) ** 2) / 4.0)
+    field = ComplexField(grid, values).normalized()
+    mean_z, mean_p, sigma_z, sigma_p = moments(field, natural(), method=method)
+    assert sigma_z == pytest.approx(1e199, rel=1e-12)
+    assert sigma_p == pytest.approx(5e-200, rel=1e-2)  # 5 points per sigma
+    assert abs(mean_z) <= 1e-15 * sigma_z
+    assert abs(mean_p) <= 1e-15 * sigma_p
 
 
 def test_moments_of_non_finite_field_are_a_numeric_error():
@@ -489,15 +504,50 @@ def test_frame_equivalence_detects_violated_condition():
     assert frame_equivalence_test(psi0, system) > 1e-2
 
 
-def test_frame_equivalence_second_order_in_time():
-    # run the reference spatial configuration at a dt pair where the time
-    # error dominates the fixed spatial floor; halving dt must reduce the
-    # mismatch by about 4x
+def test_frame_equivalence_fourth_order_in_time():
+    # the reference spatial configuration at a dt pair where the time error
+    # dominates the fixed spatial floor: after the Richardson step, halving
+    # dt must reduce the mismatch by about 16x, while the correction it made
+    # (the fine runs' own second-order error) drops by about 4x
     system = natural(a=1.0)
-    mismatches = []
-    for dt in (2e-3, 1e-3):
+    results = []
+    for dt in (1e-2, 5e-3):
         grid = Grid(-20.0, 30.0, REFERENCE_FRAME_RUN["n_points"], dt=dt, n_steps=round(1.0 / dt))
-        psi0 = gaussian_packet(grid, 8.0, 0.5)
-        mismatches.append(frame_equivalence_test(psi0, system))
-    ratio = mismatches[0] / mismatches[1]
-    assert 3.0 <= ratio <= 5.0
+        results.append(frame_equivalence(gaussian_packet(grid, 8.0, 0.5), system))
+    coarse, fine = results
+    assert 12.0 <= coarse.max_mismatch / fine.max_mismatch <= 20.0
+    assert 3.5 <= coarse.time_correction / fine.time_correction <= 4.5
+
+
+def _plain_mismatch(psi0, system):
+    # the dual-path comparison without the extrapolation in time
+    ft = FrameTransform.from_system(system)
+    t_final = psi0.grid.total_time
+    free = propagate_linear_potential(psi0, system, 0.0).final_field
+    direct = propagate_linear_potential(
+        to_stationary_frame(ft, psi0, 0.0), system, system.weight
+    ).final_field
+    transformed = to_stationary_frame(ft, shift_field(free, ft.shift(t_final)), t_final)
+    return max_pointwise_mismatch(transformed, direct)
+
+
+def test_frame_equivalence_single_step_is_compared_plainly():
+    # one step has no coarser run: no correction, the plain comparison
+    grid = Grid(-20.0, 30.0, 2048, dt=1e-2, n_steps=1)
+    system = natural(a=1.0)
+    psi0 = gaussian_packet(grid, 8.0, 0.5)
+    result = frame_equivalence(psi0, system)
+    assert result.time_correction == 0.0
+    assert result.max_mismatch == pytest.approx(_plain_mismatch(psi0, system), rel=1e-12)
+
+
+def test_frame_equivalence_three_steps_extrapolates_with_ratio_one_and_a_half():
+    # n = 3 pairs with m = 2 coarse steps, q = 1.5: a weight other than
+    # 1/(q^2 - 1) would leave most of the 1.4e-6 dt^2 error in place
+    grid = Grid(-20.0, 30.0, 2048, dt=2e-3, n_steps=3)
+    system = natural(a=1.0)
+    psi0 = gaussian_packet(grid, 8.0, 0.5)
+    result = frame_equivalence(psi0, system)
+    assert result.max_mismatch <= 1e-9
+    assert result.time_correction > 1e-6
+    assert _plain_mismatch(psi0, system) > 100.0 * result.max_mismatch

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .airy import ai_negative_zero, ai_squared_tail, airy_ai
-from .core import PhysicalSystem, checked_square
-from .errors import ParameterError
+from .core import PhysicalSystem, checked_square, require_finite
+from .errors import NumericError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,15 @@ class BouncerLevel:
 def alpha(system: PhysicalSystem) -> float:
     """Inverse length scale (2*m_i*F/hbar^2)**(1/3) with F = m_g*g.
 
-    Raises NumericError where hbar^2 under- or overflows.
+    Raises NumericError where hbar^2 or 2*m_i*F/hbar^2 under- or overflows.
     """
     force = system.m_g * system.g
     if force <= 0.0:
         raise ParameterError("alpha requires m_g > 0 and g > 0")
-    return (2.0 * system.m_i * force / checked_square("hbar", system.hbar)) ** (1.0 / 3.0)
+    ratio = 2.0 * system.m_i * force / checked_square("hbar", system.hbar)
+    if not 0.0 < ratio < math.inf:
+        raise NumericError(f"2*m_i*F/hbar^2 = {ratio:g} is out of double range")
+    return ratio ** (1.0 / 3.0)
 
 
 def energy_scale(system: PhysicalSystem) -> float:
@@ -89,11 +92,22 @@ def eigenfunction(lvl: BouncerLevel, z_tilde: float) -> float:
     """
     if z_tilde < 0.0:
         return 0.0
-    return lvl.norm_const * airy_ai(z_tilde - lvl.e_tilde)
+    try:
+        shifted = z_tilde - lvl.e_tilde
+    except OverflowError:  # an int beyond double range
+        raise ParameterError("z_tilde is beyond double range") from None
+    return lvl.norm_const * airy_ai(shifted)
 
 
 def stationary_state(
     lvl: BouncerLevel, z_tilde: float, t: float, system: PhysicalSystem
 ) -> complex:
-    """Time-dependent stationary state chi_n(z_tilde)*exp(-i*E_n*t/hbar)."""
-    return eigenfunction(lvl, z_tilde) * cmath.exp(-1j * lvl.energy * t / system.hbar)
+    """Time-dependent stationary state chi_n(z_tilde)*exp(-i*E_n*t/hbar).
+
+    Raises ParameterError for a non-finite t and NumericError where the phase
+    E_n*t/hbar overflows.
+    """
+    phase = lvl.energy * require_finite("t", t) / system.hbar
+    if not math.isfinite(phase):
+        raise NumericError(f"phase E_n*t/hbar = {phase:g} is out of double range")
+    return eigenfunction(lvl, z_tilde) * cmath.exp(-1j * phase)

@@ -65,8 +65,13 @@ FREE_FALL_RTOL = 1e-12
 MAX_STEPS = 10**7
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+def require_finite(name: str, value: float) -> float:
+    """``float(value)``, or ParameterError for nan, an infinity or an integer
+    beyond double range (where ``float`` raises OverflowError)."""
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} is beyond double range") from None
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value}")
     return value
@@ -104,7 +109,7 @@ class PhysicalSystem:
 
     def __post_init__(self):
         for name in ("m_i", "m_g", "g", "v", "a", "hbar"):
-            _require_finite(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
         if self.m_i <= 0:
             raise ParameterError(f"m_i must be positive, got {self.m_i}")
         if self.hbar <= 0:
@@ -130,7 +135,7 @@ def make_natural_system(mass_scale: float) -> PhysicalSystem:
 
     The caller sets g, v, a afterwards (``dataclasses.replace`` works).
     """
-    mass_scale = _require_finite("mass_scale", mass_scale)
+    mass_scale = require_finite("mass_scale", mass_scale)
     if mass_scale <= 0:
         raise ParameterError(f"mass_scale must be positive, got {mass_scale}")
     return PhysicalSystem(m_i=mass_scale, m_g=mass_scale, g=0.0, v=0.0, a=0.0, hbar=1.0)
@@ -148,9 +153,9 @@ class Grid:
     _z: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_finite("z_min", self.z_min)
-        _require_finite("z_max", self.z_max)
-        _require_finite("dt", self.dt)
+        require_finite("z_min", self.z_min)
+        require_finite("z_max", self.z_max)
+        require_finite("dt", self.dt)
         if self.n_points < 3:
             raise ParameterError(f"n_points must be >= 3, got {self.n_points}")
         if self.z_max <= self.z_min:

@@ -62,6 +62,17 @@ def test_ai_rejects_non_finite():
         airy_ai_prime(math.inf)
 
 
+@pytest.mark.parametrize(
+    "evaluate", [airy_ai, airy_ai_prime, airy_bi, airy_bi_prime, airy_values, ai_squared_tail]
+)
+def test_int_beyond_double_range_is_a_parameter_error(evaluate):
+    # float() of such an int raises OverflowError; the argument check turns it
+    # into the documented ParameterError
+    for x in (10**400, -(10**400)):
+        with pytest.raises(ParameterError, match="beyond double range"):
+            evaluate(x)
+
+
 def test_bi_overflow_raises():
     for x in (120.0, 1e308):
         with pytest.raises(NumericError):
@@ -93,17 +104,17 @@ def test_wronskian_sweep():
     assert worst <= 1e-10
 
 
-# Every node of the evaluator's Taylor tables, 0.5 apart on [-8, 8].
-TABLE_NODES = np.arange(-8.0, 8.25, 0.5)
+# Every node of the evaluator's Taylor tables, 0.5 apart on [-12, 12].
+TABLE_NODES = np.arange(-12.0, 12.25, 0.5)
 
 
 def test_accuracy_against_scipy():
-    # dense grid, a few fixed points (+-8 is where the asymptotics take over),
+    # dense grid, a few fixed points (+-12 is where the asymptotics take over),
     # and every table node from both sides.  A point node +- 1e-9 is also
     # 0.5 - 1e-9 from the neighbouring node on the other side, the farthest
     # any call steps: Ai steps down from the node above, Bi up from the node
     # below for x >= 0 and down for x < 0.
-    fixed = [-8.0, -5.0, 2.5, 3.5, 5.0, 8.0]
+    fixed = [-12.0, -8.0, -5.0, 2.5, 3.5, 5.0, 8.0, 12.0]
     xs = np.r_[np.linspace(-12.0, 12.0, 24001), fixed, TABLE_NODES - 1e-9, TABLE_NODES + 1e-9]
     ref_ai, ref_aip, ref_bi, ref_bip = airy(xs)
     values = [airy_values(float(x)) for x in xs]
@@ -120,10 +131,11 @@ def test_accuracy_against_scipy():
 
 
 def test_asymptotic_sums_end_at_their_cut():
-    # replay _asym_sums' stopping rule on |x| in [8, 200] for each table: every
-    # sum must stop at the smallest-term or 1e-18 cut, before the table ends
-    # (larger |x| shrinks every term, so the cut only comes sooner)
-    xs = np.linspace(8.0, 200.0, 200001)
+    # replay _asym_sums' stopping rule on |x| in [12, 200] for each table:
+    # every sum must stop at the smallest-term or 1e-18 cut, before the table
+    # ends (larger |x| shrinks every term, so the cut only comes sooner)
+    assert kernel._ASYM_POS == -kernel._ASYM_NEG == 12.0
+    xs = np.linspace(12.0, 200.0, 200001)
     zinv = np.array([1.0 / ((2.0 / 3.0) * float(x) ** 1.5) for x in xs])
     for terms in (kernel._AI_POS_TERMS, kernel._BI_POS_TERMS, kernel._NEG_TERMS):
         power = np.ones_like(zinv)
@@ -202,7 +214,7 @@ def test_tail_derivative_is_minus_ai_squared():
 
 def test_band_seams_are_smooth():
     # the evaluator switches polynomial at every table node and representation
-    # at +-8; across each seam the finite change must match the derivative,
+    # at +-12; across each seam the finite change must match the derivative,
     # with no representation jump
     h = 1e-6
     for seam in TABLE_NODES:
@@ -214,11 +226,25 @@ def test_band_seams_are_smooth():
 
 
 def test_single_functions_match_airy_values_bit_for_bit():
-    # one evaluation path: each function returns exactly its field of airy_values
-    xs = np.r_[np.linspace(-12.0, 12.0, 4801), TABLE_NODES - 1e-9, TABLE_NODES + 1e-9]
+    # one evaluation path: each function returns exactly its field of
+    # airy_values; [-30, 30] reaches well into both asymptotic branches, where
+    # airy_ai sums only the u terms
+    xs = np.r_[np.linspace(-30.0, 30.0, 12001), TABLE_NODES - 1e-9, TABLE_NODES + 1e-9, -1e5]
     for x in map(float, xs):
         values = airy_values(x)
         assert airy_ai(x) == values.ai
         assert airy_ai_prime(x) == values.ai_prime
         assert airy_bi(x) == values.bi
         assert airy_bi_prime(x) == values.bi_prime
+    # past the overflow of Bi, airy_values raises; Ai still matches the
+    # value-and-slope path up to and beyond its underflow to 0
+    for x in map(float, np.r_[np.linspace(100.0, 110.0, 1001), 1e308]):
+        assert airy_ai(x) == kernel._eval_ai(x)[0]
+    assert airy_ai(110.0) == 0.0
+    # and both paths lose the phase at the same point
+    loss = kernel._PHASE_LOSS_X
+    assert airy_ai(loss) == kernel._eval_ai(loss)[0]
+    beyond = math.nextafter(loss, -math.inf)
+    for evaluate in (airy_ai, kernel._eval_ai):
+        with pytest.raises(NumericError, match="phase lost"):
+            evaluate(beyond)

@@ -165,6 +165,31 @@ def test_stationary_state_examples():
     )
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 10**400])
+def test_stationary_state_rejects_non_finite_time(t):
+    s = unit_scale_system()
+    with pytest.raises(ParameterError, match="t "):
+        stationary_state(level(s, 1), 1.0, t, s)
+
+
+def test_stationary_state_phase_overflow_raises():
+    s = unit_scale_system()
+    lv = level(s, 1)
+    # E_1*t/hbar overflows; t itself is finite
+    with pytest.raises(NumericError, match="phase"):
+        stationary_state(lv, 1.0, 1e308, dataclasses.replace(s, hbar=1e-10))
+    # a huge but finite phase still gives a unit-modulus factor
+    assert abs(stationary_state(lv, 1.0, 1e300, s)) == pytest.approx(eigenfunction(lv, 1.0))
+
+
+def test_eigenfunction_rejects_int_beyond_double_range():
+    lv = level(unit_scale_system(), 1)
+    with pytest.raises(ParameterError, match="beyond double range"):
+        eigenfunction(lv, 10**400)
+    # behind the wall the value is an exact 0 whatever the magnitude
+    assert eigenfunction(lv, -(10**400)) == 0.0
+
+
 def test_level_index_validation():
     s = unit_scale_system()
     for bad in (0, 51, -2):
@@ -176,10 +201,18 @@ def test_level_index_validation():
     "scale, system",
     [
         (alpha, PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0, hbar=1e-200)),  # hbar^2 underflows
+        (alpha, PhysicalSystem(m_i=1e300, m_g=1e300, g=1e300)),  # 2*m_i*F/hbar^2 overflows
+        (alpha, PhysicalSystem(m_i=1e-300, m_g=1e-300, g=1.0)),  # ... and underflows
         (lambda s: level(s, 1), PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0, hbar=1e200)),
         (energy_scale, PhysicalSystem(m_i=1.0, m_g=1e200, g=1.0)),  # F^2 overflows
     ],
-    ids=["alpha-small-hbar", "level-large-hbar", "energy-scale-large-force"],
+    ids=[
+        "alpha-small-hbar",
+        "alpha-overflow",
+        "alpha-underflow",
+        "level-large-hbar",
+        "energy-scale-large-force",
+    ],
 )
 def test_scales_out_of_double_range(scale, system):
     with pytest.raises(NumericError):

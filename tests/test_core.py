@@ -67,6 +67,13 @@ def test_grid_bounds_the_step_count():
             Grid(0.0, 1.0, 11, dt=1e-300, n_steps=n_steps)
 
 
+def test_int_beyond_double_range_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="m_i is beyond double range"):
+        PhysicalSystem(m_i=10**400, m_g=1.0)
+    with pytest.raises(ParameterError, match="dt is beyond double range"):
+        Grid(0.0, 1.0, 11, dt=10**400, n_steps=5)
+
+
 @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
 def test_grid_rejects_non_finite_dt(dt):
     with pytest.raises(ParameterError, match="dt must be finite"):

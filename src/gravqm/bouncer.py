@@ -35,14 +35,23 @@ class BouncerLevel:
     p_outside: float
 
 
+def _force(system: PhysicalSystem, what: str) -> float:
+    """F = m_g*g; ParameterError unless both are positive, NumericError where
+    their product under- or overflows."""
+    if system.m_g <= 0.0 or system.g <= 0.0:
+        raise ParameterError(f"{what} requires m_g > 0 and g > 0")
+    force = system.m_g * system.g
+    if not 0.0 < force < math.inf:
+        raise NumericError(f"F = m_g*g = {force:g} is out of double range")
+    return force
+
+
 def alpha(system: PhysicalSystem) -> float:
     """Inverse length scale (2*m_i*F/hbar^2)**(1/3) with F = m_g*g.
 
-    Raises NumericError where hbar^2 or 2*m_i*F/hbar^2 under- or overflows.
+    Raises NumericError where F, hbar^2 or 2*m_i*F/hbar^2 under- or overflows.
     """
-    force = system.m_g * system.g
-    if force <= 0.0:
-        raise ParameterError("alpha requires m_g > 0 and g > 0")
+    force = _force(system, "alpha")
     ratio = 2.0 * system.m_i * force / checked_square("hbar", system.hbar)
     if not 0.0 < ratio < math.inf:
         raise NumericError(f"2*m_i*F/hbar^2 = {ratio:g} is out of double range")
@@ -52,11 +61,9 @@ def alpha(system: PhysicalSystem) -> float:
 def energy_scale(system: PhysicalSystem) -> float:
     """(hbar^2 F^2 / (2 m_i))**(1/3), the unit of the physical energies.
 
-    Raises NumericError where hbar^2 or F^2 under- or overflows.
+    Raises NumericError where F, hbar^2 or F^2 under- or overflows.
     """
-    force = system.m_g * system.g
-    if force <= 0.0:
-        raise ParameterError("energy scale requires m_g > 0 and g > 0")
+    force = _force(system, "energy scale")
     hbar_sq = checked_square("hbar", system.hbar)
     return (hbar_sq * checked_square("m_g*g", force) / (2.0 * system.m_i)) ** (1.0 / 3.0)
 

@@ -109,13 +109,18 @@ TABLE_NODES = np.arange(-12.0, 12.25, 0.5)
 
 
 def test_accuracy_against_scipy():
-    # dense grid, a few fixed points (+-12 is where the asymptotics take over),
-    # and every table node from both sides.  A point node +- 1e-9 is also
-    # 0.5 - 1e-9 from the neighbouring node on the other side, the farthest
-    # any call steps: Ai steps down from the node above, Bi up from the node
-    # below for x >= 0 and down for x < 0.
+    # dense grid over the table band, a dense grid over both asymptotic
+    # branches out to |x| = 30, a few fixed points (+-12 is where the
+    # asymptotics take over), and every table node from both sides.  A point
+    # node +- 1e-9 is also 0.5 - 1e-9 from the neighbouring node on the other
+    # side, the farthest any call steps: Ai steps down from the node above, Bi
+    # up from the node below for x >= 0 and down for x < 0.
     fixed = [-12.0, -8.0, -5.0, 2.5, 3.5, 5.0, 8.0, 12.0]
-    xs = np.r_[np.linspace(-12.0, 12.0, 24001), fixed, TABLE_NODES - 1e-9, TABLE_NODES + 1e-9]
+    outer = np.linspace(-30.0, 30.0, 12001)
+    outer = outer[np.abs(outer) >= 12.0]
+    xs = np.r_[
+        np.linspace(-12.0, 12.0, 24001), outer, fixed, TABLE_NODES - 1e-9, TABLE_NODES + 1e-9
+    ]
     ref_ai, ref_aip, ref_bi, ref_bip = airy(xs)
     values = [airy_values(float(x)) for x in xs]
     ai = np.array([v.ai for v in values])
@@ -123,6 +128,9 @@ def test_accuracy_against_scipy():
     bi = np.array([v.bi for v in values])
     bip = np.array([v.bi_prime for v in values])
     wronskian = np.array([v.wronskian() for v in values])
+    # airy_ai is locked to airy_values(x).ai bit for bit by the test below;
+    # check it here too, so its own path cannot drift from scipy unseen
+    assert np.array_equal([airy_ai(float(x)) for x in xs], ai)
     assert np.max(np.abs(ai - ref_ai)) <= 1e-13
     assert np.max(np.abs(aip - ref_aip)) <= 1e-13
     assert np.max(np.abs(bi - ref_bi) / np.maximum(1.0, np.abs(ref_bi))) <= 2e-13
@@ -227,8 +235,8 @@ def test_band_seams_are_smooth():
 
 def test_single_functions_match_airy_values_bit_for_bit():
     # one evaluation path: each function returns exactly its field of
-    # airy_values; [-30, 30] reaches well into both asymptotic branches, where
-    # airy_ai sums only the u terms
+    # airy_values; [-30, 30] reaches well into both asymptotic branches, and
+    # the table points are where airy_ai runs its own value-only Horner step
     xs = np.r_[np.linspace(-30.0, 30.0, 12001), TABLE_NODES - 1e-9, TABLE_NODES + 1e-9, -1e5]
     for x in map(float, xs):
         values = airy_values(x)

@@ -205,6 +205,10 @@ def test_level_index_validation():
         (alpha, PhysicalSystem(m_i=1e-300, m_g=1e-300, g=1.0)),  # ... and underflows
         (lambda s: level(s, 1), PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0, hbar=1e200)),
         (energy_scale, PhysicalSystem(m_i=1.0, m_g=1e200, g=1.0)),  # F^2 overflows
+        (alpha, PhysicalSystem(m_i=1.0, m_g=1e-200, g=1e-200)),  # F = m_g*g underflows
+        (energy_scale, PhysicalSystem(m_i=1.0, m_g=1e-200, g=1e-200)),
+        (alpha, PhysicalSystem(m_i=1.0, m_g=1e200, g=1e200)),  # ... and overflows
+        (energy_scale, PhysicalSystem(m_i=1.0, m_g=1e200, g=1e200)),
     ],
     ids=[
         "alpha-small-hbar",
@@ -212,6 +216,10 @@ def test_level_index_validation():
         "alpha-underflow",
         "level-large-hbar",
         "energy-scale-large-force",
+        "alpha-force-underflow",
+        "energy-scale-force-underflow",
+        "alpha-force-overflow",
+        "energy-scale-force-overflow",
     ],
 )
 def test_scales_out_of_double_range(scale, system):

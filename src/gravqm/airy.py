@@ -39,8 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import require_finite
-from .errors import NumericError, ParameterError
+from .core import require_count, require_finite
+from .errors import NumericError
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT3 = math.sqrt(3.0)
@@ -314,10 +314,7 @@ def ai_negative_zero(n: int) -> float:
     [seed-0.5, seed+0.5].  Raises NumericError if an iterate leaves that
     bracket, if Ai' vanishes at one, or if 50 steps do not converge.
     """
-    if not isinstance(n, (int,)) or isinstance(n, bool):
-        raise ParameterError(f"zero index must be an integer, got {n!r}")
-    if n < 1 or n > 50:
-        raise ParameterError(f"zero index must be in 1..50, got {n}")
+    n = require_count("zero index", n, 1, 50)
     seed = -((3.0 * math.pi * (4.0 * n - 1.0) / 8.0) ** (2.0 / 3.0))
     x = seed
     for _ in range(50):

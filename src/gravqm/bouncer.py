@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass
 
 from .airy import ai_negative_zero, ai_squared_tail, airy_ai
-from .core import PhysicalSystem, checked_square, require_finite
-from .errors import NumericError, ParameterError
+from .core import PhysicalSystem, checked_square, finite_result, positive_result
+from .core import require_finite, require_positive
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -35,15 +36,10 @@ class BouncerLevel:
     p_outside: float
 
 
-def _force(system: PhysicalSystem, what: str) -> float:
-    """F = m_g*g; ParameterError unless both are positive, NumericError where
-    their product under- or overflows."""
-    if system.m_g <= 0.0 or system.g <= 0.0:
-        raise ParameterError(f"{what} requires m_g > 0 and g > 0")
-    force = system.m_g * system.g
-    if not 0.0 < force < math.inf:
-        raise NumericError(f"F = m_g*g = {force:g} is out of double range")
-    return force
+def _force(system: PhysicalSystem) -> float:
+    """F = m_g*g: ParameterError unless m_g, g > 0, NumericError where F under- or overflows."""
+    force = require_positive("m_g", system.m_g) * require_positive("g", system.g)
+    return positive_result("F = m_g*g", force)
 
 
 def alpha(system: PhysicalSystem) -> float:
@@ -51,21 +47,19 @@ def alpha(system: PhysicalSystem) -> float:
 
     Raises NumericError where F, hbar^2 or 2*m_i*F/hbar^2 under- or overflows.
     """
-    force = _force(system, "alpha")
+    force = _force(system)
     ratio = 2.0 * system.m_i * force / checked_square("hbar", system.hbar)
-    if not 0.0 < ratio < math.inf:
-        raise NumericError(f"2*m_i*F/hbar^2 = {ratio:g} is out of double range")
-    return ratio ** (1.0 / 3.0)
+    return positive_result("2*m_i*F/hbar^2", ratio) ** (1.0 / 3.0)
 
 
 def energy_scale(system: PhysicalSystem) -> float:
     """(hbar^2 F^2 / (2 m_i))**(1/3), the unit of the physical energies.
 
-    Raises NumericError where F, hbar^2 or F^2 under- or overflows.
+    Raises NumericError where F, hbar^2, F^2 or hbar^2 F^2 / (2 m_i) under- or overflows.
     """
-    force = _force(system, "energy scale")
-    hbar_sq = checked_square("hbar", system.hbar)
-    return (hbar_sq * checked_square("m_g*g", force) / (2.0 * system.m_i)) ** (1.0 / 3.0)
+    force = _force(system)
+    cube = checked_square("hbar", system.hbar) * checked_square("m_g*g", force) / (2.0 * system.m_i)
+    return positive_result("hbar^2 F^2 / (2 m_i)", cube) ** (1.0 / 3.0)
 
 
 def probability_outside(n: int) -> float:
@@ -114,7 +108,5 @@ def stationary_state(
     Raises ParameterError for a non-finite t and NumericError where the phase
     E_n*t/hbar overflows.
     """
-    phase = lvl.energy * require_finite("t", t) / system.hbar
-    if not math.isfinite(phase):
-        raise NumericError(f"phase E_n*t/hbar = {phase:g} is out of double range")
+    phase = finite_result("phase E_n*t/hbar", lvl.energy * require_finite("t", t) / system.hbar)
     return eigenfunction(lvl, z_tilde) * cmath.exp(-1j * phase)

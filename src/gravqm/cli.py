@@ -9,7 +9,6 @@ only.  Nothing is random, so every invocation is reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import numbers
@@ -19,7 +18,7 @@ import click
 from . import __version__
 from .airy import ai_negative_zero, airy_values
 from .bouncer import level as bouncer_level
-from .core import MAX_STEPS, Grid, PhysicalSystem, make_natural_system, np
+from .core import MAX_STEPS, Grid, PhysicalSystem, np, require_positive
 from .dynamics import (
     REFERENCE_FRAME_RUN,
     frame_equivalence,
@@ -97,10 +96,10 @@ class _PositiveFloat(click.ParamType):
     name = "positive number"
 
     def convert(self, value, param, ctx):
-        number = click.FLOAT.convert(value, param, ctx)
-        if not (math.isfinite(number) and number > 0.0):
+        try:
+            return require_positive("value", click.FLOAT.convert(value, param, ctx))
+        except ParameterError:
             self.fail(f"{value!r} is not a finite positive number", param, ctx)
-        return number
 
 
 _POSITIVE = _PositiveFloat()
@@ -207,7 +206,7 @@ def cmd_bouncer(n_levels, si_neutron, fmt, out) -> None:
         system = _neutron_system()
         units = "si"
     else:
-        system = dataclasses.replace(make_natural_system(0.5), g=2.0)
+        system = PhysicalSystem(m_i=0.5, m_g=0.5, g=2.0)
         units = "natural"
     levels = [bouncer_level(system, n) for n in range(1, n_levels + 1)]
 
@@ -257,7 +256,7 @@ def cmd_cow(wavelength, height, length, accel, si_neutron, via_time_route, fmt, 
         units = "si"
     else:
         a = 1.0 if accel is None else accel
-        system = dataclasses.replace(make_natural_system(1.0), a=a, g=a)
+        system = PhysicalSystem(m_i=1.0, m_g=1.0, g=a, a=a)
         units = "natural"
     geom = InterferometerGeometry(
         wavelength=wavelength, height=height, horizontal_length=length
@@ -361,7 +360,7 @@ def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
         )
     n_steps = max(1, round(steps))
     grid = Grid(cfg["z_min"], cfg["z_max"], cfg["n_points"], dt=cfg["dt"], n_steps=n_steps)
-    system = dataclasses.replace(make_natural_system(1.0), g=1.0, a=1.0)
+    system = PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0, a=1.0)
     psi0 = gaussian_packet(grid, center=cfg["center"], sigma=cfg["sigma0"])
     if demo == "frame-equivalence":
         result = frame_equivalence(psi0, system)
@@ -393,7 +392,7 @@ def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
             for name, oc in checks.items()
         ]
     else:  # free-dispersion
-        system = dataclasses.replace(system, g=0.0, a=0.0)
+        system = PhysicalSystem(m_i=1.0, m_g=1.0)
         report = propagate_linear_potential(psi0, system, 0.0)
         t, _, _, sz, _ = report.moment_series.T
         analytic = free_dispersion_width(cfg["sigma0"], t, system)

@@ -17,12 +17,18 @@ attribute access (:func:`lazy_module`); ``frames``, ``dynamics`` and ``cli``
 take ``np`` from here.  So the scalar commands (``airy``, ``bouncer``,
 ``cow``, ``redshift``) and ``import gravqm`` never run numpy's import, while
 the first grid, field or propagation does.
+
+Scalars are checked here, one helper per kind of check: :func:`require_finite`,
+:func:`require_positive` and :func:`require_count` raise ParameterError for a bad
+input, :func:`finite_result`, :func:`positive_result` and :func:`checked_square`
+NumericError for a result out of double range.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -77,18 +83,47 @@ def require_finite(name: str, value: float) -> float:
     return value
 
 
-def checked_square(name: str, value: float) -> float:
-    """value*value, or NumericError where a nonzero value does not square to
-    a finite nonzero double.
+def require_positive(name: str, value: float) -> float:
+    """:func:`require_finite`, and ParameterError unless the value is above zero."""
+    value = require_finite(name, value)
+    if not value > 0.0:
+        raise ParameterError(f"{name} must be positive, got {value}")
+    return value
 
-    ``value**2`` would raise OverflowError for a large float, and a tiny one
-    squares to 0, which a later division turns into ZeroDivisionError.  An
-    exact 0 squares to 0.
-    """
-    square = value * value
-    if not 0.0 < square < math.inf and value != 0.0:
-        raise NumericError(f"{name}^2 = {square:g} is out of double range ({name} = {value:g})")
-    return square
+
+def require_count(name: str, value: int, low: int, high: float = math.inf) -> int:
+    """``operator.index(value)`` in low..high, or ParameterError; numpy ints pass, bools do not."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= count <= high:
+        bound = f"at least {low}" if count < low else f"at most {high}"
+        raise ParameterError(f"{name} must be {bound}, got {count}")
+    return count
+
+
+def finite_result(what: str, value: float) -> float:
+    """value, or NumericError where it is not finite."""
+    if not math.isfinite(value):
+        raise NumericError(f"{what} = {value:g} is out of double range")
+    return value
+
+
+def positive_result(what: str, value: float) -> float:
+    """value, or NumericError where a positive result under- or overflows: 0 < value < inf."""
+    if not 0.0 < value < math.inf:
+        raise NumericError(f"{what} = {value:g} is out of double range")
+    return value
+
+
+def checked_square(name: str, value: float) -> float:
+    """value*value, or NumericError where a nonzero value does not square to a finite
+    nonzero double (``value**2`` would raise OverflowError for a large float, and a
+    tiny one squares to 0, which a later division turns into ZeroDivisionError)."""
+    return positive_result(f"{name}^2", value * value) if value != 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -108,12 +143,10 @@ class PhysicalSystem:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("m_i", "m_g", "g", "v", "a", "hbar"):
+        for name in ("m_i", "hbar"):
+            require_positive(name, getattr(self, name))
+        for name in ("m_g", "g", "v", "a"):
             require_finite(name, getattr(self, name))
-        if self.m_i <= 0:
-            raise ParameterError(f"m_i must be positive, got {self.m_i}")
-        if self.hbar <= 0:
-            raise ParameterError(f"hbar must be positive, got {self.hbar}")
         if self.m_g < 0:
             raise ParameterError(f"m_g must be non-negative, got {self.m_g}")
 
@@ -135,9 +168,6 @@ def make_natural_system(mass_scale: float) -> PhysicalSystem:
 
     The caller sets g, v, a afterwards (``dataclasses.replace`` works).
     """
-    mass_scale = require_finite("mass_scale", mass_scale)
-    if mass_scale <= 0:
-        raise ParameterError(f"mass_scale must be positive, got {mass_scale}")
     return PhysicalSystem(m_i=mass_scale, m_g=mass_scale, g=0.0, v=0.0, a=0.0, hbar=1.0)
 
 
@@ -153,19 +183,16 @@ class Grid:
     _z: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_finite("z_min", self.z_min)
-        require_finite("z_max", self.z_max)
-        require_finite("dt", self.dt)
-        if self.n_points < 3:
-            raise ParameterError(f"n_points must be >= 3, got {self.n_points}")
-        if self.z_max <= self.z_min:
+        z_min = require_finite("z_min", self.z_min)
+        z_max = require_finite("z_max", self.z_max)
+        dt = require_finite("dt", self.dt)
+        n_points = require_count("n_points", self.n_points, 3)
+        n_steps = require_count("n_steps", self.n_steps, 0, MAX_STEPS)
+        if z_max <= z_min:
             raise ParameterError("z_max must exceed z_min")
-        if self.n_steps < 0:
-            raise ParameterError(f"n_steps must be non-negative, got {self.n_steps}")
-        if self.n_steps > MAX_STEPS:
-            raise ParameterError(f"n_steps must be at most {MAX_STEPS}, got {self.n_steps}")
-        if self.n_steps > 0 and self.dt <= 0:
+        if n_steps > 0 and dt <= 0:
             raise ParameterError("dt must be positive when n_steps > 0")
+        positive_result("grid spacing dz", (z_max - z_min) / (n_points - 1))
         z = np.linspace(self.z_min, self.z_max, self.n_points)
         z.flags.writeable = False
         object.__setattr__(self, "_z", z)

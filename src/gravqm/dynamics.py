@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ComplexField, Grid, PhysicalSystem, checked_square, norm_squared, np
+from .core import require_count, require_finite, require_positive
 from .errors import BoundaryContactError, NumericError, ParameterError
 from .frames import FrameTransform, to_stationary_frame
 
@@ -111,15 +112,14 @@ def gaussian_packet(
     grid: Grid, center: float, sigma: float, k0: float = 0.0
 ) -> ComplexField:
     """Normalized Gaussian exp(-(z-center)^2/(4 sigma^2) + i k0 z) on the grid."""
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    center, k0 = require_finite("center", center), require_finite("k0", k0)
+    sigma_sq = checked_square("sigma", require_positive("sigma", sigma))
     z = grid.z
-    sigma_sq = checked_square("sigma", sigma)
-    psi = (2.0 * math.pi * sigma_sq) ** -0.25 * np.exp(
-        -((z - center) ** 2) / (4.0 * sigma_sq) + 1j * k0 * z
-    )
-    field = ComplexField(grid, psi)
-    return field.normalized()
+    with np.errstate(over="ignore", invalid="ignore"):  # normalized() raises below instead
+        psi = (2.0 * math.pi * sigma_sq) ** -0.25 * np.exp(
+            -((z - center) ** 2) / (4.0 * sigma_sq) + 1j * k0 * z
+        )
+    return ComplexField(grid, psi).normalized()
 
 
 def _wavenumbers(grid: Grid) -> np.ndarray:
@@ -328,8 +328,7 @@ def propagate_linear_potential(
     from scipy.linalg.lapack import zgttrf, zgttrs
 
     grid = psi0.grid
-    if sample_every < 1:
-        raise ParameterError("sample_every must be >= 1")
+    require_count("sample_every", sample_every, 1)
     _check_initial_state(psi0)
     sample = _Moments(grid, system, momentum_method)
     rows = [(0.0, *sample(psi0.values))]

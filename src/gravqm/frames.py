@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ComplexField, PhysicalSystem, checked_square, np
+from .core import ComplexField, PhysicalSystem, checked_square, finite_result, np, positive_result
+from .core import require_count, require_finite, require_positive
 from .errors import NumericError, ParameterError
 
 
@@ -47,11 +48,10 @@ class FrameTransform:
     hbar: float
 
     def __post_init__(self):
-        for name in ("v", "a", "m_i", "hbar"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
-        if self.m_i <= 0 or self.hbar <= 0:
-            raise ParameterError("m_i and hbar must be positive")
+        for name in ("v", "a"):
+            require_finite(name, getattr(self, name))
+        for name in ("m_i", "hbar"):
+            require_positive(name, getattr(self, name))
 
     @classmethod
     def from_system(cls, system: PhysicalSystem) -> "FrameTransform":
@@ -72,9 +72,7 @@ class InterferometerGeometry:
 
     def __post_init__(self):
         for name in ("wavelength", "height", "horizontal_length"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ParameterError(f"{name} must be positive and finite")
+            require_positive(name, getattr(self, name))
 
     @property
     def area(self) -> float:
@@ -91,10 +89,9 @@ class PlaneWaveState:
 
     @classmethod
     def from_momentum(cls, p_prime: float, system: PhysicalSystem) -> "PlaneWaveState":
-        """Build with hbar*omega' = p'^2/(2 m_i); NumericError out of double range."""
-        omega = checked_square("p_prime", p_prime) / (2.0 * system.m_i) / system.hbar
-        if not math.isfinite(omega):
-            raise NumericError(f"omega' = {omega:g} is out of double range (p' = {p_prime:g})")
+        """hbar*omega' = p'^2/(2 m_i); ParameterError for a non-finite p', NumericError past range."""
+        square = checked_square("p_prime", require_finite("p_prime", p_prime))
+        omega = finite_result("omega'", square / (2.0 * system.m_i) / system.hbar)
         return cls(p_prime=p_prime, omega_prime=omega)
 
     def dispersion_residual(self, system: PhysicalSystem) -> float:
@@ -170,8 +167,8 @@ def plane_wave_stationary(pw: PlaneWaveState, ft: FrameTransform, z, t):
 
 
 def momentum_eigenvalue(pw: PlaneWaveState, ft: FrameTransform, t: float) -> float:
-    """Momentum seen by the stationary observer: p(t) = p' - m_i*(v + a*t)."""
-    return pw.p_prime - ft.m_i * (ft.v + ft.a * t)
+    """Momentum seen by the stationary observer: p(t) = p' - m_i*(v + a*t), or NumericError."""
+    return finite_result("p(t)", pw.p_prime - ft.m_i * (ft.v + ft.a * require_finite("t", t)))
 
 
 def energy_eigenvalue(
@@ -181,10 +178,7 @@ def energy_eigenvalue(
     if system.m_i != ft.m_i or system.hbar != ft.hbar:
         raise ParameterError("transform and system disagree on m_i or hbar")
     p = momentum_eigenvalue(pw, ft, t)
-    energy = p * p / (2.0 * ft.m_i) + ft.m_i * ft.a * z
-    if not math.isfinite(energy):
-        raise NumericError(f"energy eigenvalue {energy:g} is out of double range")
-    return energy
+    return finite_result("energy", p * p / (2.0 * ft.m_i) + ft.m_i * ft.a * require_finite("z", z))
 
 
 def frequency_shift(system: PhysicalSystem, z: float) -> float:
@@ -195,9 +189,7 @@ def frequency_shift(system: PhysicalSystem, z: float) -> float:
     the ratio Delta_omega/omega' into a*z/c^2, the redshift formula; that
     substitution imports a relativistic relation and is left to the caller.
     """
-    if not math.isfinite(z):
-        raise ParameterError(f"z must be finite, got {z}")
-    return system.m_i * system.a * z / system.hbar
+    return finite_result("Delta_omega", system.m_i * system.a * require_finite("z", z) / system.hbar)
 
 
 def cow_phase_shift(geom: InterferometerGeometry, system: PhysicalSystem) -> float:
@@ -206,11 +198,9 @@ def cow_phase_shift(geom: InterferometerGeometry, system: PhysicalSystem) -> flo
     A is the enclosed beam area; set a = g for equal masses.  Radians.
     Raises NumericError where 2*pi*hbar^2 or m_i^2 under- or overflows.
     """
-    denominator = 2.0 * math.pi * system.hbar * system.hbar
-    if not 0.0 < denominator < math.inf:
-        raise NumericError(f"2*pi*hbar^2 = {denominator:g} is out of range")
+    denominator = positive_result("2*pi*hbar^2", 2.0 * math.pi * system.hbar * system.hbar)
     m_sq = checked_square("m_i", system.m_i)
-    return m_sq * system.a * geom.wavelength * geom.area / denominator
+    return finite_result("COW phase", m_sq * system.a * geom.wavelength * geom.area / denominator)
 
 
 def cow_phase_shift_time_route(geom: InterferometerGeometry, system: PhysicalSystem) -> float:
@@ -222,26 +212,18 @@ def cow_phase_shift_time_route(geom: InterferometerGeometry, system: PhysicalSys
     NumericError where m_i*lambda under- or overflows, so that v_h has no
     finite nonzero value and the route none either.
     """
-    m_lambda = system.m_i * geom.wavelength
-    v_h = 2.0 * math.pi * system.hbar / m_lambda if m_lambda > 0.0 else math.inf
-    if not 0.0 < v_h < math.inf:
-        raise NumericError(f"horizontal velocity 2*pi*hbar/(m_i*lambda) = {v_h:g} is out of range")
+    m_lambda = positive_result("m_i*lambda", system.m_i * geom.wavelength)
+    v_h = positive_result("horizontal velocity v_h", 2.0 * math.pi * system.hbar / m_lambda)
     t = geom.horizontal_length / v_h
-    return abs(system.m_i * system.a * t * geom.height / system.hbar)
-
-
-def _check_box(n: int, box_length: float) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise ParameterError(f"box quantum number must be a positive integer, got {n!r}")
-    if not (math.isfinite(box_length) and box_length > 0):
-        raise ParameterError(f"box length must be positive, got {box_length}")
+    return finite_result("COW phase", abs(system.m_i * system.a * t * geom.height / system.hbar))
 
 
 def falling_box_window(n: int, box_length: float, ft: FrameTransform, t: float) -> tuple[float, float]:
-    """Instantaneous support [-v*t - a*t^2/2, L - v*t - a*t^2/2] of the box."""
-    _check_box(n, box_length)
-    lo = -ft.shift(t)
-    return lo, box_length + lo
+    """Support [-v*t - a*t^2/2, L - v*t - a*t^2/2] of the box at t, or NumericError."""
+    require_count("box quantum number", n, 1)
+    require_positive("box length", box_length)
+    lo = finite_result("window start", -ft.shift(require_finite("t", t)))
+    return lo, finite_result("window end", box_length + lo)
 
 
 def falling_box_state(
@@ -260,7 +242,8 @@ def falling_box_state(
     if z < lo or z > hi:
         return 0.0 + 0.0j
     z_prime = z - lo
-    wave = PlaneWaveState.from_momentum(n * math.pi * ft.hbar / box_length, system)
+    p_box = positive_result("box momentum n*pi*hbar/L", n * math.pi * ft.hbar / box_length)
+    wave = PlaneWaveState.from_momentum(p_box, system)
     amplitude = math.sqrt(2.0 / box_length) * math.sin(n * math.pi * z_prime / box_length)
     return amplitude * _stationary_image(-wave.omega_prime * t, ft, z_prime, t)
 
@@ -273,6 +256,8 @@ def box_eigenvalues(
     The plane-wave eigenvalues of the box's free momentum p' = n*pi*hbar/L:
     p_n(t) = p' - m_i*(v + a*t) and E_n = p_n^2/(2 m_i) + m_i*a*z.
     """
-    _check_box(n, box_length)
-    wave = PlaneWaveState.from_momentum(n * math.pi * ft.hbar / box_length, system)
+    require_count("box quantum number", n, 1)
+    require_positive("box length", box_length)
+    p_box = positive_result("box momentum n*pi*hbar/L", n * math.pi * ft.hbar / box_length)
+    wave = PlaneWaveState.from_momentum(p_box, system)
     return momentum_eigenvalue(wave, ft, t), energy_eigenvalue(wave, ft, system, z, t)

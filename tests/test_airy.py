@@ -194,6 +194,13 @@ def test_zero_index_validation():
             ai_negative_zero(bad)
 
 
+def test_zero_index_accepts_numpy_integers():
+    for n in (np.int64(1), np.int32(50), np.uint8(7)):
+        assert ai_negative_zero(n) == ai_negative_zero(int(n))
+    with pytest.raises(ParameterError):
+        ai_negative_zero(np.int64(51))
+
+
 def test_tail_decays():
     assert 0.0 <= ai_squared_tail(12.0) < 1e-15
 

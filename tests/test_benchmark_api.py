@@ -3,7 +3,7 @@
 The benchmark's workloads call gravqm functions by name with fixed
 signatures; a renamed function or a dropped parameter would fail every one
 of its operations.  Building the four workloads runs their whole set-up,
-and two cheap analytic operations run end to end.
+and four cheap analytic operations run end to end.
 """
 
 import importlib.util
@@ -35,7 +35,9 @@ def test_every_workload_builds(workloads, tmp_path):
         assert all(callable(op.run) for op in ops), name
 
 
-@pytest.mark.parametrize("op_name", ["falling-box-residuals", "cow-route-identity"])
+@pytest.mark.parametrize(
+    "op_name", ["falling-box-residuals", "cow-route-identity", "ai-zeros", "bouncer-levels"]
+)
 def test_spectrum_identities_pass(workloads, tmp_path, op_name):
     ops = {op.name: op for op in workloads.spectrum(1, ROOT, tmp_path)}
     _, failures = ops[op_name].run()

@@ -197,6 +197,11 @@ def test_level_index_validation():
             level(s, bad)
 
 
+def test_level_accepts_numpy_integer_index():
+    s = unit_scale_system()
+    assert level(s, np.int64(3)) == level(s, 3)
+
+
 @pytest.mark.parametrize(
     "scale, system",
     [
@@ -209,6 +214,8 @@ def test_level_index_validation():
         (energy_scale, PhysicalSystem(m_i=1.0, m_g=1e-200, g=1e-200)),
         (alpha, PhysicalSystem(m_i=1.0, m_g=1e200, g=1e200)),  # ... and overflows
         (energy_scale, PhysicalSystem(m_i=1.0, m_g=1e200, g=1e200)),
+        (energy_scale, PhysicalSystem(m_i=1.0, m_g=1e150, g=1.0, hbar=1e150)),  # hbar^2 F^2
+        (energy_scale, PhysicalSystem(m_i=1e30, m_g=1.0, g=1.0, hbar=1e-150)),  # ... / (2 m_i)
     ],
     ids=[
         "alpha-small-hbar",
@@ -220,6 +227,8 @@ def test_level_index_validation():
         "energy-scale-force-underflow",
         "alpha-force-overflow",
         "energy-scale-force-overflow",
+        "energy-scale-overflow",
+        "energy-scale-underflow",
     ],
 )
 def test_scales_out_of_double_range(scale, system):

@@ -140,3 +140,31 @@ def test_normalized_flag_contract():
     psi = np.exp(-(z**2))
     field = ComplexField(grid, psi).normalized()
     assert field.is_normalized(tol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        dict(n_points=10.5),
+        dict(n_points=True),
+        dict(n_points="11"),
+        dict(n_points=11, n_steps=2.5),
+        dict(n_points=11, n_steps=np.float64(3.0)),
+    ],
+    ids=["points-float", "points-bool", "points-str", "steps-float", "steps-numpy-float"],
+)
+def test_grid_counts_must_be_integers(counts):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        Grid(-1.0, 1.0, dt=1e-3, **counts)
+
+
+def test_grid_accepts_numpy_integer_counts():
+    grid = Grid(0.0, 1.0, np.int64(11), dt=0.1, n_steps=np.int32(3))
+    assert grid.dz == pytest.approx(0.1) and grid.total_time == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("z_min, z_max", [(-1e308, 1e308), (0.0, 5e-324)], ids=["wide", "narrow"])
+def test_grid_spacing_out_of_double_range(z_min, z_max):
+    # no RuntimeWarning from linspace (pyproject.toml turns one into an error)
+    with pytest.raises(NumericError, match="grid spacing"):
+        Grid(z_min, z_max, 11)

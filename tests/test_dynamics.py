@@ -302,6 +302,24 @@ def test_packet_width_out_of_double_range(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [dict(center=10**400), dict(center=math.inf), dict(k0=math.nan), dict(k0=math.inf),
+     dict(sigma=math.nan)],
+    ids=["center-int", "center-inf", "k0-nan", "k0-inf", "sigma-nan"],
+)
+def test_packet_rejects_non_finite_inputs(bad):
+    with pytest.raises(ParameterError):
+        gaussian_packet(Grid(-12.0, 12.0, 256), **{"center": 0.0, "sigma": 1.0, **bad})
+
+
+@pytest.mark.parametrize("bad", [dict(center=1e308), dict(k0=1e308)], ids=["center", "k0"])
+def test_packet_off_grid_is_a_numeric_error(bad):
+    # no RuntimeWarning from the exponent (pyproject.toml turns one into an error)
+    with pytest.raises(NumericError):
+        gaussian_packet(Grid(-12.0, 12.0, 256), **{"center": 0.0, "sigma": 1.0, **bad})
+
+
 def test_narrow_packet_width_stays_finite():
     # tau = hbar*t/(2*m*sigma0^2) = 5e199 squares past double range; the width
     # sigma0*tau = 5e99 does not
@@ -551,3 +569,10 @@ def test_frame_equivalence_three_steps_extrapolates_with_ratio_one_and_a_half():
     assert result.max_mismatch <= 1e-9
     assert result.time_correction > 1e-6
     assert _plain_mismatch(psi0, system) > 100.0 * result.max_mismatch
+
+
+@pytest.mark.parametrize("sample_every", [2.5, math.nan, True])
+def test_sample_every_must_be_an_integer(sample_every):
+    psi0 = gaussian_packet(Grid(-12.0, 12.0, 256, dt=1e-3, n_steps=10), 0.0, 1.0)
+    with pytest.raises(ParameterError, match="sample_every must be an integer"):
+        propagate_linear_potential(psi0, natural(), 1.0, sample_every=sample_every)

@@ -1,0 +1,140 @@
+"""Property test of the library's error contract.
+
+The fields of ``Grid``, ``PhysicalSystem``, ``FrameTransform`` and
+``InterferometerGeometry`` and the arguments of the scalar entry points are
+drawn from values at and beyond the edges of double range: nan, infinities,
++-1e308, subnormals, an int beyond double range, numpy integers, bools and
+floats passed as counts.  Every call must return finite numbers or raise
+ParameterError or NumericError.  Any other exception fails the test, and so
+does a RuntimeWarning, which pyproject.toml turns into an error.  Grids have
+at most 4096 points and nothing is propagated, so no example allocates a
+large array.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gravqm import (
+    FrameTransform,
+    Grid,
+    InterferometerGeometry,
+    NumericError,
+    ParameterError,
+    PhysicalSystem,
+    PlaneWaveState,
+    ai_negative_zero,
+    cow_phase_shift,
+    cow_phase_shift_time_route,
+    falling_box_window,
+    frequency_shift,
+    gaussian_packet,
+    level,
+    momentum_eigenvalue,
+)
+
+_EDGES = [
+    math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, -1e200, 1e150, 1e-150, 1e-200,
+    1e-310, 5e-324, -5e-324, 10**400, -(10**400), 0.0, -0.0, True, False,
+]
+_REAL = st.one_of(st.sampled_from(_EDGES), st.floats())
+_COUNT = st.one_of(
+    st.integers(-3, 60),
+    st.sampled_from(
+        [True, False, 2.5, 3.0, 10.5, math.nan, np.int64(3), np.int32(1), np.uint8(50),
+         np.int64(51), np.int64(-1), np.True_, np.float64(3.0)]
+    ),
+)
+_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+def _or(value, values=_REAL):
+    # the ordinary value half of the time, so that a call with several
+    # arguments often gets past the checks of all but one
+    return st.one_of(st.just(value), values)
+
+
+def _outcome(call):
+    """call()'s result, or None where it raises one of the two documented errors."""
+    try:
+        return call()
+    except (ParameterError, NumericError):
+        return None
+
+
+def _finite(*values) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
+@_SETTINGS
+@given(
+    _or(-1.0), _or(1.0), _or(11, st.one_of(_COUNT, st.integers(3, 4096))), _or(1e-3),
+    _or(10, st.one_of(_COUNT, st.sampled_from([10**7, 10**7 + 1, 10**400]))),
+)
+def test_grid_fields(z_min, z_max, n_points, dt, n_steps):
+    grid = _outcome(lambda: Grid(z_min, z_max, n_points, dt=dt, n_steps=n_steps))
+    if grid is not None:
+        assert _finite(grid.dz) and grid.dz > 0.0
+        assert np.isfinite(grid.z).all()
+
+
+_PACKET_GRID = Grid(-12.0, 12.0, 256)
+
+
+@_SETTINGS
+@given(_or(0.0), _or(1.0), _or(0.0))
+def test_gaussian_packet(center, sigma, k0):
+    packet = _outcome(lambda: gaussian_packet(_PACKET_GRID, center, sigma, k0))
+    if packet is not None:
+        assert np.isfinite(packet.values).all()
+
+
+@_SETTINGS
+@given(_or(1.0), _or(1.0), _or(1.0), _or(0.5), _or(1.0), _or(1.0), _or(1.0), _or(1, _COUNT))
+def test_system_frequency_shift_and_level(m_i, m_g, g, v, a, hbar, z, n):
+    system = _outcome(lambda: PhysicalSystem(m_i=m_i, m_g=m_g, g=g, v=v, a=a, hbar=hbar))
+    if system is None:
+        return
+    shift = _outcome(lambda: frequency_shift(system, z))
+    assert shift is None or _finite(shift)
+    lvl = _outcome(lambda: level(system, n))
+    if lvl is not None:
+        assert _finite(lvl.e_tilde, lvl.energy, lvl.norm_const, lvl.p_outside)
+
+
+@_SETTINGS
+@given(_or(0.5), _or(1.0), _or(1.0), _or(1.0), _or(1, _COUNT), _or(1.0), _or(0.5), _or(1.0))
+@example(10**400, 0.0, 1.0, 1.0, 1, 1.0, 0.0, 1.0)
+def test_frame_window_and_momentum(v, a, m_i, hbar, n, box_length, t, p_prime):
+    ft = _outcome(lambda: FrameTransform(v=v, a=a, m_i=m_i, hbar=hbar))
+    if ft is None:
+        return
+    window = _outcome(lambda: falling_box_window(n, box_length, ft, t))
+    assert window is None or _finite(*window)
+    system = PhysicalSystem(m_i=m_i, m_g=m_i, hbar=hbar)
+    wave = _outcome(lambda: PlaneWaveState.from_momentum(p_prime, system))
+    if wave is not None:
+        assert _finite(wave.omega_prime)
+        momentum = _outcome(lambda: momentum_eigenvalue(wave, ft, t))
+        assert momentum is None or _finite(momentum)
+
+
+@_SETTINGS
+@given(_or(1.0), _or(1.0), _or(1.0), _or(1.0), _or(1.0), _or(1.0))
+def test_geometry_and_cow_routes(wavelength, height, length, m_i, a, hbar):
+    geom = _outcome(lambda: InterferometerGeometry(wavelength, height, length))
+    system = _outcome(lambda: PhysicalSystem(m_i=m_i, m_g=m_i, g=a, a=a, hbar=hbar))
+    if geom is None or system is None:
+        return
+    for route in (cow_phase_shift, cow_phase_shift_time_route):
+        phase = _outcome(lambda: route(geom, system))
+        assert phase is None or _finite(phase)
+
+
+@_SETTINGS
+@given(_COUNT)
+def test_zero_index(n):
+    zero = _outcome(lambda: ai_negative_zero(n))
+    assert zero is None or (_finite(zero) and zero < 0.0)

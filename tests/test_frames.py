@@ -478,3 +478,72 @@ def test_box_validation():
         falling_box_state(1, -1.0, ft, s, 0.5, 0.0)
     with pytest.raises(ParameterError):
         box_eigenvalues(1, 0.0, ft, s, 0.5, 0.0)
+
+
+# ------------------------------------------------------------- error contract
+
+_REST = FrameTransform(v=0.0, a=0.0, m_i=1.0, hbar=1.0)
+_FALLING = FrameTransform(v=0.0, a=1.0, m_i=1.0, hbar=1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FrameTransform(v=10**400, a=0.0, m_i=1.0, hbar=1.0),
+        lambda: InterferometerGeometry(10**400, 1.0, 1.0),
+        lambda: frequency_shift(natural(a=1.0), 10**400),
+        lambda: falling_box_window(1, 10**400, _REST, 0.0),
+        lambda: falling_box_window(1, 1.0, _REST, 10**400),
+        lambda: momentum_eigenvalue(PlaneWaveState.from_momentum(1.0, natural()), _REST, 10**400),
+        lambda: PlaneWaveState.from_momentum(10**400, natural()),
+    ],
+    ids=["transform", "geometry", "frequency-shift", "box-length", "window-time",
+         "momentum-time", "plane-wave-momentum"],
+)
+def test_int_beyond_double_range_is_a_parameter_error(call):
+    with pytest.raises(ParameterError, match="beyond double range"):
+        call()
+
+
+def test_window_rejects_non_finite_time():
+    for t in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="t must be finite"):
+            falling_box_window(1, 1.0, _REST, t)
+
+
+def test_numpy_integer_box_level_is_accepted():
+    assert falling_box_window(np.int64(1), 1.0, _FALLING, 0.5) == falling_box_window(
+        1, 1.0, _FALLING, 0.5
+    )
+    with pytest.raises(ParameterError):
+        falling_box_window(True, 1.0, _REST, 0.0)
+
+
+def _tiny_hbar_box():
+    s = dataclasses.replace(natural(), hbar=1e-30)
+    # p' = pi*hbar/L = 3e-330 underflows to 0
+    return box_eigenvalues(1, 1e300, FrameTransform.from_system(s), s, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: frequency_shift(PhysicalSystem(m_i=1e300, m_g=1.0, a=1e300), 1.0),
+        lambda: cow_phase_shift(InterferometerGeometry(1e300, 1e300, 1.0), natural(a=1.0)),
+        lambda: cow_phase_shift_time_route(
+            InterferometerGeometry(1e300, 1e300, 1.0), natural(a=1.0)
+        ),
+        lambda: momentum_eigenvalue(
+            PlaneWaveState.from_momentum(1.0, natural()), FrameTransform(1e300, 1e300, 1e10, 1.0),
+            1.0,
+        ),
+        lambda: falling_box_window(1, 1.0, _FALLING, 1e200),
+        lambda: falling_box_state(1, 1.0, _FALLING, natural(), 0.0, 1e200),
+        _tiny_hbar_box,
+    ],
+    ids=["frequency-shift", "cow-phase", "cow-time-route", "momentum", "window", "box-state",
+         "box-momentum-underflow"],
+)
+def test_results_out_of_double_range_raise(call):
+    with pytest.raises(NumericError):
+        call()

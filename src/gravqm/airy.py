@@ -6,32 +6,43 @@ representations of the solutions of y'' = x*y:
 * large-|x| asymptotic expansions, exponential for x >> 0 and trigonometric
   for x << 0, truncated at the smallest term, with the coefficients u_k, v_k
   (DLMF 9.7.2) tabulated once at import;
-* Taylor polynomials of the ODE about nodes spaced _ODE_STEP apart.
+* Taylor polynomials of the ODE about nodes spaced _ODE_STEP = 0.5 apart,
+  and for Ai about the centres of cells _CELL = 0.25 wide.
 
-At import, each of the 49 nodes k*_ODE_STEP on [-12, 12] gets the Taylor
-coefficients of Ai and of Bi about it, cut after three successive terms at a
-step of _ODE_STEP fall below 1e-19 of the node's |y| + |y'|.  Each table has
-one seed and is marched one polynomial step at a time in the direction in
-which the wanted solution is not recessive, so the recessive/dominant
-dichotomy of Ai and Bi never amplifies errors: Ai is seeded by its
-asymptotic value at 12 and marched down to -12; Bi is seeded by its exact
-values at 0 and marched up to 12 and down to -12.
+The Taylor band is (-26, 12), so it holds the arguments of the bouncer
+eigenfunctions chi_1..chi_20 (E_20 = 25.67).  At import, each of the 77
+nodes k*_ODE_STEP on [-26, 12] gets the Taylor coefficients of Ai and of Bi
+about it, cut after three successive terms at a step of _ODE_STEP fall
+below 1e-19 of the node's |y| + |y'|.  Each table has one seed and is
+marched one polynomial step at a time in the direction in which the wanted
+solution is not recessive, so the recessive/dominant dichotomy of Ai and Bi
+never amplifies errors: Ai is seeded by its asymptotic value at 12 and
+marched down to -26; Bi is seeded by its exact values at 0 and marched up to
+12 and down to -26.  The Ai nodes then seed the 152 cells [j, j+1)*_CELL of
+the band: each cell's value and slope come from one Horner step of the node
+polynomial above it, the march's stable direction, and its Taylor
+polynomial about the cell centre is cut by the same rule at the radius
+_CELL/2, 16 to 21 coefficients (18.4 on average, against 22 to 28 for a
+node).  The Ai node table is only a build step; the whole build takes about
+1.5 to 2.4 ms at import (best of 15 in process, 2-core sandbox, Python 3.11).
 
-A call on (-12, 12) is then one table lookup and one Horner evaluation of
-value and slope, a step of at most _ODE_STEP in the same stable direction:
-Ai from the node above, Bi from the node below for x >= 0 and from the node
-above for x < 0.  Calls with |x| >= 12 sum the asymptotic expansion.
+A call on (-26, 12) is then one table lookup and one Horner evaluation of
+value and slope.  Ai reads cell floor(x/_CELL) and steps at most _CELL/2
+from its centre; Bi steps at most _ODE_STEP in its march's stable
+direction, from the node below for x >= 0 and from the node above for
+x < 0.  Calls with x >= 12 or x <= -26 sum the asymptotic expansion.
 :func:`airy_ai` runs the same Horner step on the value alone, which never
-reads the slope, so on (-12, 12) it returns exactly ``airy_values(x).ai`` at
+reads the slope, so on (-26, 12) it returns exactly ``airy_values(x).ai`` at
 about half the cost; past the band it takes the value of the full expansion.
 
 Against scipy.special.airy on [-30, 30], densely on the band and on both
-asymptotic branches, including every node and the points half a step from
-it (tests/test_airy.py), the absolute error of Ai and Ai' stays below 1e-13
-(measured 7.8e-15 and 4.1e-14; 7.2e-15 and 1.3e-14 on [-12, 12]), the
-error of Bi and Bi' below 2e-13 * max(1, |value|) (measured 3.5e-14 and
-7.4e-14; Bi(12) is about 1e11, so an absolute bound on it means nothing),
-and the Wronskian Ai*Bi' - Ai'*Bi within 1e-12 of 1/pi (measured 6.7e-16).
+asymptotic branches, including every node and cell boundary and the points
+1e-9 either side of them (tests/test_airy.py), the absolute error of Ai and
+Ai' stays below 1e-13 (measured 7.8e-15 and 4.1e-14; 7.2e-15 and 2.6e-14 on
+(-26, 12)), the error of Bi and Bi' below 2e-13 * max(1, |value|) (measured
+3.5e-14 and 7.4e-14; Bi(12) is about 1e11, so an absolute bound on it means
+nothing), and the Wronskian Ai*Bi' - Ai'*Bi within 1e-12 of 1/pi (measured
+6.1e-16).
 """
 
 from __future__ import annotations
@@ -54,8 +65,9 @@ BI_PRIME_ZERO = -_SQRT3 * AI_PRIME_ZERO
 
 # Band edges of the evaluation scheme.
 _ASYM_POS = 12.0     # exponential asymptotics trusted from here up
-_ASYM_NEG = -12.0    # trigonometric asymptotics trusted from here down
-_ODE_STEP = 0.5
+_ASYM_NEG = -26.0    # trigonometric asymptotics trusted from here down
+_ODE_STEP = 0.5      # node spacing of the tables, and the step of their march
+_CELL = 0.25         # width of an Ai evaluation cell, two per node interval
 
 # exp(2/3 * x**1.5) overflows past this point; only Bi is affected.
 _BI_OVERFLOW_X = (709.0 * 1.5) ** (2.0 / 3.0)
@@ -81,9 +93,9 @@ class AiryValue:
         return self.ai * self.bi_prime - self.ai_prime * self.bi
 
 
-# Terms tabulated per expansion.  For |x| >= 12 the cut in _asym_sums reads at
-# most 19 of them (at x = 12; tests/test_airy.py replays the cut), so the sum
-# always ends at a cut, never at the end of the table.
+# Terms tabulated per expansion.  Past the band edges the cut in _asym_sums
+# reads at most 19 of them (at x = 12; tests/test_airy.py replays the cut), so
+# the sum always ends at a cut, never at the end of the table.
 _ASYM_TERMS = 22
 
 
@@ -160,7 +172,7 @@ def _asym_pos_bi(x: float) -> tuple[float, float]:
 
 
 def _asym_neg(x: float) -> tuple[float, float, float, float]:
-    """Oscillatory expansion for x <= -12, even/odd split in 1/xi."""
+    """Oscillatory expansion for x <= _ASYM_NEG, even/odd split in 1/xi."""
     if x < _PHASE_LOSS_X:
         raise NumericError(f"Airy functions at {x:g} are beyond double precision: phase lost")
     big_x = -x
@@ -176,25 +188,30 @@ def _asym_neg(x: float) -> tuple[float, float, float, float]:
     return ai, aip, bi, bip
 
 
-# Per term n of the Taylor recurrence: its divisor (n+2)(n+1) and the power
-# _ODE_STEP**(n+2) that scales coefficient n+2 at the longest step.
-_TAYLOR_TERMS = tuple(((n + 2.0) * (n + 1.0), _ODE_STEP ** (n + 2)) for n in range(60))
+def _taylor_terms(radius: float) -> tuple[tuple[float, float], ...]:
+    """Per term n of the Taylor recurrence: its divisor (n+2)(n+1) and the power
+    radius**(n+2) that scales coefficient n+2 at the longest step taken."""
+    return tuple(((n + 2.0) * (n + 1.0), radius ** (n + 2)) for n in range(60))
 
 
-def _taylor(x0: float, y: float, yp: float) -> tuple[float, ...]:
+_NODE_TERMS = _taylor_terms(_ODE_STEP)
+_CELL_TERMS = _taylor_terms(_CELL / 2.0)
+
+
+def _taylor(x0: float, y: float, yp: float, terms=_NODE_TERMS) -> tuple[float, ...]:
     """Taylor coefficients about x0, highest first, of the solution of y'' = x*y.
 
     (y, yp) are its value and slope at x0.  The coefficients obey
     (n+2)(n+1)*c_{n+2} = x0*c_n + c_{n-1} with c_{-1} := 0, and are cut once
-    three in a row fall below 1e-19 * (|y| + |yp|) at a step of _ODE_STEP.
-    A single small one does not end the series: about x0 = 0 every third
-    coefficient is zero.
+    three in a row fall below 1e-19 * (|y| + |yp|) at the radius of ``terms``
+    (:func:`_taylor_terms`).  A single small one does not end the series:
+    about x0 = 0 every third coefficient is zero.
     """
     c = [y, yp]
     cutoff = 1e-19 * (abs(y) + abs(yp) + 1e-300)
     before, current, after = 0.0, y, yp  # c_{n-1}, c_n, c_{n+1}
     small = 0
-    for divisor, hn in _TAYLOR_TERMS:
+    for divisor, hn in terms:
         before, current, after = current, after, (x0 * current + before) / divisor
         c.append(after)
         if abs(after) * hn < cutoff:
@@ -218,7 +235,7 @@ def _horner(coeffs: tuple[float, ...], h: float) -> tuple[float, float]:
 def _node_table(
     seeds: dict[int, tuple[float, float]], marches: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[float, ...], ...]:
-    """Taylor polynomial at every node k*_ODE_STEP, k = -_NODES.._NODES.
+    """Taylor polynomial at every node k*_ODE_STEP of the band, as entry k - _NODE_LO.
 
     ``seeds`` maps k to a solution's (value, slope) at that node.  Each march
     (start, stop) fills the nodes after the seeded node ``start`` up to and
@@ -230,14 +247,34 @@ def _node_table(
         for k in range(start, stop, step):
             node = (k + step) * _ODE_STEP
             polys[k + step] = _taylor(node, *_horner(polys[k], step * _ODE_STEP))
-    return tuple(polys[k] for k in range(-_NODES, _NODES + 1))
+    return tuple(polys[k] for k in range(_NODE_LO, _NODE_HI + 1))
 
 
-# Node k*_ODE_STEP is entry k + _NODES of each table, seeded and marched as
-# the module docstring describes.
-_NODES = round(_ASYM_POS / _ODE_STEP)
-_AI_TABLE = _node_table({_NODES: _asym_pos_ai(_ASYM_POS)}, ((_NODES, -_NODES),))
-_BI_TABLE = _node_table({0: (BI_ZERO, BI_PRIME_ZERO)}, ((0, _NODES), (0, -_NODES)))
+def _cell_table(nodes: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], ...]:
+    """Taylor polynomial about the centre of every cell [j, j+1)*_CELL of the band,
+    as entry j - _CELL_LO, cut at the radius _CELL/2 a call steps at most.
+
+    A cell's value and slope come from one Horner step of the node polynomial
+    above it, a step down as in the march of the Ai nodes.
+    """
+    cells = []
+    for j in range(_CELL_LO, _CELL_HI):
+        centre = (j + 0.5) * _CELL
+        k = math.ceil((j + 1) * _CELL / _ODE_STEP)
+        y, yp = _horner(nodes[k - _NODE_LO], centre - k * _ODE_STEP)
+        cells.append(_taylor(centre, y, yp, _CELL_TERMS))
+    return tuple(cells)
+
+
+# Nodes k*_ODE_STEP for k = _NODE_LO.._NODE_HI and cells j*_CELL for
+# j = _CELL_LO.._CELL_HI - 1 span the band; the tables are seeded and
+# marched as the module docstring describes.
+_NODE_LO, _NODE_HI = round(_ASYM_NEG / _ODE_STEP), round(_ASYM_POS / _ODE_STEP)
+_CELL_LO, _CELL_HI = round(_ASYM_NEG / _CELL), round(_ASYM_POS / _CELL)
+_AI_CELLS = _cell_table(
+    _node_table({_NODE_HI: _asym_pos_ai(_ASYM_POS)}, ((_NODE_HI, _NODE_LO),))
+)
+_BI_TABLE = _node_table({0: (BI_ZERO, BI_PRIME_ZERO)}, ((0, _NODE_HI), (0, _NODE_LO)))
 
 
 def _eval_ai(x: float) -> tuple[float, float]:
@@ -245,20 +282,18 @@ def _eval_ai(x: float) -> tuple[float, float]:
         return _asym_pos_ai(x)
     if x <= _ASYM_NEG:
         return _asym_neg(x)[:2]
-    # From the node above: toward smaller x Ai grows (x > 0) or oscillates,
-    # so the step runs in a stable direction.
-    k = math.ceil(x / _ODE_STEP)
-    return _horner(_AI_TABLE[k + _NODES], x - k * _ODE_STEP)
+    j = math.floor(x / _CELL)
+    return _horner(_AI_CELLS[j - _CELL_LO], x - (j + 0.5) * _CELL)
 
 
 def _eval_ai_value(x: float) -> float:
     """``_eval_ai(x)[0]``; on the table by Horner on the value alone."""
     if not _ASYM_NEG < x < _ASYM_POS:
         return _eval_ai(x)[0]
-    k = math.ceil(x / _ODE_STEP)
-    h = x - k * _ODE_STEP
+    j = math.floor(x / _CELL)
+    h = x - (j + 0.5) * _CELL
     y = 0.0
-    for c in _AI_TABLE[k + _NODES]:
+    for c in _AI_CELLS[j - _CELL_LO]:
         y = y * h + c
     return y
 
@@ -271,7 +306,7 @@ def _eval_bi(x: float) -> tuple[float, float]:
     # Bi grows with x for x > 0, so step up from the node below; below 0 it
     # oscillates, and the step runs down from the node above, as the march does.
     k = math.floor(x / _ODE_STEP) if x >= 0.0 else math.ceil(x / _ODE_STEP)
-    return _horner(_BI_TABLE[k + _NODES], x - k * _ODE_STEP)
+    return _horner(_BI_TABLE[k - _NODE_LO], x - k * _ODE_STEP)
 
 
 def airy_ai(x: float) -> float:

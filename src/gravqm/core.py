@@ -159,8 +159,8 @@ class PhysicalSystem:
 
     @property
     def weight(self) -> float:
-        """Force magnitude m_g*g, the slope of the linear potential."""
-        return self.m_g * self.g
+        """Force magnitude m_g*g, the slope of the linear potential, or NumericError past range."""
+        return finite_result("weight m_g*g", self.m_g * self.g)
 
 
 def make_natural_system(mass_scale: float) -> PhysicalSystem:
@@ -208,7 +208,8 @@ class Grid:
 
     @property
     def total_time(self) -> float:
-        return self.dt * self.n_steps
+        """dt * n_steps, or NumericError past double range."""
+        return finite_result("total time dt*n_steps", self.dt * self.n_steps)
 
 
 @dataclass(frozen=True)
@@ -238,15 +239,30 @@ class ComplexField:
         return abs(self.norm_squared() - 1.0) <= tol
 
     def normalized(self) -> "ComplexField":
-        """Rescaled copy with unit norm."""
-        n2 = self.norm_squared()
-        if n2 <= 0.0:
+        """Rescaled copy with unit norm.
+
+        The samples are first divided by their largest real or imaginary part,
+        so a field whose norm^2 is beyond double range normalizes as the same
+        field at unit peak does.
+        """
+        values = self.values
+        peak = max(float(np.max(np.abs(values.real))), float(np.max(np.abs(values.imag))))
+        if not math.isfinite(peak):
+            raise NumericError("field contains NaN or infinite samples")
+        if peak == 0.0:
             raise NumericError("cannot normalize a zero field")
-        return ComplexField(self.grid, self.values / math.sqrt(n2))
+        unit = values / peak
+        n2 = positive_result("norm^2 at unit peak", _trapezoid_norm_squared(unit, self.grid.dz))
+        return ComplexField(self.grid, unit / math.sqrt(n2))
+
+
+def _trapezoid_norm_squared(values: np.ndarray, dz: float) -> float:
+    with np.errstate(over="ignore"):  # an overflow gives inf, which the callers report
+        return float(np.trapezoid(np.abs(values) ** 2, dx=dz))
 
 
 def norm_squared(f: ComplexField) -> float:
-    """Trapezoidal integral of |psi|^2 over the grid."""
+    """Trapezoidal integral of |psi|^2 over the grid, or NumericError past double range."""
     if not np.all(np.isfinite(f.values)):
         raise NumericError("field contains NaN or infinite samples")
-    return float(np.trapezoid(np.abs(f.values) ** 2, dx=f.grid.dz))
+    return finite_result("norm^2", _trapezoid_norm_squared(f.values, f.grid.dz))

@@ -87,6 +87,12 @@ class PlaneWaveState:
     p_prime: float
     omega_prime: float
 
+    def __post_init__(self):
+        # stored as floats: the square of an int p' is an exact int, and past
+        # double range its quotient by 2*m_i raises OverflowError
+        for name in ("p_prime", "omega_prime"):
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
+
     @classmethod
     def from_momentum(cls, p_prime: float, system: PhysicalSystem) -> "PlaneWaveState":
         """hbar*omega' = p'^2/(2 m_i); ParameterError for a non-finite p', NumericError past range."""
@@ -101,13 +107,20 @@ class PlaneWaveState:
         return abs(system.hbar * self.omega_prime - kinetic) / scale
 
 
+def _coordinate(name: str, value):
+    """A numpy array as it is (its caller checks the result), else :func:`require_finite`."""
+    return value if isinstance(value, np.ndarray) else require_finite(name, value)
+
+
 def phase_s(ft: FrameTransform, z_prime, t_prime):
     """Phase S(z', t') of the map, in falling-frame coordinates.
 
     S = -(m_i*v/hbar)*(z' - v*t'/2) - (m_i*a*t'/hbar)*(z' - v*t' - a*t'^2/3).
-    Accepts scalars or numpy arrays.  Raises NumericError where the phase is
-    not finite.
+    Accepts scalars or numpy arrays; a scalar must be finite (ParameterError).
+    Raises NumericError where the phase is not finite.
     """
+    z_prime = _coordinate("z'", z_prime)
+    t_prime = _coordinate("t'", t_prime)
     m_over_h = ft.m_i / ft.hbar
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         term_v = -m_over_h * ft.v * (z_prime - 0.5 * ft.v * t_prime)
@@ -128,6 +141,7 @@ def to_stationary_frame(ft: FrameTransform, psi_free: ComplexField, t: float) ->
     see :func:`gravqm.dynamics.shift_field`).  The factor has unit modulus,
     so |Psi|^2 is preserved sample by sample.
     """
+    t = require_finite("t", t)
     phase = phase_s(ft, psi_free.grid.z + ft.shift(t), t)
     return ComplexField(psi_free.grid, psi_free.values * np.exp(1j * phase))
 
@@ -156,9 +170,11 @@ def plane_wave_stationary(pw: PlaneWaveState, ft: FrameTransform, z, t):
 
     The wave is evaluated at z' = z + v*t + a*t^2/2 and multiplied by
     exp(i*S(z', t)); its frequency is p'^2/(2 m_i hbar), not ``pw.omega_prime``.
-    Scalars or numpy arrays; not normalizable.  NumericError where the phase
-    is out of double range.
+    Scalars or numpy arrays; not normalizable.  ParameterError for a scalar
+    that is not finite, NumericError where the phase is out of double range.
     """
+    z = _coordinate("z", z)
+    t = _coordinate("t", t)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         z_prime = z + ft.shift(t)
         p = pw.p_prime
@@ -238,6 +254,8 @@ def falling_box_state(
     """
     if system.m_i != ft.m_i or system.hbar != ft.hbar:
         raise ParameterError("transform and system disagree on m_i or hbar")
+    z = require_finite("z", z)
+    t = require_finite("t", t)
     lo, hi = falling_box_window(n, box_length, ft, t)
     if z < lo or z > hi:
         return 0.0 + 0.0j

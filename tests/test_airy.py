@@ -104,23 +104,28 @@ def test_wronskian_sweep():
     assert worst <= 1e-10
 
 
-# Every node of the evaluator's Taylor tables, 0.5 apart on [-12, 12].
-TABLE_NODES = np.arange(-12.0, 12.25, 0.5)
+# Every node of the evaluator's Taylor tables (_ODE_STEP apart) and every
+# boundary of its Ai cells (_CELL apart) on the band [_ASYM_NEG, _ASYM_POS],
+# both edges included.
+_NODES = np.arange(kernel._ASYM_NEG, kernel._ASYM_POS + kernel._ODE_STEP / 2, kernel._ODE_STEP)
+_CELL_EDGES = np.arange(kernel._ASYM_NEG, kernel._ASYM_POS + kernel._CELL / 2, kernel._CELL)
+TABLE_NODES = np.union1d(_NODES, _CELL_EDGES)
 
 
 def test_accuracy_against_scipy():
-    # dense grid over the table band, a dense grid over both asymptotic
-    # branches out to |x| = 30, a few fixed points (+-12 is where the
-    # asymptotics take over), and every table node from both sides.  A point
-    # node +- 1e-9 is also 0.5 - 1e-9 from the neighbouring node on the other
-    # side, the farthest any call steps: Ai steps down from the node above, Bi
-    # up from the node below for x >= 0 and down for x < 0.
-    fixed = [-12.0, -8.0, -5.0, 2.5, 3.5, 5.0, 8.0, 12.0]
+    # a grid 1e-3 apart over the table band, a dense grid over both asymptotic
+    # branches out to |x| = 30, a few fixed points (the band edges are where
+    # the asymptotics take over), and every table node and cell boundary from
+    # both sides.  Bi steps from a node, up from the one below for x >= 0 and
+    # down from the one above for x < 0; a point node +- 1e-9 is also
+    # 0.5 - 1e-9 from the neighbouring node, the farthest such a step goes.
+    # Ai steps from the centre of its cell, at most 0.125 either way.
+    low, high = kernel._ASYM_NEG, kernel._ASYM_POS
+    fixed = [low, -12.0, -8.0, -5.0, 2.5, 3.5, 5.0, 8.0, high]
     outer = np.linspace(-30.0, 30.0, 12001)
-    outer = outer[np.abs(outer) >= 12.0]
-    xs = np.r_[
-        np.linspace(-12.0, 12.0, 24001), outer, fixed, TABLE_NODES - 1e-9, TABLE_NODES + 1e-9
-    ]
+    outer = outer[(outer <= low) | (outer >= high)]
+    band = np.linspace(low, high, round((high - low) * 1000) + 1)
+    xs = np.r_[band, outer, fixed, TABLE_NODES - 1e-9, TABLE_NODES + 1e-9]
     ref_ai, ref_aip, ref_bi, ref_bip = airy(xs)
     values = [airy_values(float(x)) for x in xs]
     ai = np.array([v.ai for v in values])
@@ -138,14 +143,35 @@ def test_accuracy_against_scipy():
     assert np.max(np.abs(wronskian - 1.0 / math.pi)) <= 1e-12
 
 
+def test_ai_cells_solve_the_airy_equation_on_their_cell():
+    # each Ai cell polynomial is the Taylor expansion about its cell's centre,
+    # from which the evaluator steps: over the cell its defect p'' - x*p
+    # stays at rounding level (measured 2.9e-15).  Expansions about the node
+    # above, cut at radius 0.25, meet the accuracy bounds above (Ai' error
+    # 7.8e-14) at a cost of 21.7 coefficients per call instead of 18.4; read
+    # as expansions about the centre, their defect is 0.37.
+    half = kernel._CELL / 2
+    h = np.linspace(-half, half, 17)
+    worst = 0.0
+    for j, coeffs in zip(range(kernel._CELL_LO, kernel._CELL_HI), kernel._AI_CELLS, strict=True):
+        p = np.poly1d(coeffs)
+        defect = p.deriv(2)(h) - ((j + 0.5) * kernel._CELL + h) * p(h)
+        worst = max(worst, np.max(np.abs(defect)) / (abs(coeffs[-1]) + abs(coeffs[-2])))
+    assert worst <= 1e-13
+
+
 def test_asymptotic_sums_end_at_their_cut():
-    # replay _asym_sums' stopping rule on |x| in [12, 200] for each table:
-    # every sum must stop at the smallest-term or 1e-18 cut, before the table
-    # ends (larger |x| shrinks every term, so the cut only comes sooner)
-    assert kernel._ASYM_POS == -kernel._ASYM_NEG == 12.0
-    xs = np.linspace(12.0, 200.0, 200001)
-    zinv = np.array([1.0 / ((2.0 / 3.0) * float(x) ** 1.5) for x in xs])
-    for terms in (kernel._AI_POS_TERMS, kernel._BI_POS_TERMS, kernel._NEG_TERMS):
+    # replay _asym_sums' stopping rule for each table on |x| from its
+    # expansion's own band edge up to 200: every sum must stop at the
+    # smallest-term or 1e-18 cut, before the table ends (larger |x| shrinks
+    # every term, so the cut only comes sooner)
+    for terms, edge in (
+        (kernel._AI_POS_TERMS, kernel._ASYM_POS),
+        (kernel._BI_POS_TERMS, kernel._ASYM_POS),
+        (kernel._NEG_TERMS, -kernel._ASYM_NEG),
+    ):
+        xs = np.linspace(edge, 200.0, 200001)
+        zinv = np.array([1.0 / ((2.0 / 3.0) * float(x) ** 1.5) for x in xs])
         power = np.ones_like(zinv)
         prev = np.full_like(zinv, np.inf)
         running = np.ones(zinv.shape, dtype=bool)
@@ -228,9 +254,9 @@ def test_tail_derivative_is_minus_ai_squared():
 
 
 def test_band_seams_are_smooth():
-    # the evaluator switches polynomial at every table node and representation
-    # at +-12; across each seam the finite change must match the derivative,
-    # with no representation jump
+    # the evaluator switches polynomial at every table node and cell boundary
+    # and representation at both band edges; across each seam the finite
+    # change must match the derivative, with no representation jump
     h = 1e-6
     for seam in TABLE_NODES:
         below = airy_values(seam - h)
@@ -243,7 +269,8 @@ def test_band_seams_are_smooth():
 def test_single_functions_match_airy_values_bit_for_bit():
     # one evaluation path: each function returns exactly its field of
     # airy_values; [-30, 30] reaches well into both asymptotic branches, and
-    # the table points are where airy_ai runs its own value-only Horner step
+    # the table nodes and cell boundaries are where airy_ai runs its own
+    # value-only Horner step
     xs = np.r_[np.linspace(-30.0, 30.0, 12001), TABLE_NODES - 1e-9, TABLE_NODES + 1e-9, -1e5]
     for x in map(float, xs):
         values = airy_values(x)

@@ -105,6 +105,10 @@ def test_norm_squared_rejects_nan():
     values[3] = math.nan
     with pytest.raises(NumericError):
         norm_squared(ComplexField(grid, values))
+    for bad in (math.nan, math.inf):
+        values[3] = bad
+        with pytest.raises(NumericError, match="NaN or infinite"):
+            ComplexField(grid, values).normalized()
 
 
 def test_norm_invariant_under_global_phase():
@@ -140,6 +144,33 @@ def test_normalized_flag_contract():
     psi = np.exp(-(z**2))
     field = ComplexField(grid, psi).normalized()
     assert field.is_normalized(tol=1e-10)
+
+
+def test_normalized_beyond_double_range_matches_unit_field():
+    # |psi|^2 over- or underflows (1e400, 1e-400), yet the field normalizes
+    # exactly as the same field at 1.0 does
+    grid = Grid(-1.0, 1.0, 11)
+    unit = ComplexField(grid, np.ones(11)).normalized()
+    for peak in (1e200, 1e-200):
+        field = ComplexField(grid, np.full(11, peak)).normalized()
+        np.testing.assert_array_equal(field.values, unit.values)
+    # |psi| itself overflows here; the scale is the largest real or imaginary part
+    field = ComplexField(grid, np.full(11, 1.5e308 + 1.5e308j)).normalized()
+    assert field.is_normalized(tol=1e-14)
+    np.testing.assert_allclose(field.values, unit.values * (1.0 + 1.0j) / math.sqrt(2.0), rtol=1e-15)
+
+
+def test_norm_squared_beyond_double_range_is_numeric_error():
+    with pytest.raises(NumericError, match="norm"):
+        norm_squared(ComplexField(Grid(-1.0, 1.0, 11), np.full(11, 1e200)))
+
+
+def test_derived_scalars_beyond_double_range_are_numeric_errors():
+    # every field is finite, but dt*n_steps and m_g*g are not
+    with pytest.raises(NumericError, match="total time"):
+        Grid(0.0, 1.0, 11, dt=1e308, n_steps=10).total_time
+    with pytest.raises(NumericError, match="weight"):
+        PhysicalSystem(1.0, 1e200, g=1e200).weight
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Property test of the library's error contract.
 
-The fields of ``Grid``, ``PhysicalSystem``, ``FrameTransform`` and
-``InterferometerGeometry`` and the arguments of the scalar entry points are
-drawn from values at and beyond the edges of double range: nan, infinities,
+The fields of ``Grid``, ``PhysicalSystem``, ``FrameTransform``,
+``InterferometerGeometry`` and ``PlaneWaveState``, the scalar arguments of
+the entry points and the derived scalars ``Grid.total_time`` and
+``PhysicalSystem.weight`` are drawn from or built on values at and beyond
+the edges of double range: nan, infinities,
 +-1e308, subnormals, an int beyond double range, numpy integers, bools and
 floats passed as counts.  Every call must return finite numbers or raise
 ParameterError or NumericError.  Any other exception fails the test, and so
@@ -11,6 +13,7 @@ at most 4096 points and nothing is propagated, so no example allocates a
 large array.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -28,11 +31,14 @@ from gravqm import (
     ai_negative_zero,
     cow_phase_shift,
     cow_phase_shift_time_route,
+    falling_box_state,
     falling_box_window,
     frequency_shift,
     gaussian_packet,
     level,
     momentum_eigenvalue,
+    phase_s,
+    plane_wave_stationary,
 )
 
 _EDGES = [
@@ -73,11 +79,14 @@ def _finite(*values) -> bool:
     _or(-1.0), _or(1.0), _or(11, st.one_of(_COUNT, st.integers(3, 4096))), _or(1e-3),
     _or(10, st.one_of(_COUNT, st.sampled_from([10**7, 10**7 + 1, 10**400]))),
 )
+@example(0.0, 1.0, 11, 1e308, 10)  # dt*n_steps overflows
 def test_grid_fields(z_min, z_max, n_points, dt, n_steps):
     grid = _outcome(lambda: Grid(z_min, z_max, n_points, dt=dt, n_steps=n_steps))
     if grid is not None:
         assert _finite(grid.dz) and grid.dz > 0.0
         assert np.isfinite(grid.z).all()
+        total_time = _outcome(lambda: grid.total_time)
+        assert total_time is None or _finite(total_time)
 
 
 _PACKET_GRID = Grid(-12.0, 12.0, 256)
@@ -97,6 +106,8 @@ def test_system_frequency_shift_and_level(m_i, m_g, g, v, a, hbar, z, n):
     system = _outcome(lambda: PhysicalSystem(m_i=m_i, m_g=m_g, g=g, v=v, a=a, hbar=hbar))
     if system is None:
         return
+    weight = _outcome(lambda: system.weight)
+    assert weight is None or _finite(weight)
     shift = _outcome(lambda: frequency_shift(system, z))
     assert shift is None or _finite(shift)
     lvl = _outcome(lambda: level(system, n))
@@ -119,6 +130,30 @@ def test_frame_window_and_momentum(v, a, m_i, hbar, n, box_length, t, p_prime):
         assert _finite(wave.omega_prime)
         momentum = _outcome(lambda: momentum_eigenvalue(wave, ft, t))
         assert momentum is None or _finite(momentum)
+
+
+_FALLING = PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0, v=0.3, a=1.0)
+
+
+@_SETTINGS
+@given(_or(1.2), _or(0.72), _or(0.4), _or(0.5), _or(1, _COUNT), _or(1.0))
+@example(10**400, 0.72, 0.4, 0.5, 1, 1.0)
+@example(1.2, 0.72, math.nan, 0.5, 1, 1.0)
+@example(1.2, 0.72, 0.4, -(10**400), 1, 1.0)
+def test_plane_wave_phase_and_box_state(p_prime, omega_prime, z, t, n, box_length):
+    ft = FrameTransform.from_system(_FALLING)
+    phase = _outcome(lambda: phase_s(ft, z, t))
+    assert phase is None or _finite(phase)
+    box = _outcome(lambda: falling_box_state(n, box_length, ft, _FALLING, z, t))
+    assert box is None or cmath.isfinite(box)
+    wave = _outcome(lambda: PlaneWaveState(p_prime, omega_prime))
+    if wave is None:
+        return
+    assert _finite(wave.p_prime, wave.omega_prime)
+    plane = _outcome(lambda: plane_wave_stationary(wave, ft, z, t))
+    assert plane is None or cmath.isfinite(plane)
+    momentum = _outcome(lambda: momentum_eigenvalue(wave, ft, t))
+    assert momentum is None or _finite(momentum)
 
 
 @_SETTINGS

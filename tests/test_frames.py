@@ -430,6 +430,49 @@ def test_stationary_states_out_of_double_range(call):
         call()
 
 
+
+def _free_frame():
+    s = natural(v=0.3, a=1.0)
+    return s, FrameTransform.from_system(s), PlaneWaveState.from_momentum(1.2, s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PlaneWaveState(10**400, 0.0),
+        lambda: PlaneWaveState(math.nan, 0.0),
+        lambda: PlaneWaveState(1.0, math.inf),
+        lambda: momentum_eigenvalue(PlaneWaveState(10**400, 0.0), _free_frame()[1], 0.0),
+        lambda: plane_wave_stationary(_free_frame()[2], _free_frame()[1], 10**400, 0.0),
+        lambda: plane_wave_stationary(_free_frame()[2], _free_frame()[1], 0.0, math.nan),
+        lambda: phase_s(_free_frame()[1], math.nan, 0.0),
+        lambda: phase_s(_free_frame()[1], 0.0, -(10**400)),
+        lambda: to_stationary_frame(
+            _free_frame()[1], ComplexField(Grid(-1.0, 1.0, 5), np.ones(5)), 10**400
+        ),
+        lambda: falling_box_state(1, 1.0, _free_frame()[1], _free_frame()[0], math.nan, 0.0),
+        lambda: falling_box_state(1, 1.0, _free_frame()[1], _free_frame()[0], 0.5, 10**400),
+    ],
+    ids=["wave-huge-int", "wave-nan", "wave-omega-inf", "momentum-huge-int", "plane-wave-z",
+         "plane-wave-t-nan", "phase-z-nan", "phase-t-huge-int", "to-stationary-t", "box-z-nan",
+         "box-t-huge-int"],
+)
+def test_non_finite_scalars_are_parameter_errors(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_plane_wave_state_stores_floats():
+    # an int p' squares as a float, whose overflow is a NumericError, not as
+    # an exact int whose quotient by 2*m_i raises OverflowError
+    s, ft, _ = _free_frame()
+    pw = PlaneWaveState(10**300, 0)
+    assert type(pw.p_prime) is float and type(pw.omega_prime) is float
+    for call in (lambda: plane_wave_stationary(pw, ft, 1.0, 1.0),
+                 lambda: pw.dispersion_residual(s)):
+        with pytest.raises(NumericError, match="p_prime"):
+            call()
+
 def test_box_eigenvalue_examples():
     s = natural()
     ft = FrameTransform.from_system(s)

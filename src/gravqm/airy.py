@@ -275,11 +275,11 @@ def _cell_table(nodes: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...]
     return tuple(cells)
 
 
-# Nodes k*_ODE_STEP for k = _NODE_LO.._NODE_HI and cells j*_CELL for
-# j = _CELL_LO.._CELL_HI - 1 span the band; the tables are seeded and
+# Nodes k*_ODE_STEP for k = _NODE_LO.._NODE_HI span the band, and so do the
+# cells below them, j*_CELL for j from _CELL_LO up; the tables are seeded and
 # marched as the module docstring describes.
 _NODE_LO, _NODE_HI = round(_ASYM_NEG / _ODE_STEP), round(_ASYM_POS / _ODE_STEP)
-_CELL_LO, _CELL_HI = round(_ASYM_NEG / _CELL), round(_ASYM_POS / _CELL)
+_CELL_LO = round(_ASYM_NEG / _CELL)
 _AI_CELLS = _cell_table(
     _node_table({_NODE_HI: _asym_pos_ai(_ASYM_POS)}, ((_NODE_HI, _NODE_LO),))
 )

@@ -153,7 +153,8 @@ def test_ai_cells_solve_the_airy_equation_on_their_cell():
     half = kernel._CELL / 2
     h = np.linspace(-half, half, 17)
     worst = 0.0
-    for j, coeffs in zip(range(kernel._CELL_LO, kernel._CELL_HI), kernel._AI_CELLS, strict=True):
+    cells = range(kernel._CELL_LO, round(kernel._ASYM_POS / kernel._CELL))
+    for j, coeffs in zip(cells, kernel._AI_CELLS, strict=True):
         p = np.poly1d(coeffs)
         defect = p.deriv(2)(h) - ((j + 0.5) * kernel._CELL + h) * p(h)
         worst = max(worst, np.max(np.abs(defect)) / (abs(coeffs[-1]) + abs(coeffs[-2])))

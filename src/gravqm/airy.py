@@ -25,7 +25,7 @@ polynomial about the cell centre is cut by the same rule at the radius
 _CELL/2, 16 to 21 coefficients (18.4 on average, against 22 to 32 for a
 node).  The Ai node table is only a build step.  The whole build runs at
 import in 1.4 ms (median of 12 processes, best of 15 builds each; 2-core
-sandbox, Python 3.11; up to 2.4 ms while the machine was loaded).
+Intel Xeon, Python 3.11; up to 2.4 ms while the machine was loaded).
 
 A call on (-26, 12) is then one table lookup and one Horner evaluation of
 value and slope.  Ai reads cell floor(x/_CELL) and steps at most _CELL/2

@@ -7,7 +7,10 @@ step, the generalised scheme of van Dijk and Toyama, Phys. Rev. E 75, 036707
 K = T + M diag(V), where T is the three-point kinetic matrix, one step solves
 (M + i dt K/(2 hbar)) psi_new = (M - i dt K/(2 hbar)) psi.  Both sides stay
 tridiagonal, so each step is one complex tridiagonal solve, factored once
-since the Hamiltonian is time independent.  The spatial error is fourth order
+since the Hamiltonian is time independent.  The factorization and the solve
+are LAPACK's zgttrf and zgttrs, loaded at the first propagation from scipy's
+extension module alone, without the scipy.linalg package (whose import would
+cost more than a small run).  The spatial error is fourth order
 and the time error second order (:func:`frame_equivalence` extrapolates its
 comparison to fourth order).  K is not Hermitian when V varies, so the
 trapezoid norm is conserved up to the discretization error (drifts of at
@@ -31,7 +34,11 @@ potential, and moment series for position/momentum means and spreads.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 from .core import ComplexField, Grid, PhysicalSystem, checked_square, norm_squared, np
@@ -229,6 +236,12 @@ class _Moments:
         if method == "spectral":
             self._k = 2.0 * math.pi * np.fft.fftfreq(n)
             self._k_sq = self._k * self._k
+            # Each FFT allocates a complex scratch array of about n points.
+            # glibc maps a block above its mmap threshold (128 KiB at start)
+            # fresh from the kernel, so every call faulted its pages in (64
+            # faults a call at 12288 points).  Freeing a larger block raises
+            # that threshold, and the scratch then comes from the heap.
+            np.empty(4 * n, dtype=complex)
         self._density = np.empty(n)
         self._work = np.empty(n)
         self._complex_work = np.empty(n, dtype=complex)
@@ -309,6 +322,37 @@ def moments(
     return _Moments(field.grid, system, method)(field.values)
 
 
+def _lapack_tridiagonal():
+    """LAPACK's complex tridiagonal factorization and solve, ``(zgttrf, zgttrs)``.
+
+    Both come from scipy's f2py extension module ``scipy.linalg._flapack``,
+    loaded here on its own: the ``scipy.linalg`` package import would also
+    run scipy's array-API layer (numpy.testing, unittest, numpy.f2py, ...),
+    several times the cost of a small propagation.  The module is registered
+    under its full name, so either import order shares one module and
+    ``scipy.linalg.lapack.zgttrs`` is the same object.  ``import scipy``
+    loads no subpackage; on Windows it adds the directory of scipy's bundled
+    OpenBLAS to the DLL search path.
+    """
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        import scipy
+
+        stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+        paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"scipy's LAPACK extension {stem}.* is missing", name=name)
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        flapack = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(name, path, loader=loader)
+        )
+        sys.modules[name] = flapack
+        loader.exec_module(flapack)
+    return flapack.zgttrf, flapack.zgttrs
+
+
 def propagate_linear_potential(
     psi0: ComplexField,
     system: PhysicalSystem,
@@ -323,9 +367,9 @@ def propagate_linear_potential(
     The grid, with its time step and step count, is the grid of ``psi0``.
     Moments are sampled at t = 0 and every ``sample_every`` steps.
     """
-    # Imported here so that importing gravqm, and every CLI command other
-    # than evolve, does not load scipy.linalg.
-    from scipy.linalg.lapack import zgttrf, zgttrs
+    # Loaded here, not at import, so that importing gravqm and every CLI
+    # command other than evolve load no scipy.
+    zgttrf, zgttrs = _lapack_tridiagonal()
 
     grid = psi0.grid
     require_count("sample_every", sample_every, 1)

@@ -2,12 +2,17 @@
 
 Everything here is deliberately written from first principles, separate from
 the package implementation, so the tests check two independent routes to the
-same numbers.
+same numbers.  ``run_fresh`` runs the checks that need an interpreter in
+which nothing has been imported yet.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -89,3 +94,14 @@ def trapezoid_moments(psi, z, dz, hbar, method):
         mean_p = float(hbar * np.sum(k * spec) / total)
         p_sq = float(hbar**2 * np.sum(k**2 * spec) / total)
     return mean_z, mean_p, math.sqrt(max(var_z, 0.0)), math.sqrt(max(p_sq - mean_p**2, 0.0))
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter with the repo's src first."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout

@@ -2,9 +2,6 @@ import csv
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from oracles import SPEED_OF_LIGHT
+from oracles import SPEED_OF_LIGHT, run_fresh
 
 from gravqm.cli import cli
 
@@ -334,17 +331,6 @@ def test_table_writes_to_out_when_given(tmp_path):
     assert "2.33810741" in out.read_text()
 
 
-def run_fresh(code: str, *args: str) -> str:
-    """stdout of ``code`` run in a fresh interpreter with the repo's src first."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    result = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
-    )
-    return result.stdout
-
-
 def test_cli_import_does_not_load_scipy_linalg():
     # only evolve propagates; the other commands must not pay for scipy.linalg
     code = "import sys, gravqm.cli; print('scipy.linalg' in sys.modules)"
@@ -353,7 +339,7 @@ def test_cli_import_does_not_load_scipy_linalg():
 
 # Runs each command line (argv[1] holds them as JSON) in one process, then
 # prints, as its last line, the gravqm submodules that import gravqm alone
-# loaded, the exit codes and the numpy submodules loaded.
+# loaded, the exit codes, and the numpy submodules and scipy modules loaded.
 LOADED_MODULES = """
 import json, sys
 import gravqm
@@ -366,7 +352,8 @@ for args in json.loads(sys.argv[1]):
     except SystemExit as exc:
         codes.append(exc.code)
 numpy = sorted(m for m in sys.modules if m.startswith("numpy."))
-print(json.dumps({"package": package, "codes": codes, "numpy": numpy}))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"package": package, "codes": codes, "numpy": numpy, "scipy": scipy}))
 """
 
 
@@ -393,9 +380,15 @@ def test_scalar_commands_never_run_numpy(tmp_path):
     ]
     assert report["codes"] == [0] * len(runs)
     assert report["numpy"] == []
+    assert report["scipy"] == []
 
     evolve = ["evolve", "--demo", "free-dispersion", "--n-points", "128", "--dt", "1e-2",
               "--t-final", "0.05", "--out", str(tmp_path / "width.csv")]
     report = json.loads(run_fresh(LOADED_MODULES, json.dumps([evolve])).splitlines()[-1])
     assert report["codes"] == [0]
     assert report["numpy"]
+    # the propagator loads LAPACK's extension module alone: the scipy.linalg
+    # package, and with it scipy's array-API layer, is never imported
+    assert "scipy.linalg._flapack" in report["scipy"]
+    assert "scipy.linalg" not in report["scipy"]
+    assert "scipy._lib._array_api" not in report["scipy"]

@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +34,8 @@ from gravqm import (
     shift_field,
     to_stationary_frame,
 )
-from oracles import free_gaussian_analytic, trapezoid_moments
+from gravqm.dynamics import _lapack_tridiagonal
+from oracles import free_gaussian_analytic, run_fresh, trapezoid_moments
 
 
 def natural(v=0.0, a=0.0, g=None):
@@ -164,8 +168,7 @@ def test_last_moment_sample_is_the_final_field():
 
 def test_lapack_solve_writes_in_place():
     # the propagation loop swaps two state buffers around this solve
-    from scipy.linalg.lapack import zgttrf, zgttrs
-
+    zgttrf, zgttrs = _lapack_tridiagonal()
     rng = np.random.default_rng(5)
     n = 64
     lower, upper = (rng.random(n - 1) + 1j * rng.random(n - 1) for _ in range(2))
@@ -178,6 +181,65 @@ def test_lapack_solve_writes_in_place():
     assert info == 0
     assert solution is rhs
     assert np.allclose(solution, expected, rtol=1e-12, atol=0.0)
+
+
+# Prints whether the propagator's LAPACK pair is scipy.linalg.lapack's, with
+# the package imported before the loader (argv[1] == "package first") or after.
+SHARED_LAPACK = """
+import json, sys
+from gravqm.dynamics import _lapack_tridiagonal
+if sys.argv[1] == "package first":
+    import scipy.linalg
+zgttrf, zgttrs = _lapack_tridiagonal()
+from scipy.linalg import lapack
+print(json.dumps([zgttrf is lapack.zgttrf, zgttrs is lapack.zgttrs]))
+"""
+
+
+@pytest.mark.parametrize("order", ["package first", "loader first"])
+def test_lapack_loader_shares_scipy_linalg_module(order):
+    assert json.loads(run_fresh(SHARED_LAPACK, order).splitlines()[-1]) == [True, True]
+
+
+def test_lapack_loader_names_a_missing_extension(monkeypatch, tmp_path):
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    stem = str(tmp_path / "linalg" / "_flapack")
+    with pytest.raises(ImportError, match=re.escape(stem)):
+        _lapack_tridiagonal()
+    assert "scipy.linalg._flapack" not in sys.modules
+
+
+# Prints the minor page faults of two warm propagations at 12288 points with
+# spectral moments every step, of 8 and 56 steps, and whether scipy.linalg
+# was loaded.  Both calls allocate the same arrays, so the difference is what
+# the 48 extra steps cost.
+PAGE_FAULTS = """
+import dataclasses, json, resource, sys
+from gravqm import Grid, gaussian_packet, make_natural_system, propagate_linear_potential
+system = dataclasses.replace(make_natural_system(1.0), g=1.0)
+def faults(steps):
+    psi0 = gaussian_packet(Grid(-30.0, 30.0, 12288, dt=1e-3, n_steps=steps), 0.0, 1.0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    propagate_linear_potential(psi0, system, system.weight, momentum_method="spectral")
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+faults(8)
+short, long = faults(8), faults(56)
+print(json.dumps({"per_step": (long - short) / 48, "scipy.linalg": "scipy.linalg" in sys.modules}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's mmap behaviour")
+def test_spectral_moments_fault_in_no_fresh_pages():
+    # the FFT's 192 KiB scratch array must come from the heap, not from pages
+    # mapped fresh on every call (64 faults a step without the moment
+    # kernel's threshold-raising allocation); scipy.linalg, whose import
+    # raised the threshold as a side effect, must stay unloaded
+    report = json.loads(run_fresh(PAGE_FAULTS).splitlines()[-1])
+    assert not report["scipy.linalg"]
+    assert report["per_step"] < 1.0
 
 
 # ------------------------------------------------------------- shift_field

@@ -6,44 +6,37 @@ representations of the solutions of y'' = x*y:
 * large-|x| asymptotic expansions, exponential for x >> 0 and trigonometric
   for x << 0, truncated at the smallest term, with the coefficients u_k, v_k
   (DLMF 9.7.2) tabulated once at import;
-* Taylor polynomials of the ODE about nodes spaced _ODE_STEP = 0.5 apart,
-  and for Ai about the centres of cells _CELL = 0.25 wide.
+* Taylor polynomials of the ODE about the centres of cells _CELL = 0.25 wide.
 
 The Taylor band is (-26, 12), so it holds the arguments of the bouncer
-eigenfunctions chi_1..chi_20 (E_20 = 25.67).  At import, each of the 77
-nodes k*_ODE_STEP on [-26, 12] gets the Taylor coefficients of Ai and of Bi
-about it, cut after three successive terms at a step of _ODE_STEP fall
-below 1e-19 of the node's |y| + |y'|.  Each table has one seed and is
-marched one polynomial step at a time in the direction in which the wanted
-solution is not recessive, so the recessive/dominant dichotomy of Ai and Bi
-never amplifies errors: Ai is seeded by its asymptotic value at 12 and
-marched down to -26; Bi is seeded by its exact values at 0 and marched up to
-12 and down to -26.  The Ai nodes then seed the 152 cells [j, j+1)*_CELL of
-the band: each cell's value and slope come from one Horner step of the node
-polynomial above it, the march's stable direction, and its Taylor
-polynomial about the cell centre is cut by the same rule at the radius
-_CELL/2, 16 to 21 coefficients (18.4 on average, against 22 to 32 for a
-node).  The Ai node table is only a build step.  The whole build runs at
-import in 1.4 ms (median of 12 processes, best of 15 builds each; 2-core
-Intel Xeon, Python 3.11; up to 2.4 ms while the machine was loaded).
+eigenfunctions chi_1..chi_20 (E_20 = 25.67).  At import, each of its 152
+cells [j, j+1)*_CELL gets the Taylor coefficients of Ai and of Bi about its
+centre, cut after three successive terms at the radius _CELL/2 fall below
+1e-19 of the centre's |y| + |y'|: 16 to 21 coefficients (18.4 on average for
+Ai, 18.7 for Bi).  Each table has one seed and is marched cell to cell, each
+centre's value and slope one Horner step of the polynomial before it, in the
+direction in which the wanted solution is not recessive, so the
+recessive/dominant dichotomy of Ai and Bi never amplifies errors: Ai is
+seeded by its asymptotic value at 12 and marched down to -26; Bi is seeded
+by its exact values at 0 and marched up to 12 and down to -26.  The whole
+build runs at import in 1.2 ms (median of 12 processes, best of 15 builds
+each; 2-core Intel Xeon, Python 3.11).
 
 A call on (-26, 12) is then one table lookup and one Horner evaluation of
-value and slope.  Ai reads cell floor(x/_CELL) and steps at most _CELL/2
-from its centre; Bi steps at most _ODE_STEP in its march's stable
-direction, from the node below for x >= 0 and from the node above for
-x < 0.  Calls with x >= 12 or x <= -26 sum the asymptotic expansion.
-:func:`airy_ai` runs the same Horner step on the value alone, which never
-reads the slope, so on (-26, 12) it returns exactly ``airy_values(x).ai`` at
-about half the cost; past the band it takes the value of the full expansion.
+value and slope: Ai and Bi both read cell floor(x/_CELL) and step at most
+_CELL/2 from its centre.  Calls with x >= 12 or x <= -26 sum the asymptotic
+expansion.  :func:`airy_ai` runs the same Horner step on the value alone,
+which never reads the slope, so on (-26, 12) it returns exactly
+``airy_values(x).ai`` at about half the cost; past the band it takes the
+value of the full expansion.
 
 Against scipy.special.airy on [-30, 30], densely on the band and on both
-asymptotic branches, including every node and cell boundary and the points
-1e-9 either side of them (tests/test_airy.py), the absolute error of Ai and
-Ai' stays below 1e-13 (measured 7.8e-15 and 4.1e-14; 7.2e-15 and 2.6e-14 on
-(-26, 12)), the error of Bi and Bi' below 2e-13 * max(1, |value|) (measured
-3.5e-14 and 7.4e-14; Bi(12) is about 1e11, so an absolute bound on it means
-nothing), and the Wronskian Ai*Bi' - Ai'*Bi within 1e-12 of 1/pi (measured
-6.1e-16).
+asymptotic branches, including every cell boundary and the points 1e-9
+either side of them (tests/test_airy.py), the absolute error of Ai and Ai'
+stays below 1e-13 (measured 7.8e-15 and 4.1e-14), the error of Bi and Bi'
+below 2e-13 * max(1, |value|) (measured 3.5e-14 and 7.3e-14; Bi(12) is
+about 1e11, so an absolute bound on it means nothing), and the Wronskian
+Ai*Bi' - Ai'*Bi within 1e-12 of 1/pi (measured 1.6e-15).
 """
 
 from __future__ import annotations
@@ -67,8 +60,7 @@ BI_PRIME_ZERO = -_SQRT3 * AI_PRIME_ZERO
 # Band edges of the evaluation scheme.
 _ASYM_POS = 12.0     # exponential asymptotics trusted from here up
 _ASYM_NEG = -26.0    # trigonometric asymptotics trusted from here down
-_ODE_STEP = 0.5      # node spacing of the tables, and the step of their march
-_CELL = 0.25         # width of an Ai evaluation cell, two per node interval
+_CELL = 0.25         # width of a table cell, and the step of the marches
 
 # exp(2/3 * x**1.5) overflows past this point; only Bi is affected.
 _BI_OVERFLOW_X = (709.0 * 1.5) ** (2.0 / 3.0)
@@ -189,30 +181,25 @@ def _asym_neg(x: float) -> tuple[float, float, float, float]:
     return ai, aip, bi, bip
 
 
-def _taylor_terms(radius: float) -> tuple[tuple[float, float], ...]:
-    """Per term n of the Taylor recurrence: its divisor (n+2)(n+1) and the power
-    radius**(n+2) that scales coefficient n+2 at the longest step taken."""
-    return tuple(((n + 2.0) * (n + 1.0), radius ** (n + 2)) for n in range(60))
+# Per term n of the Taylor recurrence: its divisor (n+2)(n+1) and the power
+# (_CELL/2)**(n+2) that scales coefficient n+2 at the longest step a call takes.
+_RECURRENCE = tuple(((n + 2.0) * (n + 1.0), (_CELL / 2.0) ** (n + 2)) for n in range(60))
 
 
-_NODE_TERMS = _taylor_terms(_ODE_STEP)
-_CELL_TERMS = _taylor_terms(_CELL / 2.0)
-
-
-def _taylor(x0: float, y: float, yp: float, terms=_NODE_TERMS) -> tuple[float, ...]:
+def _taylor(x0: float, y: float, yp: float) -> tuple[float, ...]:
     """Taylor coefficients about x0, highest first, of the solution of y'' = x*y.
 
     (y, yp) are its value and slope at x0.  The coefficients obey
     (n+2)(n+1)*c_{n+2} = x0*c_n + c_{n-1} with c_{-1} := 0, and are cut once
-    three in a row fall below 1e-19 * (|y| + |yp|) at the radius of ``terms``
-    (:func:`_taylor_terms`).  A single small one does not end the series:
-    about x0 = 0 every third coefficient is zero.
+    three in a row fall below 1e-19 * (|y| + |yp|) at the radius _CELL/2.  A
+    single small one does not end the series: about x0 = 0 every third
+    coefficient is zero.
     """
     c = [y, yp]
     cutoff = 1e-19 * (abs(y) + abs(yp) + 1e-300)
     before, current, after = 0.0, y, yp  # c_{n-1}, c_n, c_{n+1}
     small = 0
-    for divisor, hn in terms:
+    for divisor, hn in _RECURRENCE:
         before, current, after = current, after, (x0 * current + before) / divisor
         c.append(after)
         if abs(after) * hn < cutoff:
@@ -233,57 +220,32 @@ def _horner(coeffs: tuple[float, ...], h: float) -> tuple[float, float]:
     return y, d
 
 
-def _node_table(
-    seeds: dict[int, tuple[float, float]], marches: tuple[tuple[int, int], ...]
-) -> tuple[tuple[float, ...], ...]:
-    """Taylor polynomial at every node k*_ODE_STEP of the band, as entry k - _NODE_LO.
+def _march(x: float, y: float, yp: float, stop: float) -> tuple[tuple[float, ...], ...]:
+    """Taylor polynomial about the centre of every cell between the edges x and stop,
+    in increasing order of the cells, for the solution with value y and slope yp at x.
 
-    ``seeds`` maps k to a solution's (value, slope) at that node.  Each march
-    (start, stop) fills the nodes after the seeded node ``start`` up to and
-    including ``stop``, each by one step of the previous node's polynomial.
+    The march runs from x towards stop: the first centre's value and slope
+    come from a half-cell step of the polynomial about x, and each later
+    centre's from a whole-cell step of the polynomial before it.
     """
-    polys = {k: _taylor(k * _ODE_STEP, y, yp) for k, (y, yp) in seeds.items()}
-    for start, stop in marches:
-        step = 1 if stop > start else -1
-        for k in range(start, stop, step):
-            node = (k + step) * _ODE_STEP
-            polys[k + step] = _taylor(node, *_horner(polys[k], step * _ODE_STEP))
-    return tuple(polys[k] for k in range(_NODE_LO, _NODE_HI + 1))
-
-
-def _cell_table(nodes: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], ...]:
-    """Taylor polynomial about the centre of every cell [j, j+1)*_CELL of the band,
-    as entry j - _CELL_LO, cut at the radius _CELL/2 a call steps at most.
-
-    A cell's value and slope come from one Horner step of the node polynomial
-    above it, a step down as in the march of the Ai nodes.  The two cells
-    below a node take their steps in one pass over its coefficients, the
-    same arithmetic as two calls of :func:`_horner` at about 80 % of the cost.
-    """
-    low, high = -1.5 * _CELL, -0.5 * _CELL  # from the node to the two centres below it
+    step = _CELL if stop > x else -_CELL
+    poly, h = _taylor(x, y, yp), step / 2.0
     cells = []
-    for k in range(_NODE_LO + 1, _NODE_HI + 1):
-        y_low = d_low = y_high = d_high = 0.0
-        for c in nodes[k - _NODE_LO]:
-            d_low = d_low * low + y_low
-            y_low = y_low * low + c
-            d_high = d_high * high + y_high
-            y_high = y_high * high + c
-        node = k * _ODE_STEP
-        cells.append(_taylor(node + low, y_low, d_low, _CELL_TERMS))
-        cells.append(_taylor(node + high, y_high, d_high, _CELL_TERMS))
-    return tuple(cells)
+    for _ in range(round(abs(stop - x) / _CELL)):
+        x += h
+        poly = _taylor(x, *_horner(poly, h))
+        cells.append(poly)
+        h = step
+    return tuple(cells) if step > 0.0 else tuple(reversed(cells))
 
 
-# Nodes k*_ODE_STEP for k = _NODE_LO.._NODE_HI span the band, and so do the
-# cells below them, j*_CELL for j from _CELL_LO up; the tables are seeded and
-# marched as the module docstring describes.
-_NODE_LO, _NODE_HI = round(_ASYM_NEG / _ODE_STEP), round(_ASYM_POS / _ODE_STEP)
+# The cells [j, j+1)*_CELL of the band, j from _CELL_LO up, each hold the
+# Taylor polynomial of Ai and of Bi about their centre, marched as the module
+# docstring describes.
 _CELL_LO = round(_ASYM_NEG / _CELL)
-_AI_CELLS = _cell_table(
-    _node_table({_NODE_HI: _asym_pos_ai(_ASYM_POS)}, ((_NODE_HI, _NODE_LO),))
-)
-_BI_TABLE = _node_table({0: (BI_ZERO, BI_PRIME_ZERO)}, ((0, _NODE_HI), (0, _NODE_LO)))
+_AI_CELLS = _march(_ASYM_POS, *_asym_pos_ai(_ASYM_POS), _ASYM_NEG)
+_BI_CELLS = (_march(0.0, BI_ZERO, BI_PRIME_ZERO, _ASYM_NEG)
+             + _march(0.0, BI_ZERO, BI_PRIME_ZERO, _ASYM_POS))
 
 
 def _eval_ai(x: float) -> tuple[float, float]:
@@ -312,10 +274,8 @@ def _eval_bi(x: float) -> tuple[float, float]:
         return _asym_pos_bi(x)
     if x <= _ASYM_NEG:
         return _asym_neg(x)[2:]
-    # Bi grows with x for x > 0, so step up from the node below; below 0 it
-    # oscillates, and the step runs down from the node above, as the march does.
-    k = math.floor(x / _ODE_STEP) if x >= 0.0 else math.ceil(x / _ODE_STEP)
-    return _horner(_BI_TABLE[k - _NODE_LO], x - k * _ODE_STEP)
+    j = math.floor(x / _CELL)
+    return _horner(_BI_CELLS[j - _CELL_LO], x - (j + 0.5) * _CELL)
 
 
 def airy_ai(x: float) -> float:

@@ -14,6 +14,7 @@ import math
 import numbers
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .airy import ai_negative_zero, airy_values
@@ -297,9 +298,17 @@ def cmd_cow(wavelength, height, length, accel, si_neutron, via_time_route, fmt, 
               help="Reference angular frequency for the ratio in natural mode.")
 @_FORMAT_OPTION
 @_OUT_OPTION
-def cmd_redshift(z_sep, si, mass, accel, hbar_value, omega_prime, fmt, out) -> None:
+@click.pass_context
+def cmd_redshift(ctx, z_sep, si, mass, accel, hbar_value, omega_prime, fmt, out) -> None:
     """Frequency shift between detectors at different heights."""
     if si:
+        natural = [p.opts[0] for p in ctx.command.params
+                   if p.name in ("mass", "accel", "hbar_value", "omega_prime")
+                   and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+        if natural:
+            raise click.UsageError(
+                f"{', '.join(natural)} cannot be combined with --si (natural mode only)", ctx
+            )
         system = _neutron_system(STANDARD_GRAVITY)
         units = "si"
     else:

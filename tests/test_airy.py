@@ -104,22 +104,17 @@ def test_wronskian_sweep():
     assert worst <= 1e-10
 
 
-# Every node of the evaluator's Taylor tables (_ODE_STEP apart) and every
-# boundary of its Ai cells (_CELL apart) on the band [_ASYM_NEG, _ASYM_POS],
-# both edges included.
-_NODES = np.arange(kernel._ASYM_NEG, kernel._ASYM_POS + kernel._ODE_STEP / 2, kernel._ODE_STEP)
-_CELL_EDGES = np.arange(kernel._ASYM_NEG, kernel._ASYM_POS + kernel._CELL / 2, kernel._CELL)
-TABLE_NODES = np.union1d(_NODES, _CELL_EDGES)
+# Every boundary of the evaluator's Taylor cells (_CELL apart) on the band
+# [_ASYM_NEG, _ASYM_POS], both edges included.
+TABLE_NODES = np.arange(kernel._ASYM_NEG, kernel._ASYM_POS + kernel._CELL / 2, kernel._CELL)
 
 
 def test_accuracy_against_scipy():
     # a grid 1e-3 apart over the table band, a dense grid over both asymptotic
     # branches out to |x| = 30, a few fixed points (the band edges are where
-    # the asymptotics take over), and every table node and cell boundary from
-    # both sides.  Bi steps from a node, up from the one below for x >= 0 and
-    # down from the one above for x < 0; a point node +- 1e-9 is also
-    # 0.5 - 1e-9 from the neighbouring node, the farthest such a step goes.
-    # Ai steps from the centre of its cell, at most 0.125 either way.
+    # the asymptotics take over), and every cell boundary from both sides.
+    # Ai and Bi step from the centre of their cell, at most 0.125 either way;
+    # a point boundary +- 1e-9 is the farthest such a step goes.
     low, high = kernel._ASYM_NEG, kernel._ASYM_POS
     fixed = [low, -12.0, -8.0, -5.0, 2.5, 3.5, 5.0, 8.0, high]
     outer = np.linspace(-30.0, 30.0, 12001)
@@ -143,18 +138,19 @@ def test_accuracy_against_scipy():
     assert np.max(np.abs(wronskian - 1.0 / math.pi)) <= 1e-12
 
 
-def test_ai_cells_solve_the_airy_equation_on_their_cell():
-    # each Ai cell polynomial is the Taylor expansion about its cell's centre,
+@pytest.mark.parametrize("table", ["_AI_CELLS", "_BI_CELLS"], ids=["ai", "bi"])
+def test_cells_solve_the_airy_equation_on_their_cell(table):
+    # each cell polynomial is the Taylor expansion about its cell's centre,
     # from which the evaluator steps: over the cell its defect p'' - x*p
-    # stays at rounding level (measured 2.9e-15).  Expansions about the node
-    # above, cut at radius 0.25, meet the accuracy bounds above (Ai' error
-    # 7.8e-14) at a cost of 21.7 coefficients per call instead of 18.4; read
-    # as expansions about the centre, their defect is 0.37.
+    # stays at rounding level (measured 2.9e-15 for Ai, 3.2e-15 for Bi).
+    # Ai polynomials about a point 0.125 or 0.375 above the centre, cut at
+    # radius 0.25, still meet the accuracy bounds above; read as expansions
+    # about the centre their defect is 0.37, so only this test pins the centre.
     half = kernel._CELL / 2
     h = np.linspace(-half, half, 17)
     worst = 0.0
     cells = range(kernel._CELL_LO, round(kernel._ASYM_POS / kernel._CELL))
-    for j, coeffs in zip(cells, kernel._AI_CELLS, strict=True):
+    for j, coeffs in zip(cells, getattr(kernel, table), strict=True):
         p = np.poly1d(coeffs)
         defect = p.deriv(2)(h) - ((j + 0.5) * kernel._CELL + h) * p(h)
         worst = max(worst, np.max(np.abs(defect)) / (abs(coeffs[-1]) + abs(coeffs[-2])))
@@ -255,8 +251,8 @@ def test_tail_derivative_is_minus_ai_squared():
 
 
 def test_band_seams_are_smooth():
-    # the evaluator switches polynomial at every table node and cell boundary
-    # and representation at both band edges; across each seam the finite
+    # the evaluator switches polynomial at every cell boundary and
+    # representation at both band edges; across each seam the finite
     # change must match the derivative, with no representation jump
     h = 1e-6
     for seam in TABLE_NODES:
@@ -270,8 +266,8 @@ def test_band_seams_are_smooth():
 def test_single_functions_match_airy_values_bit_for_bit():
     # one evaluation path: each function returns exactly its field of
     # airy_values; [-30, 30] reaches well into both asymptotic branches, and
-    # the table nodes and cell boundaries are where airy_ai runs its own
-    # value-only Horner step
+    # the cell boundaries are where airy_ai runs its own value-only Horner
+    # step
     xs = np.r_[np.linspace(-30.0, 30.0, 12001), TABLE_NODES - 1e-9, TABLE_NODES + 1e-9, -1e5]
     for x in map(float, xs):
         values = airy_values(x)

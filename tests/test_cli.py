@@ -196,6 +196,27 @@ def test_redshift_si_ratio_is_az_over_c_squared():
     assert columns["ratio"][0] == pytest.approx(9.80665 / SPEED_OF_LIGHT**2, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        (["--mass", "2"], "--mass"),
+        (["--accel", "1"], "--accel"),  # an explicit default is still refused
+        (["--hbar", "5", "--omega-prime", "7"], "--hbar, --omega-prime"),
+        (["--mass", "2", "--accel", "3", "--hbar", "5", "--omega-prime", "7"],
+         "--mass, --accel, --hbar, --omega-prime"),
+    ],
+    ids=["mass", "explicit-default", "hbar-omega-prime", "all-four"],
+)
+def test_redshift_si_refuses_natural_mode_options(options, named):
+    # --si fixes the neutron constants, so a natural-mode option given with it
+    # would be dropped without a word
+    result = run("redshift", "--z", "1", "--si", *options)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"{named} cannot be combined with --si" in result.output
+    assert "delta_omega" not in result.output
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv"])
 def test_redshift_natural_ratio_to_omega_prime(fmt):
     # delta_omega = m*a*z/hbar = 2 against omega' = 4

@@ -9,18 +9,20 @@ representations of the solutions of y'' = x*y:
 * Taylor polynomials of the ODE about the centres of cells _CELL = 0.25 wide.
 
 The Taylor band is (-26, 12), so it holds the arguments of the bouncer
-eigenfunctions chi_1..chi_20 (E_20 = 25.67).  At import, each of its 152
-cells [j, j+1)*_CELL gets the Taylor coefficients of Ai and of Bi about its
-centre, cut after three successive terms at the radius _CELL/2 fall below
-1e-19 of the centre's |y| + |y'|: 16 to 21 coefficients (18.4 on average for
-Ai, 18.7 for Bi).  Each table has one seed and is marched cell to cell, each
-centre's value and slope one Horner step of the polynomial before it, in the
-direction in which the wanted solution is not recessive, so the
-recessive/dominant dichotomy of Ai and Bi never amplifies errors: Ai is
-seeded by its asymptotic value at 12 and marched down to -26; Bi is seeded
-by its exact values at 0 and marched up to 12 and down to -26.  The whole
-build runs at import in 1.2 ms (median of 12 processes, best of 15 builds
-each; 2-core Intel Xeon, Python 3.11).
+eigenfunctions chi_1..chi_20 (E_20 = 25.67).  At the first evaluation on the
+band, each of its 152 cells [j, j+1)*_CELL gets the Taylor coefficients of
+Ai and of Bi about its centre, cut after three successive terms at the
+radius _CELL/2 fall below 1e-19 of the centre's |y| + |y'|: 16 to 21
+coefficients (18.4 on average for Ai, 18.7 for Bi).  Each table has one seed
+and is marched cell to cell, each centre's value and slope one Horner step
+of the polynomial before it, in the direction in which the wanted solution
+is not recessive, so the recessive/dominant dichotomy of Ai and Bi never
+amplifies errors: Ai is seeded by its asymptotic value at 12 and marched
+down to -26; Bi is seeded by its exact values at 0 and marched up to 12 and
+down to -26.  The whole build takes 1.2 ms (median of 12 processes, best of
+15 builds each; 2-core Intel Xeon, Python 3.11), so it waits for the first
+call that reads a table: importing the package, and commands that never
+evaluate Ai or Bi, do not pay for it.
 
 A call on (-26, 12) is then one table lookup and one Horner evaluation of
 value and slope: Ai and Bi both read cell floor(x/_CELL) and step at most
@@ -243,9 +245,33 @@ def _march(x: float, y: float, yp: float, stop: float) -> tuple[tuple[float, ...
 # Taylor polynomial of Ai and of Bi about their centre, marched as the module
 # docstring describes.
 _CELL_LO = round(_ASYM_NEG / _CELL)
-_AI_CELLS = _march(_ASYM_POS, *_asym_pos_ai(_ASYM_POS), _ASYM_NEG)
-_BI_CELLS = (_march(0.0, BI_ZERO, BI_PRIME_ZERO, _ASYM_NEG)
-             + _march(0.0, BI_ZERO, BI_PRIME_ZERO, _ASYM_POS))
+
+
+def _build_cells() -> None:
+    """Bind _AI_CELLS and _BI_CELLS to the tuples of cell polynomials."""
+    global _AI_CELLS, _BI_CELLS
+    _AI_CELLS = _march(_ASYM_POS, *_asym_pos_ai(_ASYM_POS), _ASYM_NEG)
+    _BI_CELLS = (_march(0.0, BI_ZERO, BI_PRIME_ZERO, _ASYM_NEG)
+                 + _march(0.0, BI_ZERO, BI_PRIME_ZERO, _ASYM_POS))
+
+
+class _Unbuilt:
+    """Stands in for a cell table until its first lookup, which builds both.
+
+    The build rebinds the module names to the tuples, so every later lookup
+    indexes a tuple: a call on the band pays nothing for the late build.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getitem__(self, j: int) -> tuple[float, ...]:
+        _build_cells()
+        return globals()[self.name][j]
+
+
+_AI_CELLS = _Unbuilt("_AI_CELLS")
+_BI_CELLS = _Unbuilt("_BI_CELLS")
 
 
 def _eval_ai(x: float) -> tuple[float, float]:

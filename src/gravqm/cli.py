@@ -1,20 +1,26 @@
 """Command-line surface: tables and CSV/JSON series for every computation.
 
-Subcommands: ``airy``, ``bouncer``, ``cow``, ``redshift``, ``evolve``.
+Subcommands: ``airy``, ``bouncer``, ``cow``, ``redshift``, ``evolve``, parsed
+by the standard library's argparse; :func:`main` is the one entry point.
 Exit codes are a stable contract for scripting: 0 success, 1 numeric
-failure, 2 usage error.  All stored values are plain numbers (fractions,
-radians, SI or natural units); percentages and unit suffixes are formatting
-only.  Nothing is random, so every invocation is reproducible.
+failure (``numeric failure: ...`` on stderr), 2 usage error (the usage line
+and the message on stderr).  ``--format json`` without ``--out``, and an
+``--out`` that cannot be written (its directory missing, say), are usage
+errors found before any computation.  All stored values are plain numbers
+(fractions, radians, SI or natural units); percentages and unit suffixes are
+formatting only.  Nothing is random, so every invocation is reproducible.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import numbers
-
-import click
-from click.core import ParameterSource
+import os
+import re
+import sys
+from typing import NoReturn
 
 from . import __version__
 from .airy import ai_negative_zero, airy_values
@@ -68,18 +74,21 @@ def _emit(
         lines = [",".join(columns)]
         lines += [",".join(_fmt(v) for v in row) for row in zip(*columns.values())]
         text = "\n".join(lines) + "\n"
-    else:  # json; _Command has already required --out
+    else:  # json; main has already required --out
         text = json.dumps({"meta": meta, "data": columns}, indent=2, allow_nan=False) + "\n"
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
         # keep the data stream clean for piping
         for line in summary_lines:
-            click.echo(line, err=True)
+            print(line, file=sys.stderr)
         return
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out!r}: {exc.strerror}") from None
     for line in summary_lines:
-        click.echo(line)
+        print(line)
 
 
 def _meta(command: str, units: str, **parameters) -> dict:
@@ -91,48 +100,37 @@ def _meta(command: str, units: str, **parameters) -> dict:
     }
 
 
-class _PositiveFloat(click.ParamType):
+def _positive(text: str) -> float:
     """A finite number greater than zero; NaN, infinities and zero are usage errors."""
-
-    name = "positive number"
-
-    def convert(self, value, param, ctx):
-        try:
-            return require_positive("value", click.FLOAT.convert(value, param, ctx))
-        except ParameterError:
-            self.fail(f"{value!r} is not a finite positive number", param, ctx)
+    try:
+        return require_positive("value", float(text))
+    except ValueError:  # ParameterError included
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number") from None
 
 
-_POSITIVE = _PositiveFloat()
+def _one_to_fifty(text: str) -> int:
+    """A whole number from 1 to 50, the range of ``--zeros`` and ``--levels``."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if not 1 <= count <= 50:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number from 1 to 50")
+    return count
 
-_FORMAT_OPTION = click.option(
-    "--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table",
-    show_default=True, help="Output format.",
-)
-_OUT_OPTION = click.option(
-    "--out", type=click.Path(dir_okay=False, writable=True), default=None,
-    help="Write csv/json output to this file (required for json).",
-)
 
-
-class _Command(click.Command):
-    """A subcommand under the exit-code contract: 0 ok, 1 numeric failure, 2 usage.
-
-    ``--format json`` without ``--out`` is refused before any computation; a
-    ParameterError is a usage error and a NumericError exits 1 with
-    ``numeric failure: ...`` on stderr.
-    """
-
-    def invoke(self, ctx: click.Context):
-        if ctx.params.get("fmt") == "json" and ctx.params.get("out") is None:
-            raise click.UsageError("--out is required with --format json", ctx)
-        try:
-            return super().invoke(ctx)
-        except ParameterError as exc:
-            raise click.UsageError(str(exc), ctx) from exc
-        except NumericError as exc:
-            click.echo(f"numeric failure: {exc}", err=True)
-            ctx.exit(1)
+def _out_path(text: str) -> str:
+    """A file path that can be written, checked before any computation starts."""
+    folder = os.path.dirname(text) or "."
+    if os.path.isdir(text) or not os.path.basename(text):
+        reason = "not a file name"
+    elif not os.path.isdir(folder):
+        reason = f"no directory {folder!r}"
+    elif not os.access(text if os.path.exists(text) else folder, os.W_OK):
+        reason = "permission denied"
+    else:
+        return text
+    raise argparse.ArgumentTypeError(f"cannot write {text!r}: {reason}")
 
 
 def _neutron_system(a: float = 0.0) -> PhysicalSystem:
@@ -142,25 +140,8 @@ def _neutron_system(a: float = 0.0) -> PhysicalSystem:
     )
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="gravqm")
-def cli() -> None:
-    """Quantum mechanics in a uniform gravitational field, from the terminal."""
-
-
-cli.command_class = _Command
-
-
-@cli.command("airy")
-@click.option("--eval", "eval_x", type=float, default=None, help="Evaluate Ai, Ai', Bi, Bi' at x.")
-@click.option("--zeros", "n_zeros", type=click.IntRange(1, 50), default=None,
-              help="Print the first N negative zeros of Ai (1..50).")
-@_FORMAT_OPTION
-@_OUT_OPTION
 def cmd_airy(eval_x, n_zeros, fmt, out) -> None:
     """Airy function values or negative zeros of Ai."""
-    if (eval_x is None) == (n_zeros is None):
-        raise click.UsageError("choose exactly one of --eval X or --zeros N")
     if eval_x is not None:
         value = airy_values(eval_x)
         columns = {
@@ -191,12 +172,6 @@ def cmd_airy(eval_x, n_zeros, fmt, out) -> None:
     _emit(columns, meta, fmt, out, table, [])
 
 
-@cli.command("bouncer")
-@click.option("--levels", "n_levels", type=click.IntRange(1, 50), required=True,
-              help="Number of levels to print (1..50).")
-@click.option("--si-neutron", is_flag=True, help="Use CODATA neutron constants and print energies in peV.")
-@_FORMAT_OPTION
-@_OUT_OPTION
 def cmd_bouncer(n_levels, si_neutron, fmt, out) -> None:
     """Quantized levels above an infinite floor in a linear potential.
 
@@ -237,18 +212,6 @@ def cmd_bouncer(n_levels, si_neutron, fmt, out) -> None:
     _emit(columns, meta, fmt, out, table, [])
 
 
-@cli.command("cow")
-@click.option("--lambda", "--wavelength", "wavelength", type=float, required=True,
-              help="Beam wavelength.")
-@click.option("--height", type=float, required=True, help="Vertical separation z of the beams.")
-@click.option("--length", type=float, required=True, help="Horizontal length d of the loop.")
-@click.option("--a", "accel", type=float, default=None,
-              help="Frame/field acceleration (defaults: 1 natural, standard gravity with --si-neutron).")
-@click.option("--si-neutron", is_flag=True, help="Use CODATA neutron constants.")
-@click.option("--via-time-route", is_flag=True,
-              help="Also compute the shift as |m a t z / hbar| with t = d/v and check agreement.")
-@_FORMAT_OPTION
-@_OUT_OPTION
 def cmd_cow(wavelength, height, length, accel, si_neutron, via_time_route, fmt, out) -> None:
     """Interferometric phase shift proportional to the enclosed beam area."""
     if si_neutron:
@@ -288,31 +251,27 @@ def cmd_cow(wavelength, height, length, accel, si_neutron, via_time_route, fmt, 
     _emit(columns, meta, fmt, out, table, summary)
 
 
-@cli.command("redshift")
-@click.option("--z", "z_sep", type=float, required=True, help="Vertical detector separation.")
-@click.option("--si", is_flag=True, help="Neutron SI constants; also prints a*z/c^2.")
-@click.option("--mass", type=float, default=1.0, show_default=True, help="Mass (natural mode).")
-@click.option("--accel", type=float, default=1.0, show_default=True, help="Acceleration (natural mode).")
-@click.option("--hbar", "hbar_value", type=float, default=1.0, show_default=True, help="hbar (natural mode).")
-@click.option("--omega-prime", type=_POSITIVE, default=None,
-              help="Reference angular frequency for the ratio in natural mode.")
-@_FORMAT_OPTION
-@_OUT_OPTION
-@click.pass_context
-def cmd_redshift(ctx, z_sep, si, mass, accel, hbar_value, omega_prime, fmt, out) -> None:
+def cmd_redshift(z_sep, si, mass, accel, hbar_value, omega_prime, fmt, out) -> None:
     """Frequency shift between detectors at different heights."""
     if si:
-        natural = [p.opts[0] for p in ctx.command.params
-                   if p.name in ("mass", "accel", "hbar_value", "omega_prime")
-                   and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
-        if natural:
-            raise click.UsageError(
-                f"{', '.join(natural)} cannot be combined with --si (natural mode only)", ctx
+        # the natural-mode options default to None, so an option given at its
+        # default value is refused too
+        natural = {
+            "--mass": mass, "--accel": accel, "--hbar": hbar_value, "--omega-prime": omega_prime,
+        }
+        given = [name for name, value in natural.items() if value is not None]
+        if given:
+            raise ParameterError(
+                f"{', '.join(given)} cannot be combined with --si (natural mode only)"
             )
         system = _neutron_system(STANDARD_GRAVITY)
         units = "si"
     else:
-        system = PhysicalSystem(m_i=mass, m_g=mass, a=accel, hbar=hbar_value)
+        m = 1.0 if mass is None else mass
+        system = PhysicalSystem(
+            m_i=m, m_g=m, a=1.0 if accel is None else accel,
+            hbar=1.0 if hbar_value is None else hbar_value,
+        )
         units = "natural"
     delta_omega = frequency_shift(system, z_sep)
 
@@ -339,15 +298,6 @@ _DEMO_DEFAULTS = {
 }
 
 
-@cli.command("evolve")
-@click.option("--demo", type=click.Choice(sorted(_DEMO_DEFAULTS)), required=True,
-              help="Which propagation demo to run.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True, help="Series output format.")
-@_OUT_OPTION
-@click.option("--n-points", type=int, default=None, help="Override the grid size.")
-@click.option("--dt", type=_POSITIVE, default=None, help="Override the time step.")
-@click.option("--t-final", type=_POSITIVE, default=None, help="Override the total time.")
 def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
     """Time-dependent demos in natural units (m = g = hbar = 1).
 
@@ -416,8 +366,112 @@ def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
     _emit(columns, meta, fmt, out, [], summary)
 
 
-def main() -> None:
-    cli()
+# argparse's own pattern reads only integers and decimals such as -2.5 as
+# negative numbers, so --z -1e-3 or --eval -inf would read the value as an
+# unknown option.  Every token starting like a number is a value here.
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that accepts no abbreviated option (``--lev`` for
+    ``--levels``) and reads a token that starts like a number as a value."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="gravqm",
+        description="Quantum mechanics in a uniform gravitational field, from the terminal.",
+    )
+    parser.add_argument("--version", action="version", version=f"gravqm, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__.splitlines()[0], description=run.__doc__)
+        sub.set_defaults(run=run, usage=sub)
+        return sub
+
+    def output_options(sub, formats=("table", "csv", "json"), what="Output format"):
+        sub.add_argument("--format", dest="fmt", choices=formats, default=formats[0],
+                         help=f"{what} (default: %(default)s).")
+        sub.add_argument("--out", metavar="FILE", type=_out_path,
+                         help="Write csv/json output to this file (required for json).")
+
+    airy = command("airy", cmd_airy)
+    which = airy.add_mutually_exclusive_group(required=True)
+    which.add_argument("--eval", dest="eval_x", metavar="X", type=float,
+                       help="Evaluate Ai, Ai', Bi, Bi' at x.")
+    which.add_argument("--zeros", dest="n_zeros", metavar="N", type=_one_to_fifty,
+                       help="Print the first N negative zeros of Ai (1..50).")
+    output_options(airy)
+
+    bouncer = command("bouncer", cmd_bouncer)
+    bouncer.add_argument("--levels", dest="n_levels", metavar="N", type=_one_to_fifty,
+                         required=True, help="Number of levels to print (1..50).")
+    bouncer.add_argument("--si-neutron", action="store_true",
+                         help="Use CODATA neutron constants and print energies in peV.")
+    output_options(bouncer)
+
+    cow = command("cow", cmd_cow)
+    cow.add_argument("--lambda", "--wavelength", dest="wavelength", type=float, required=True,
+                     help="Beam wavelength.")
+    cow.add_argument("--height", type=float, required=True,
+                     help="Vertical separation z of the beams.")
+    cow.add_argument("--length", type=float, required=True,
+                     help="Horizontal length d of the loop.")
+    cow.add_argument("--a", dest="accel", type=float,
+                     help="Frame/field acceleration "
+                          "(defaults: 1 natural, standard gravity with --si-neutron).")
+    cow.add_argument("--si-neutron", action="store_true", help="Use CODATA neutron constants.")
+    cow.add_argument("--via-time-route", action="store_true",
+                     help="Also compute the shift as |m a t z / hbar| with t = d/v "
+                          "and check agreement.")
+    output_options(cow)
+
+    redshift = command("redshift", cmd_redshift)
+    redshift.add_argument("--z", dest="z_sep", metavar="Z", type=float, required=True,
+                          help="Vertical detector separation.")
+    redshift.add_argument("--si", action="store_true",
+                          help="Neutron SI constants; also prints a*z/c^2.")
+    redshift.add_argument("--mass", type=float, help="Mass (natural mode; default: 1).")
+    redshift.add_argument("--accel", type=float, help="Acceleration (natural mode; default: 1).")
+    redshift.add_argument("--hbar", dest="hbar_value", metavar="HBAR", type=float,
+                          help="hbar (natural mode; default: 1).")
+    redshift.add_argument("--omega-prime", type=_positive,
+                          help="Reference angular frequency for the ratio in natural mode.")
+    output_options(redshift)
+
+    evolve = command("evolve", cmd_evolve)
+    evolve.add_argument("--demo", choices=sorted(_DEMO_DEFAULTS), required=True,
+                        help="Which propagation demo to run.")
+    output_options(evolve, ("csv", "json"), "Series output format")
+    evolve.add_argument("--n-points", type=int, help="Override the grid size.")
+    evolve.add_argument("--dt", type=_positive, help="Override the time step.")
+    evolve.add_argument("--t-final", type=_positive, help="Override the total time.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> NoReturn:
+    """Run ``gravqm`` on argv (default: the command line) and exit with its code.
+
+    A ParameterError is a usage error (exit 2); a NumericError exits 1 with
+    ``numeric failure: ...`` on stderr.
+    """
+    options = vars(_parser().parse_args(argv))
+    run, usage = options.pop("run"), options.pop("usage")
+    if options["fmt"] == "json" and options["out"] is None:
+        usage.error("--out is required with --format json")
+    try:
+        run(**options)
+    except ParameterError as exc:
+        usage.error(str(exc))
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+    raise SystemExit(0)
 
 
 if __name__ == "__main__":

@@ -3,15 +3,18 @@
 Everything here is deliberately written from first principles, separate from
 the package implementation, so the tests check two independent routes to the
 same numbers.  ``run_fresh`` runs the checks that need an interpreter in
-which nothing has been imported yet.
+which nothing has been imported yet; ``run_cli`` runs ``gravqm`` in this one.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,3 +108,35 @@ def run_fresh(code: str, *args: str) -> str:
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
     return result.stdout
+
+
+@dataclass(frozen=True)
+class CliResult:
+    """Exit code and captured streams of one ``gravqm`` run."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run_cli(*args: str) -> CliResult:
+    """``gravqm ARGS`` in this process.
+
+    Only SystemExit is caught, so any other exception, the kind a user would
+    see as a traceback, fails the calling test.
+    """
+    from gravqm.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        else:
+            raise AssertionError("gravqm.cli.main returned instead of exiting")
+    return CliResult(code, stdout.getvalue(), stderr.getvalue())

@@ -146,6 +146,7 @@ def test_cells_solve_the_airy_equation_on_their_cell(table):
     # Ai polynomials about a point 0.125 or 0.375 above the centre, cut at
     # radius 0.25, still meet the accuracy bounds above; read as expansions
     # about the centre their defect is 0.37, so only this test pins the centre.
+    kernel.airy_ai(0.0)  # the first evaluation builds both tables
     half = kernel._CELL / 2
     h = np.linspace(-half, half, 17)
     worst = 0.0

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -7,19 +8,25 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from oracles import SPEED_OF_LIGHT, run_fresh
-
-from gravqm.cli import cli
+from oracles import run_cli as run
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "cli_output.schema.json").read_text()
 )
 
 
-def run(*args):
-    return CliRunner().invoke(cli, list(args))
+@pytest.fixture
+def nothing_computes(monkeypatch):
+    """Fail any test in which a command reaches its computation."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computation ran before the usage check")
+
+    computations = ("airy_values", "ai_negative_zero", "propagate_linear_potential",
+                    "frame_equivalence")
+    for name in computations:
+        monkeypatch.setattr(f"gravqm.cli.{name}", must_not_run)
 
 
 def parse_csv(text: str) -> dict[str, list[float]]:
@@ -63,6 +70,36 @@ def test_airy_unknown_flag_rejected():
 
 def test_missing_subcommand_is_usage_error():
     assert run().exit_code == 2
+
+
+def test_help_and_version_exit_zero():
+    assert run("--help").exit_code == 0
+    assert run("airy", "--help").exit_code == 0
+    result = run("--version")
+    assert (result.exit_code, result.stdout) == (0, "gravqm, version 0.1.0\n")
+
+
+def test_abbreviated_options_are_rejected():
+    assert run("bouncer", "--lev", "3").exit_code == 2
+    assert run("redshift", "--z", "1", "--om", "2").exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["redshift", "--z", "-1e-3"], 0),
+        (["airy", "--eval", "-2.5e1"], 0),
+        (["cow", "--lambda", "1", "--height", "1", "--length", "1", "--a", "-1e-05"], 0),
+        (["airy", "--eval", "-inf"], 2),
+    ],
+    ids=["redshift", "airy", "cow", "airy-minus-inf"],
+)
+def test_negative_numbers_in_every_notation_are_option_values(args, code):
+    # "-1e-3" or "-inf" after an option is its value, never an unknown option
+    result = run(*args)
+    assert result.exit_code == code
+    if code == 2:
+        assert "argument must be finite, got -inf" in result.stderr
 
 
 def test_numeric_failure_exits_one():
@@ -172,7 +209,6 @@ def test_non_finite_json_result_exits_one(tmp_path):
     out = tmp_path / "redshift.json"
     result = run("redshift", "--z", "1e308", "--mass", "1e10", "--format", "json", "--out", str(out))
     assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # no traceback
     assert "Traceback" not in result.output
     assert "numeric failure" in result.stderr
     assert not out.exists()
@@ -212,7 +248,6 @@ def test_redshift_si_refuses_natural_mode_options(options, named):
     # would be dropped without a word
     result = run("redshift", "--z", "1", "--si", *options)
     assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)  # no traceback
     assert f"{named} cannot be combined with --si" in result.output
     assert "delta_omega" not in result.output
 
@@ -245,29 +280,60 @@ FAST_EVOLVE = ["--n-points", "1024", "--dt", "2e-3", "--t-final", "0.2"]
 def test_non_positive_step_time_and_frequency_are_usage_errors(args):
     result = run(*args)
     assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)  # no traceback
     assert "Traceback" not in result.output
     assert "finite positive number" in result.output
 
 
-def test_evolve_requires_out_for_json(tmp_path, monkeypatch):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("propagation ran before the usage check")
-
-    monkeypatch.setattr("gravqm.cli.propagate_linear_potential", must_not_run)
-    monkeypatch.setattr("gravqm.cli.frame_equivalence", must_not_run)
+def test_evolve_requires_out_for_json(nothing_computes):
     for demo in ("free-dispersion", "frame-equivalence"):
         result = run("evolve", "--demo", demo, "--format", "json", *FAST_EVOLVE)
         assert result.exit_code == 2
-        assert "Usage: cli evolve" in result.output
+        assert "usage: gravqm evolve" in result.output
         assert "--out is required" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["airy", "--zeros", "3", "--format", "json"],
+        ["airy", "--eval", "0"],
+        ["evolve", "--demo", "free-dispersion", *FAST_EVOLVE],
+        ["evolve", "--demo", "frame-equivalence", "--format", "json", *FAST_EVOLVE],
+    ],
+    ids=["airy-json", "airy-table", "free-dispersion", "frame-equivalence"],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "under-a-file"])
+def test_unwritable_out_is_refused_before_computing(tmp_path, nothing_computes, args, target):
+    (tmp_path / "file").write_text("")
+    out = {
+        "missing-directory": tmp_path / "missing" / "out.json",
+        "directory": tmp_path,
+        "under-a-file": tmp_path / "file" / "out.json",
+    }[target]
+    result = run(*args, "--out", str(out))
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert f"cannot write {str(out)!r}" in result.stderr
+    assert result.stdout == ""
+
+
+def test_failed_write_is_a_usage_error(tmp_path, monkeypatch):
+    # a write can still fail after the check, say on a full disk
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("gravqm.cli.open", full_disk, raising=False)
+    out = tmp_path / "zeros.json"
+    result = run("airy", "--zeros", "3", "--format", "json", "--out", str(out))
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert f"cannot write {str(out)!r}: No space left on device" in result.stderr
 
 
 def test_evolve_step_count_is_bounded():
     # 8.7e299 steps would never return; the count is refused before any grid is built
     result = run("evolve", "--demo", "free-dispersion", "--dt", "1e-300")
     assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)  # no traceback
     assert "Traceback" not in result.output
     assert "8.66e+299 steps" in result.output
 
@@ -360,22 +426,31 @@ def test_cli_import_does_not_load_scipy_linalg():
 
 # Runs each command line (argv[1] holds them as JSON) in one process, then
 # prints, as its last line, the gravqm submodules that import gravqm alone
-# loaded, the exit codes, and the numpy submodules and scipy modules loaded.
+# loaded, the exit codes, the numpy submodules and scipy modules loaded, the
+# top-level modules loaded from outside the standard library, and whether
+# each Airy cell table is built.
 LOADED_MODULES = """
 import json, sys
 import gravqm
 package = sorted(m for m in sys.modules if m.startswith("gravqm."))
-from gravqm.cli import cli
+from gravqm.cli import main
 codes = []
 for args in json.loads(sys.argv[1]):
     try:
-        cli.main(args, prog_name="gravqm")
+        main(args)
     except SystemExit as exc:
         codes.append(exc.code)
 numpy = sorted(m for m in sys.modules if m.startswith("numpy."))
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"package": package, "codes": codes, "numpy": numpy, "scipy": scipy}))
+top = sorted({m.split(".")[0] for m in sys.modules} - set(sys.stdlib_module_names))
+tables = [isinstance(t, tuple) for t in (gravqm.airy._AI_CELLS, gravqm.airy._BI_CELLS)]
+print(json.dumps({"package": package, "codes": codes, "numpy": numpy, "scipy": scipy,
+                  "top": top, "tables": tables}))
 """
+
+
+def loaded_after(runs):
+    return json.loads(run_fresh(LOADED_MODULES, json.dumps(runs)).splitlines()[-1])
 
 
 def test_scalar_commands_never_run_numpy(tmp_path):
@@ -394,7 +469,7 @@ def test_scalar_commands_never_run_numpy(tmp_path):
         for i, args in enumerate(commands)
         for fmt in ("table", "csv", "json")
     ]
-    report = json.loads(run_fresh(LOADED_MODULES, json.dumps(runs)).splitlines()[-1])
+    report = loaded_after(runs)
     # the benchmark's tracer finds every submodule in sys.modules after import gravqm
     assert report["package"] == [
         f"gravqm.{name}" for name in ("airy", "bouncer", "core", "dynamics", "errors", "frames")
@@ -402,10 +477,15 @@ def test_scalar_commands_never_run_numpy(tmp_path):
     assert report["codes"] == [0] * len(runs)
     assert report["numpy"] == []
     assert report["scipy"] == []
+    # nothing beyond what a bare interpreter loads (its site may import extras),
+    # the standard library and gravqm; numpy is there only as the lazy module
+    # of gravqm.core, whose import never ran (no numpy submodule above)
+    bare = set(run_fresh("import sys; print(*{m.split('.')[0] for m in sys.modules})").split())
+    assert set(report["top"]) - bare <= {"gravqm", "numpy"}
 
     evolve = ["evolve", "--demo", "free-dispersion", "--n-points", "128", "--dt", "1e-2",
               "--t-final", "0.05", "--out", str(tmp_path / "width.csv")]
-    report = json.loads(run_fresh(LOADED_MODULES, json.dumps([evolve])).splitlines()[-1])
+    report = loaded_after([evolve])
     assert report["codes"] == [0]
     assert report["numpy"]
     # the propagator loads LAPACK's extension module alone: the scipy.linalg
@@ -413,3 +493,19 @@ def test_scalar_commands_never_run_numpy(tmp_path):
     assert "scipy.linalg._flapack" in report["scipy"]
     assert "scipy.linalg" not in report["scipy"]
     assert "scipy._lib._array_api" not in report["scipy"]
+
+
+def test_airy_tables_are_built_at_the_first_evaluation():
+    # cow, redshift and usage errors evaluate no Airy function, so they never
+    # pay for building the cell tables
+    idle = [
+        ["cow", "--lambda", "6.2831853", "--height", "1", "--length", "1", "--via-time-route"],
+        ["redshift", "--z", "1", "--si"],
+        ["airy", "--zeros", "0"],
+    ]
+    report = loaded_after(idle)
+    assert report["codes"] == [0, 0, 2]
+    assert report["tables"] == [False, False]
+    report = loaded_after([["airy", "--zeros", "3"]])
+    assert report["codes"] == [0]
+    assert report["tables"] == [True, True]

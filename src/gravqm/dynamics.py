@@ -5,10 +5,12 @@ compact fourth-order (Mehrstellen) stencil in space inside the Crank-Nicolson
 step, the generalised scheme of van Dijk and Toyama, Phys. Rev. E 75, 036707
 (2007).  With the Numerov mass matrix M = tridiag(1, 10, 1)/12 and
 K = T + M diag(V), where T is the three-point kinetic matrix, one step solves
-(M + i dt K/(2 hbar)) psi_new = (M - i dt K/(2 hbar)) psi.  Both sides stay
-tridiagonal, so each step is one complex tridiagonal solve, factored once
-since the Hamiltonian is time independent.  The factorization and the solve
-are LAPACK's zgttrf and zgttrs, loaded at the first propagation from scipy's
+A psi_new = (M - r K) psi with A = M + r K and r = i dt/(2 hbar).  As
+M - r K = 2M - A, the step is psi_new = (6A)^-1 (12 M psi) - psi (Goldberg,
+Schey and Schwartz, Am. J. Phys. 35, 177 (1967)): 12 M = tridiag(1, 10, 1)
+holds no V, so the potential enters only 6A, factored once since the
+Hamiltonian is time independent.  The factorization and the solve are
+LAPACK's zgttrf and zgttrs, loaded at the first propagation from scipy's
 extension module alone, without the scipy.linalg package (whose import would
 cost more than a small run).  The spatial error is fourth order
 and the time error second order (:func:`frame_equivalence` extrapolates its
@@ -18,12 +20,11 @@ most about 1e-12 over 1e4 steps on the test grids) rather than to rounding.
 The caller sizes the domain so the packet never reaches the edges (a contact
 is reported as an error naming the time).
 
-The step loop allocates no grid-sized array: the right-hand side is built
-with ``out=`` products into a preallocated buffer, the solve overwrites that
-buffer in place and the two state buffers swap, and moments are sampled by
-one kernel (``_Moments``) whose weights, wavenumbers and work arrays are
-built once per propagation.  The public :func:`moments` is the same kernel
-built for a single call.
+The step loop allocates no grid-sized array: it updates one state buffer and
+one right-hand side in place, and moments are sampled by one kernel
+(``_Moments``) whose weights, wavenumbers and work arrays are built once per
+propagation.  The public :func:`moments` is the same kernel built for a
+single call.
 
 On top of the propagator sit the consistency checks used throughout the
 package: a finite-difference residual of the governing equation for
@@ -129,11 +130,6 @@ def gaussian_packet(
     return ComplexField(grid, psi).normalized()
 
 
-def _wavenumbers(grid: Grid) -> np.ndarray:
-    """Angular wavenumbers 2*pi*fftfreq of the grid, in FFT order."""
-    return 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dz)
-
-
 def shift_field(field: ComplexField, offset: float) -> ComplexField:
     """Resample a field at z + offset by trigonometric interpolation.
 
@@ -160,7 +156,7 @@ def shift_field(field: ComplexField, offset: float) -> ComplexField:
             f"shift offset {offset:g} carries amplitude {amplitude:.3e} across the "
             "grid edge; enlarge the domain"
         )
-    k = _wavenumbers(grid)
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dz)
     shifted = np.fft.ifft(np.fft.fft(field.values) * np.exp(1j * k * offset))
     return ComplexField(grid, shifted)
 
@@ -169,11 +165,14 @@ def align_global_phase(field: ComplexField, reference: ComplexField) -> ComplexF
     """Rotate ``field`` by the constant phase that best matches ``reference``.
 
     The falling-frame map fixes the wave function only up to one constant
-    phase, so comparisons are made after this alignment.
+    phase, so comparisons are made after this alignment.  NumericError when
+    the fields' inner product is not finite (a NaN or infinite sample).
     """
     if field.grid != reference.grid:
         raise ParameterError("fields live on different grids")
     inner = np.sum(np.conj(field.values) * reference.values) * field.grid.dz
+    if not np.isfinite(inner):
+        raise NumericError(f"inner product of the fields is not finite ({inner})")
     if inner == 0:
         return field
     return ComplexField(field.grid, field.values * np.exp(1j * np.angle(inner)))
@@ -365,7 +364,8 @@ def propagate_linear_potential(
 
     ``slope`` is the potential slope F (m_g*g for the field, 0 for free).
     The grid, with its time step and step count, is the grid of ``psi0``.
-    Moments are sampled at t = 0 and every ``sample_every`` steps.
+    Moments are sampled at t = 0 and every ``sample_every`` steps.  Each
+    step is psi = (6A)^-1 (12 M psi) - psi, with V in 6A alone.
     """
     # Loaded here, not at import, so that importing gravqm and every CLI
     # command other than evolve load no scipy.
@@ -383,45 +383,43 @@ def propagate_linear_potential(
     dt = grid.dt
     kin = checked_square("hbar", system.hbar) / (2.0 * system.m_i * checked_square("dz", grid.dz))
     potential = slope * grid.z
-    r = 1j * dt / (2.0 * system.hbar)
-    # K = T + M diag(V): diagonal, K[j+1, j] and K[j, j+1]
-    k_diag = 2.0 * kin + potential * (10.0 / 12.0)
-    k_lower = -kin + potential[:-1] / 12.0
-    k_upper = -kin + potential[1:] / 12.0
+    # 6A = 6M + 6r K with r = i dt/(2 hbar): the diagonals below, on and
+    # above, from K[j+1, j], K[j, j] and K[j, j+1] of K = T + M diag(V)
+    r6 = 3j * dt / system.hbar
     dl, d, du, du2, ipiv, info = zgttrf(
-        1.0 / 12.0 + r * k_lower, 10.0 / 12.0 + r * k_diag, 1.0 / 12.0 + r * k_upper
+        0.5 + r6 * (potential[:-1] / 12.0 - kin),
+        5.0 + r6 * (potential * (10.0 / 12.0) + 2.0 * kin),
+        0.5 + r6 * (potential[1:] / 12.0 - kin),
     )
     if info != 0:
         raise NumericError(f"Crank-Nicolson matrix factorization failed (zgttrf info={info})")
-    b_diag = 10.0 / 12.0 - r * k_diag
-    b_lower = 1.0 / 12.0 - r * k_lower
-    b_upper = 1.0 / 12.0 - r * k_upper
 
-    # Two state buffers swapped around the in-place solve, and one product
-    # buffer for the off-diagonals: the loop allocates no grid-sized array.
     psi = psi0.values.copy()
     rhs = np.empty_like(psi)
-    product = np.empty(grid.n_points - 1, dtype=complex)
-    edge_amplitudes = np.empty(6)
+    rhs_head, rhs_tail, psi_head, psi_tail = rhs[:-1], rhs[1:], psi[:-1], psi[1:]
+    low, high = psi[:3], psi[-3:]
+    limit = _CONTACT_AMPLITUDE
     norm0 = norm_squared(psi0)
     for step in range(1, grid.n_steps + 1):
-        np.multiply(b_diag, psi, out=rhs)
-        np.multiply(b_upper, psi[1:], out=product)
-        rhs[:-1] += product
-        np.multiply(b_lower, psi[:-1], out=product)
-        rhs[1:] += product
+        # 12 M psi with the Dirichlet zeros: tridiag(1, 10, 1) psi
+        np.multiply(psi, 10.0, out=rhs)
+        rhs_head += psi_tail
+        rhs_tail += psi_head
         # zgttrs solves in place for a contiguous complex128 right-hand side
         solution, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
         if info != 0:
             raise NumericError(
                 f"tridiagonal solve failed at t={step * dt:.6g} (zgttrs info={info})"
             )
-        psi, rhs = solution, psi
-        np.abs(psi[:3], out=edge_amplitudes[:3])
-        np.abs(psi[-3:], out=edge_amplitudes[3:])
-        # a numpy reduction, so that a NaN edge fails the check
-        edge = float(edge_amplitudes.max())
-        if not edge <= _CONTACT_AMPLITUDE:
+        np.subtract(solution, psi, out=psi)
+        # Python scalars, compared so that a NaN sample fails the check
+        a, b, c = low.tolist()
+        x, y, z = high.tolist()
+        if not (
+            abs(a) <= limit and abs(b) <= limit and abs(c) <= limit
+            and abs(x) <= limit and abs(y) <= limit and abs(z) <= limit
+        ):
+            edge = float(np.max(np.abs(np.r_[low, high])))
             if not math.isfinite(edge):
                 raise NumericError(f"propagation produced non-finite samples at t={step * dt:.6g}")
             raise BoundaryContactError(time=step * dt, amplitude=edge)

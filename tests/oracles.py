@@ -71,6 +71,27 @@ def free_gaussian_analytic(z, t, sigma0, z0=0.0, k0=0.0, m=1.0, hbar=1.0):
     )
 
 
+def numerov_cn_oracle(psi, z, dt, steps, hbar, m, slope):
+    """``steps`` Numerov-Crank-Nicolson steps under V = slope*z, by dense solves.
+
+    The scheme as written: M = tridiag(1, 10, 1)/12, K = T + M diag(V) with
+    T = -hbar^2/(2m) times the three-point second difference (Dirichlet
+    zeros outside the grid), and each step solves
+    (M + r K) psi_new = (M - r K) psi with r = i dt/(2 hbar).
+    """
+    n = z.size
+    dz = z[1] - z[0]
+    ones = np.ones(n - 1)
+    mass = (np.diag(np.full(n, 10.0)) + np.diag(ones, 1) + np.diag(ones, -1)) / 12.0
+    second = (np.diag(np.full(n, -2.0)) + np.diag(ones, 1) + np.diag(ones, -1)) / dz**2
+    k = -(hbar**2) / (2.0 * m) * second + mass @ np.diag(slope * z)
+    r = 1j * dt / (2.0 * hbar)
+    psi = np.asarray(psi, dtype=complex)
+    for _ in range(steps):
+        psi = np.linalg.solve(mass + r * k, (mass - r * k) @ psi)
+    return psi
+
+
 def trapezoid_moments(psi, z, dz, hbar, method):
     """(<z>, <p>, dz, dp) by np.trapezoid quadrature, one fresh array per term.
 

@@ -35,7 +35,7 @@ from gravqm import (
     to_stationary_frame,
 )
 from gravqm.dynamics import _lapack_tridiagonal
-from oracles import free_gaussian_analytic, run_fresh, trapezoid_moments
+from oracles import free_gaussian_analytic, numerov_cn_oracle, run_fresh, trapezoid_moments
 
 
 def natural(v=0.0, a=0.0, g=None):
@@ -118,13 +118,40 @@ def test_velocity_is_momentum_over_mass():
     assert np.max(np.abs(velocity - target)) / scale <= 1e-5
 
 
+@pytest.mark.parametrize("steps", [1, 20])
+def test_step_matches_dense_numerov_crank_nicolson(steps):
+    # the scheme solved densely with numpy, on a coarse grid with a moving
+    # packet, a potential slope and hbar, m away from 1
+    system = PhysicalSystem(m_i=1.3, m_g=1.3, g=0.9, hbar=0.8)
+    grid = Grid(-8.0, 8.0, 96, dt=1e-2, n_steps=steps)
+    psi0 = gaussian_packet(grid, -1.0, 0.5, k0=2.0)
+    report = propagate_linear_potential(psi0, system, system.weight, sample_every=steps)
+    expected = numerov_cn_oracle(
+        psi0.values, grid.z, grid.dt, steps, system.hbar, system.m_i, system.weight
+    )
+    error = np.max(np.abs(report.final_field.values - expected))
+    assert error <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_boundary_contact_is_diagnosed():
-    grid = Grid(-6.0, 6.0, 1024, dt=1e-3, n_steps=3000)
+    # the contact is raised at the first step whose edge samples exceed the
+    # limit: one step fewer runs to the end
     system = natural()
-    psi0 = gaussian_packet(grid, 0.0, 0.5, k0=4.0)  # fast packet, small box
+
+    def run(n_steps):
+        grid = Grid(-6.0, 6.0, 1024, dt=1e-3, n_steps=n_steps)
+        psi0 = gaussian_packet(grid, 0.0, 0.5, k0=4.0)  # fast packet, small box
+        return propagate_linear_potential(psi0, system, 0.0, sample_every=n_steps)
+
     with pytest.raises(BoundaryContactError) as err:
-        propagate_linear_potential(psi0, system, 0.0, sample_every=3000)
-    assert 0.0 < err.value.time <= 3.0
+        run(3000)
+    contact = err.value.time
+    assert 0.0 < contact <= 3.0
+    steps = round(contact / 1e-3)
+    run(steps - 1)
+    with pytest.raises(BoundaryContactError) as err:
+        run(steps)
+    assert err.value.time == contact
 
 
 def test_non_finite_field_fails_at_the_step_it_appears():
@@ -135,6 +162,19 @@ def test_non_finite_field_fails_at_the_step_it_appears():
     with pytest.raises(NumericError, match=r"non-finite samples at t=0\.001\b") as err:
         propagate_linear_potential(psi0, natural(), math.nan, sample_every=50)
     assert not isinstance(err.value, BoundaryContactError)
+
+
+def test_phase_alignment_of_a_non_finite_field_is_a_numeric_error():
+    grid = Grid(-10.0, 10.0, 128)
+    good = gaussian_packet(grid, 0.0, 1.0)
+    values = good.values.copy()
+    values[64] = math.nan
+    bad = ComplexField(grid, values)
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(NumericError, match="not finite"):
+            align_global_phase(a, b)
+        with pytest.raises(NumericError, match="not finite"):
+            max_pointwise_mismatch(a, b)
 
 
 def test_propagate_input_validation():
@@ -167,7 +207,8 @@ def test_last_moment_sample_is_the_final_field():
 
 
 def test_lapack_solve_writes_in_place():
-    # the propagation loop swaps two state buffers around this solve
+    # the propagation loop solves into its right-hand side buffer and
+    # subtracts the state from the solution in place
     zgttrf, zgttrs = _lapack_tridiagonal()
     rng = np.random.default_rng(5)
     n = 64

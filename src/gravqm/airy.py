@@ -34,11 +34,12 @@ value of the full expansion.
 
 Against scipy.special.airy on [-30, 30], densely on the band and on both
 asymptotic branches, including every cell boundary and the points 1e-9
-either side of them (tests/test_airy.py), the absolute error of Ai and Ai'
-stays below 1e-13 (measured 7.8e-15 and 4.1e-14), the error of Bi and Bi'
-below 2e-13 * max(1, |value|) (measured 3.5e-14 and 7.3e-14; Bi(12) is
-about 1e11, so an absolute bound on it means nothing), and the Wronskian
-Ai*Bi' - Ai'*Bi within 1e-12 of 1/pi (measured 1.6e-15).
+either side of them (tests/test_airy.py), the absolute error of Ai stays
+below 1.6e-14 and that of Ai' below 8e-14 (measured 7.8e-15 and 4.1e-14),
+the error of Bi below 7e-14 * max(1, |value|) and that of Bi' below
+1.5e-13 * max(1, |value|) (measured 3.5e-14 and 7.3e-14; Bi(12) is about
+1e11, so an absolute bound on it means nothing), and the Wronskian
+Ai*Bi' - Ai'*Bi within 3.2e-15 of 1/pi (measured 1.6e-15).
 """
 
 from __future__ import annotations

@@ -312,12 +312,12 @@ def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
     if t_final is not None:
         cfg["t_final"] = t_final
     steps = cfg["t_final"] / cfg["dt"]
-    # checked before round(), which raises on inf
-    if steps > MAX_STEPS:
+    # checked before round(), which raises on inf and rounds 0.5 down to 0
+    if not 0.5 < steps <= MAX_STEPS:
         raise ParameterError(
-            f"t_final/dt asks for {steps:.3g} steps; evolve takes at most {MAX_STEPS}"
+            f"t_final/dt asks for {steps:.3g} steps; evolve takes 1 to {MAX_STEPS}"
         )
-    n_steps = max(1, round(steps))
+    n_steps = round(steps)
     grid = Grid(cfg["z_min"], cfg["z_max"], cfg["n_points"], dt=cfg["dt"], n_steps=n_steps)
     system = PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0, a=1.0)
     psi0 = gaussian_packet(grid, center=cfg["center"], sigma=cfg["sigma0"])

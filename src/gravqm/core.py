@@ -69,6 +69,10 @@ np = lazy_module("numpy")
 FREE_FALL_RTOL = 1e-12
 # Longest propagation a Grid describes; the demos and the reference run take 10^4 steps.
 MAX_STEPS = 10**7
+# Most points a Grid describes: 85 times the largest grid in use (12288), 16 MiB
+# per complex field.  Checked before any array is built, so a larger count is a
+# ParameterError rather than an error from numpy's allocation or index types.
+MAX_POINTS = 2**20
 
 
 def require_finite(name: str, value: float) -> float:
@@ -186,7 +190,7 @@ class Grid:
         z_min = require_finite("z_min", self.z_min)
         z_max = require_finite("z_max", self.z_max)
         dt = require_finite("dt", self.dt)
-        n_points = require_count("n_points", self.n_points, 3)
+        n_points = require_count("n_points", self.n_points, 3, MAX_POINTS)
         n_steps = require_count("n_steps", self.n_steps, 0, MAX_STEPS)
         if z_max <= z_min:
             raise ParameterError("z_max must exceed z_min")

@@ -139,8 +139,8 @@ def test_criterion_5_heisenberg_suite():
     report(
         5,
         all(oc.passed for oc in checks.values()),
-        f"momentum slope rel err <= 1e-6, parabola rel err <= 1e-5, "
-        f"dp drift <= 1e-8, spread growth and uncertainty product within 1e-9: {lines}",
+        f"<p>, <z> and dz^2 against the Heisenberg-picture solution, relative "
+        f"error <= 1e-6, dp relative drift <= 1e-8: {lines}",
     )
 
 

@@ -338,6 +338,37 @@ def test_evolve_step_count_is_bounded():
     assert "8.66e+299 steps" in result.output
 
 
+def test_evolve_step_count_rounding_to_zero_is_refused(nothing_computes):
+    # t_final/dt = 8.7e-301: the run would end at t = dt = 1e300, not at t_final
+    result = run("evolve", "--demo", "free-dispersion", "--n-points", "256", "--dt", "1e300")
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "8.66e-301 steps" in result.output
+
+
+@pytest.mark.parametrize("count", ["1048577", "20000000000", "9223372036854775808"])
+def test_evolve_point_count_is_bounded(nothing_computes, count):
+    result = run("evolve", "--demo", "free-dispersion", "--n-points", count)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert f"n_points must be at most 1048576, got {count}" in result.output
+
+
+def test_evolve_bouncer_moments_single_step(tmp_path):
+    out = tmp_path / "moments.csv"
+    result = run(
+        "evolve", "--demo", "bouncer-moments", "--out", str(out),
+        "--n-points", "1024", "--dt", "1e-2", "--t-final", "0.01",
+    )
+    assert result.exit_code == 0
+    assert len(parse_csv(out.read_text())["t"]) == 2
+    checks = [line for line in result.stdout.splitlines() if "residual=" in line]
+    assert [line.split(":")[0] for line in checks] == [
+        "mean_momentum", "mean_position", "momentum_spread", "position_spread"
+    ]
+    assert all(line.endswith(" pass") for line in checks)
+
+
 def test_evolve_free_dispersion_csv_round_trip(tmp_path):
     out = tmp_path / "series.csv"
     result = run("evolve", "--demo", "free-dispersion", "--out", str(out), *FAST_EVOLVE)

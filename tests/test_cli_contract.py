@@ -3,13 +3,13 @@
 Arguments of ``airy``, ``bouncer``, ``cow`` and ``redshift`` are drawn from
 wide strategies, non-finite and extreme numbers and malformed tokens
 included.  ``evolve`` runs each demo on small grids (at most 64 points and
-21 steps, odd and single-step counts included) or with a malformed grid
-token, so its propagations stay cheap.  Every invocation must end with one
-of the three exit codes and no uncaught exception, and every JSON file
-written must parse strictly and validate against the documented schema.
-The exit code of a scalar command's result does not depend on its output
-format.  An ``--out`` in a directory that does not exist is a usage error,
-whatever the other arguments.
+21 steps, odd and single-step counts included) or with a malformed or
+out-of-range grid token, so its propagations stay cheap.  Every invocation
+must end with one of the three exit codes and no uncaught exception, and
+every JSON file written must parse strictly and validate against the
+documented schema.  The exit code of a scalar command's result does not
+depend on its output format.  An ``--out`` in a directory that does not
+exist is a usage error, whatever the other arguments.
 """
 
 import json
@@ -79,7 +79,10 @@ _EVOLVE_GRID = st.tuples(
     st.integers(1, 21),
 ).map(lambda g: ["--n-points", str(g[0]), "--dt", repr(g[1]), "--t-final", repr(g[1] * g[2])])
 _BAD_GRID_TOKEN = st.one_of(
-    st.tuples(st.just("--n-points"), st.sampled_from(["", "x", "2.5", "nan", "1e3"])),
+    st.tuples(
+        st.just("--n-points"),
+        st.sampled_from(["", "x", "2.5", "nan", "1e3", "20000000000", "9223372036854775808"]),
+    ),
     st.tuples(
         st.sampled_from(["--dt", "--t-final"]),
         st.sampled_from(["", "x", "0", "-0", "-1", "nan", "inf", "-inf", "1e309", "5e-324"]),

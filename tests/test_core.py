@@ -189,6 +189,19 @@ def test_grid_counts_must_be_integers(counts):
         Grid(-1.0, 1.0, dt=1e-3, **counts)
 
 
+@pytest.mark.parametrize(
+    "n_points", [2**20 + 1, 2**40, 2**63, 10**400], ids=["bound+1", "2^40", "2^63", "10^400"]
+)
+def test_grid_point_count_is_bounded(n_points):
+    # refused before np.linspace, which would raise MemoryError, IndexError or OverflowError
+    with pytest.raises(ParameterError, match="n_points must be at most 1048576"):
+        Grid(-1.0, 1.0, n_points)
+
+
+def test_grid_accepts_the_point_bound():
+    assert Grid(-1.0, 1.0, 2**20).z.size == 2**20
+
+
 def test_grid_accepts_numpy_integer_counts():
     grid = Grid(0.0, 1.0, np.int64(11), dt=0.1, n_steps=np.int32(3))
     assert grid.dz == pytest.approx(0.1) and grid.total_time == pytest.approx(0.3)

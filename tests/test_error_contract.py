@@ -9,8 +9,9 @@ the edges of double range: nan, infinities,
 floats passed as counts.  Every call must return finite numbers or raise
 ParameterError or NumericError.  Any other exception fails the test, and so
 does a RuntimeWarning, which pyproject.toml turns into an error.  Grids have
-at most 4096 points and nothing is propagated, so no example allocates a
-large array.
+at most 4096 points, or the 2**20 points of the bound itself (8 MiB of
+coordinates), and nothing is propagated, so no example allocates a large
+array.
 """
 
 import cmath
@@ -76,7 +77,9 @@ def _finite(*values) -> bool:
 
 @_SETTINGS
 @given(
-    _or(-1.0), _or(1.0), _or(11, st.one_of(_COUNT, st.integers(3, 4096))), _or(1e-3),
+    _or(-1.0), _or(1.0),
+    _or(11, st.one_of(_COUNT, st.integers(3, 4096), st.sampled_from([2**20, 2**20 + 1, 10**400]))),
+    _or(1e-3),
     _or(10, st.one_of(_COUNT, st.sampled_from([10**7, 10**7 + 1, 10**400]))),
 )
 @example(0.0, 1.0, 11, 1e308, 10)  # dt*n_steps overflows

@@ -28,6 +28,7 @@ from .bouncer import level as bouncer_level
 from .core import MAX_STEPS, Grid, PhysicalSystem, np, require_positive
 from .dynamics import (
     REFERENCE_FRAME_RUN,
+    CheckOutcome,
     frame_equivalence,
     free_dispersion_width,
     gaussian_packet,
@@ -289,28 +290,59 @@ def cmd_redshift(z_sep, si, mass, accel, hbar_value, omega_prime, fmt, out) -> N
     _emit(columns, meta, fmt, out, table, [])
 
 
-_DEMO_DEFAULTS = {
-    "frame-equivalence": dict(REFERENCE_FRAME_RUN),
-    "bouncer-moments": dict(z_min=-14.0, z_max=13.0, n_points=12288, dt=2.5e-4,
-                            t_final=1.0, sigma0=0.5, center=0.0),
-    "free-dispersion": dict(z_min=-12.0, z_max=12.0, n_points=4096, dt=5e-4,
-                            t_final=0.8660254037844386, sigma0=0.5, center=0.0),
+def _frame_equivalence_demo(psi0, system, cfg):
+    result = frame_equivalence(psi0, system)
+    columns = {
+        "z": list(psi0.grid.z),
+        "abs_transformed": list(np.abs(result.transformed.values)),
+        "abs_direct": list(np.abs(result.direct.values)),
+        "abs_difference": list(np.abs(result.transformed.values - result.direct.values)),
+    }
+    return columns, {"max_mismatch": result.max_mismatch, "time_correction": result.time_correction}
+
+
+def _bouncer_moments_demo(psi0, system, cfg):
+    report = propagate_linear_potential(psi0, system, system.weight, momentum_method="spectral")
+    t, mz, mp_, sz, sp_ = report.moment_series.T
+    columns = {
+        "t": list(t), "mean_z": list(mz), "mean_p": list(mp_),
+        "sigma_z": list(sz), "sigma_p": list(sp_),
+    }
+    return columns, {"norm_drift": report.norm_drift, **heisenberg_checks(report, system)}
+
+
+def _free_dispersion_demo(psi0, system, cfg):
+    report = propagate_linear_potential(psi0, system, 0.0)
+    t, _, _, sz, _ = report.moment_series.T
+    analytic = free_dispersion_width(cfg["sigma0"], t, system)
+    columns = {"t": list(t), "width": list(sz), "width_analytic": list(analytic)}
+    rel = np.max(np.abs(sz[1:] - analytic[1:]) / analytic[1:]) if t.size > 1 else 0.0
+    return columns, {"max_rel_width_deviation": rel}
+
+
+# Each evolve demo in natural units: grid and packet defaults, system, and a
+# run (psi0, system, cfg) returning the series columns and the results by
+# name, each a number or a CheckOutcome.
+_FALLING = PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0, a=1.0)
+_DEMOS = {
+    "frame-equivalence": (REFERENCE_FRAME_RUN, _FALLING, _frame_equivalence_demo),
+    "bouncer-moments": (
+        dict(z_min=-14.0, z_max=13.0, n_points=12288, dt=2.5e-4, t_final=1.0, sigma0=0.5, center=0.0),
+        _FALLING, _bouncer_moments_demo,
+    ),
+    "free-dispersion": (
+        dict(z_min=-12.0, z_max=12.0, n_points=4096, dt=5e-4, t_final=0.8660254037844386,
+             sigma0=0.5, center=0.0),
+        PhysicalSystem(m_i=1.0, m_g=1.0), _free_dispersion_demo,
+    ),
 }
 
 
-def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
-    """Time-dependent demos in natural units (m = g = hbar = 1).
-
-    Emits a data series plus a summary line; the summary statistics are
-    recomputable from the emitted series.
-    """
-    cfg = dict(_DEMO_DEFAULTS[demo])
-    if n_points is not None:
-        cfg["n_points"] = n_points
-    if dt is not None:
-        cfg["dt"] = dt
-    if t_final is not None:
-        cfg["t_final"] = t_final
+def _run_demo(name, n_points=None, dt=None, t_final=None):
+    """Run one entry of ``_DEMOS``: (columns, results, parameters with n_steps)."""
+    defaults, system, run = _DEMOS[name]
+    overrides = {"n_points": n_points, "dt": dt, "t_final": t_final}
+    cfg = {**defaults, **{key: value for key, value in overrides.items() if value is not None}}
     steps = cfg["t_final"] / cfg["dt"]
     # checked before round(), which raises on inf and rounds 0.5 down to 0
     if not 0.5 < steps <= MAX_STEPS:
@@ -319,51 +351,24 @@ def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
         )
     n_steps = round(steps)
     grid = Grid(cfg["z_min"], cfg["z_max"], cfg["n_points"], dt=cfg["dt"], n_steps=n_steps)
-    system = PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0, a=1.0)
     psi0 = gaussian_packet(grid, center=cfg["center"], sigma=cfg["sigma0"])
-    if demo == "frame-equivalence":
-        result = frame_equivalence(psi0, system)
-        diff = np.abs(result.transformed.values - result.direct.values)
-        columns = {
-            "z": list(grid.z),
-            "abs_transformed": list(np.abs(result.transformed.values)),
-            "abs_direct": list(np.abs(result.direct.values)),
-            "abs_difference": list(diff),
-        }
-        summary = [
-            f"max_mismatch={_fmt(result.max_mismatch)}",
-            f"time_correction={_fmt(result.time_correction)}",
-        ]
-    elif demo == "bouncer-moments":
-        report = propagate_linear_potential(
-            psi0, system, system.weight, momentum_method="spectral"
-        )
-        t, mz, mp_, sz, sp_ = report.moment_series.T
-        columns = {
-            "t": list(t), "mean_z": list(mz), "mean_p": list(mp_),
-            "sigma_z": list(sz), "sigma_p": list(sp_),
-        }
-        checks = heisenberg_checks(report, system)
-        summary = [f"norm_drift={_fmt(report.norm_drift)}"]
-        summary += [
-            f"{name}: residual={_fmt(oc.residual)} tol={_fmt(oc.tolerance)} "
-            f"{'pass' if oc.passed else 'FAIL'}"
-            for name, oc in checks.items()
-        ]
-    else:  # free-dispersion
-        system = PhysicalSystem(m_i=1.0, m_g=1.0)
-        report = propagate_linear_potential(psi0, system, 0.0)
-        t, _, _, sz, _ = report.moment_series.T
-        analytic = free_dispersion_width(cfg["sigma0"], t, system)
-        columns = {
-            "t": list(t),
-            "width": list(sz),
-            "width_analytic": list(analytic),
-        }
-        rel = np.max(np.abs(sz[1:] - analytic[1:]) / analytic[1:]) if t.size > 1 else 0.0
-        summary = [f"max_rel_width_deviation={_fmt(rel)}"]
-    meta = _meta("evolve", "natural", demo=demo, **cfg, n_steps=n_steps)
-    _emit(columns, meta, fmt, out, [], summary)
+    columns, results = run(psi0, system, cfg)
+    return columns, results, {**cfg, "n_steps": n_steps}
+
+
+def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
+    """Time-dependent demos in natural units (m = g = hbar = 1).
+
+    Emits a data series plus a summary line; the summary statistics are
+    recomputable from the emitted series.
+    """
+    columns, results, parameters = _run_demo(demo, n_points, dt, t_final)
+    summary = [
+        f"{name}: residual={_fmt(r.residual)} tol={_fmt(r.tolerance)} {'pass' if r.passed else 'FAIL'}"
+        if isinstance(r, CheckOutcome) else f"{name}={_fmt(r)}"
+        for name, r in results.items()
+    ]
+    _emit(columns, _meta("evolve", "natural", demo=demo, **parameters), fmt, out, [], summary)
 
 
 # argparse's own pattern reads only integers and decimals such as -2.5 as
@@ -427,7 +432,7 @@ def _parser() -> argparse.ArgumentParser:
                           "(defaults: 1 natural, standard gravity with --si-neutron).")
     cow.add_argument("--si-neutron", action="store_true", help="Use CODATA neutron constants.")
     cow.add_argument("--via-time-route", action="store_true",
-                     help="Also compute the shift as |m a t z / hbar| with t = d/v "
+                     help="Also compute the shift as m a t z / hbar with t = d/v "
                           "and check agreement.")
     output_options(cow)
 
@@ -445,7 +450,7 @@ def _parser() -> argparse.ArgumentParser:
     output_options(redshift)
 
     evolve = command("evolve", cmd_evolve)
-    evolve.add_argument("--demo", choices=sorted(_DEMO_DEFAULTS), required=True,
+    evolve.add_argument("--demo", choices=sorted(_DEMOS), required=True,
                         help="Which propagation demo to run.")
     output_options(evolve, ("csv", "json"), "Series output format")
     evolve.add_argument("--n-points", type=int, help="Override the grid size.")

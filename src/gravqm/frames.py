@@ -220,9 +220,11 @@ def cow_phase_shift(geom: InterferometerGeometry, system: PhysicalSystem) -> flo
 
 
 def cow_phase_shift_time_route(geom: InterferometerGeometry, system: PhysicalSystem) -> float:
-    """Same phase shift computed as |m_i*a*t*z/hbar| with t = d/v_h.
+    """Same phase shift computed as m_i*a*t*z/hbar with t = d/v_h.
 
     The traversal time uses the horizontal velocity v_h = 2*pi*hbar/(m_i*lambda).
+    Signed like :func:`cow_phase_shift`: t and z are positive, so the phase
+    takes the sign of a.
     Kept as a separate route so the algebraic identity with
     :func:`cow_phase_shift` can be checked rather than assumed.  Raises
     NumericError where m_i*lambda under- or overflows, so that v_h has no
@@ -231,7 +233,7 @@ def cow_phase_shift_time_route(geom: InterferometerGeometry, system: PhysicalSys
     m_lambda = positive_result("m_i*lambda", system.m_i * geom.wavelength)
     v_h = positive_result("horizontal velocity v_h", 2.0 * math.pi * system.hbar / m_lambda)
     t = geom.horizontal_length / v_h
-    return finite_result("COW phase", abs(system.m_i * system.a * t * geom.height / system.hbar))
+    return finite_result("COW phase", system.m_i * system.a * t * geom.height / system.hbar)
 
 
 def falling_box_window(n: int, box_length: float, ft: FrameTransform, t: float) -> tuple[float, float]:

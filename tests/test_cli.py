@@ -167,13 +167,14 @@ def test_cow_unit_cancellation():
 
 def test_cow_time_route_agreement(tmp_path):
     out = tmp_path / "cow.csv"
-    result = run(
-        "cow", "--lambda", "0.7", "--height", "1.3", "--length", "0.9",
-        "--a", "2.1", "--via-time-route", "--format", "csv", "--out", str(out),
-    )
-    assert result.exit_code == 0
-    columns = parse_csv(out.read_text())
-    assert columns["route_rel_difference"][0] <= 1e-12
+    for accel in ("2.1", "-2.1"):  # the routes agree in sign as well
+        result = run(
+            "cow", "--lambda", "0.7", "--height", "1.3", "--length", "0.9",
+            "--a", accel, "--via-time-route", "--format", "csv", "--out", str(out),
+        )
+        assert result.exit_code == 0
+        columns = parse_csv(out.read_text())
+        assert columns["route_rel_difference"][0] <= 1e-12
 
 
 def test_cow_neutron_si():

@@ -34,6 +34,7 @@ from gravqm import (
     shift_field,
     to_stationary_frame,
 )
+from gravqm import dynamics
 from gravqm.dynamics import _lapack_tridiagonal
 from oracles import free_gaussian_analytic, numerov_cn_oracle, run_fresh, trapezoid_moments
 
@@ -156,13 +157,21 @@ def test_boundary_contact_is_diagnosed():
     assert err.value.time == contact
 
 
-def test_non_finite_field_fails_at_the_step_it_appears():
-    # a NaN slope turns the field into NaN on the first step; the per-step
-    # edge check must stop the run there, not at the next moment sample
+def test_non_finite_field_fails_at_the_step_it_appears(monkeypatch):
+    # a solve that returns NaN turns the field into NaN on the first step; the
+    # per-step edge check must stop the run there, not at the next moment sample
+    zgttrf, zgttrs = _lapack_tridiagonal()
+
+    def nan_solve(*args, **kwargs):
+        solution, info = zgttrs(*args, **kwargs)
+        solution[:] = math.nan
+        return solution, info
+
+    monkeypatch.setattr(dynamics, "_lapack_tridiagonal", lambda: (zgttrf, nan_solve))
     grid = Grid(-10.0, 10.0, 512, dt=1e-3, n_steps=50)
     psi0 = gaussian_packet(grid, 0.0, 0.5)
     with pytest.raises(NumericError, match=r"non-finite samples at t=0\.001\b") as err:
-        propagate_linear_potential(psi0, natural(), math.nan, sample_every=50)
+        propagate_linear_potential(psi0, natural(), 0.0, sample_every=50)
     assert not isinstance(err.value, BoundaryContactError)
 
 
@@ -191,6 +200,11 @@ def test_propagate_input_validation():
     near_edge = gaussian_packet(grid, 9.5, 0.5)
     with pytest.raises(ParameterError):
         propagate_linear_potential(near_edge, system, 0.0)
+    for slope in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="slope"):
+            propagate_linear_potential(psi0, system, slope)
+    with pytest.raises(NumericError, match=r"slope\*z"):  # 1e308 * 10 overflows
+        propagate_linear_potential(psi0, system, 1e308)
 
 
 def test_last_moment_sample_is_the_final_field():

@@ -10,8 +10,8 @@ floats passed as counts.  Every call must return finite numbers or raise
 ParameterError or NumericError.  Any other exception fails the test, and so
 does a RuntimeWarning, which pyproject.toml turns into an error.  Grids have
 at most 4096 points, or the 2**20 points of the bound itself (8 MiB of
-coordinates), and nothing is propagated, so no example allocates a large
-array.
+coordinates), and the one propagation takes two steps on 128 points, so no
+example allocates a large array.
 """
 
 import cmath
@@ -34,12 +34,15 @@ from gravqm import (
     cow_phase_shift_time_route,
     falling_box_state,
     falling_box_window,
+    free_dispersion_width,
     frequency_shift,
     gaussian_packet,
     level,
     momentum_eigenvalue,
+    pde_residual,
     phase_s,
     plane_wave_stationary,
+    propagate_linear_potential,
 )
 
 _EDGES = [
@@ -169,6 +172,48 @@ def test_geometry_and_cow_routes(wavelength, height, length, m_i, a, hbar):
     for route in (cow_phase_shift, cow_phase_shift_time_route):
         phase = _outcome(lambda: route(geom, system))
         assert phase is None or _finite(phase)
+
+
+_UNIT = PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0)
+# a free plane wave exp(i(z - t/2)) on a 5x5 stencil, where 1e308*z overflows,
+# and a packet for two steps
+_STENCIL_Z = 2.0 + 1e-2 * np.arange(5)
+_STENCIL_T = 1e-2 * np.arange(5)
+_STENCIL = np.exp(1j * (_STENCIL_Z[None, :] - 0.5 * _STENCIL_T[:, None]))
+_SHORT_RUN = gaussian_packet(Grid(-12.0, 12.0, 128, dt=1e-2, n_steps=2), 0.0, 1.0)
+
+
+@_SETTINGS
+@given(_or(0.5), _or(1.0))
+@example(-0.5, 1.0)  # a negative width
+@example(0.0, 1.0)
+@example(0.5, math.nan)
+def test_free_dispersion_width(sigma0, t):
+    width = _outcome(lambda: free_dispersion_width(sigma0, t, _UNIT))
+    assert width is None or (np.isfinite(width) and width > 0.0)
+
+
+@_SETTINGS
+@given(_or(1.0))
+@example(math.nan)
+@example(-math.inf)
+@example(1e308)  # slope * z overflows
+def test_pde_residual_slope(slope):
+    residual = _outcome(lambda: pde_residual(_STENCIL, _STENCIL_Z, _STENCIL_T, _UNIT, slope))
+    assert residual is None or _finite(residual)
+
+
+@_SETTINGS
+@given(_or(1.0), _or(1, _COUNT))
+@example(math.nan, 1)
+@example(1e308, 1)  # slope * z overflows
+def test_propagation_slope(slope, sample_every):
+    report = _outcome(
+        lambda: propagate_linear_potential(_SHORT_RUN, _UNIT, slope, sample_every=sample_every)
+    )
+    if report is not None:
+        assert _finite(report.norm_drift) and np.isfinite(report.moment_series).all()
+        assert np.isfinite(report.final_field.values).all()
 
 
 @_SETTINGS

@@ -283,9 +283,10 @@ def test_cow_routes_agree_on_random_geometries():
             height=float(rng.uniform(0.1, 3.0)),
             horizontal_length=float(rng.uniform(0.1, 3.0)),
         )
+        # both signs of a: the two routes must agree in sign as well
         s = dataclasses.replace(
             make_natural_system(float(rng.uniform(0.5, 2.0))),
-            a=float(rng.uniform(0.1, 3.0)),
+            a=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)),
         )
         direct = cow_phase_shift(geom, s)
         via_time = cow_phase_shift_time_route(geom, s)

@@ -181,11 +181,12 @@ def max_pointwise_mismatch(a: ComplexField, b: ComplexField) -> float:
     return float(np.max(np.abs(aligned.values - b.values)))
 
 
-def _check_initial_state(psi0: ComplexField) -> None:
-    if not psi0.is_normalized(tol=1e-8):
+def _check_initial_state(psi0: ComplexField) -> float:
+    """Refuse a state that is not normalized or not clear of both edges; return its norm^2."""
+    norm0 = norm_squared(psi0)
+    if not abs(norm0 - 1.0) <= 1e-8:
         raise ParameterError(
-            f"initial state must be normalized (|norm^2 - 1| = "
-            f"{abs(psi0.norm_squared() - 1.0):.3e})"
+            f"initial state must be normalized (|norm^2 - 1| = {abs(norm0 - 1.0):.3e})"
         )
     edge = max(
         float(np.max(np.abs(psi0.values[:5]))),
@@ -196,6 +197,7 @@ def _check_initial_state(psi0: ComplexField) -> None:
             f"initial state has amplitude {edge:.3e} within 5 points of a "
             "boundary; enlarge the domain"
         )
+    return norm0
 
 
 class _Moments:
@@ -373,13 +375,9 @@ def propagate_linear_potential(
     grid = psi0.grid
     require_count("sample_every", sample_every, 1)
     slope = require_finite("slope", slope)
-    _check_initial_state(psi0)
+    norm0 = _check_initial_state(psi0)
     sample = _Moments(grid, system, momentum_method)
     rows = [(0.0, *sample(psi0.values))]
-    if grid.n_steps == 0:
-        # zero-step evolution: the initial state, with a single moment sample
-        return PropagationReport(final_field=psi0, norm_drift=0.0, moment_series=np.array(rows))
-
     dt = grid.dt
     kin = checked_square("hbar", system.hbar) / (2.0 * system.m_i * checked_square("dz", grid.dz))
     # the largest |V| on the grid, so that slope * z below cannot overflow
@@ -401,7 +399,6 @@ def propagate_linear_potential(
     rhs_head, rhs_tail, psi_head, psi_tail = rhs[:-1], rhs[1:], psi[:-1], psi[1:]
     low, high = psi[:3], psi[-3:]
     limit = BoundaryContactError.limit
-    norm0 = norm_squared(psi0)
     for step in range(1, grid.n_steps + 1):
         # 12 M psi with the Dirichlet zeros: tridiag(1, 10, 1) psi
         np.multiply(psi, 10.0, out=rhs)
@@ -487,15 +484,35 @@ def pde_residual(
     return float(residual / scale)
 
 
-def _both_paths(
-    free_initial: ComplexField, direct_initial: ComplexField, system: PhysicalSystem
-) -> tuple[PropagationReport, PropagationReport]:
-    """Free run and direct run in V = m_g*g*z, each sampled at its two ends."""
-    stride = max(1, free_initial.grid.n_steps)
-    return (
-        propagate_linear_potential(free_initial, system, 0.0, sample_every=stride),
-        propagate_linear_potential(direct_initial, system, system.weight, sample_every=stride),
+def _extrapolated_run(
+    psi0: ComplexField, system: PhysicalSystem, slope: float
+) -> tuple[PropagationReport, np.ndarray, float]:
+    """One run in V = slope*z, extrapolated in time: (report, values, change).
+
+    The run is made on the grid of ``psi0`` (n steps of dt), sampled at its
+    two ends, and once more on the same spatial grid with m = ceil(n/2)
+    steps of T/m.  The Crank-Nicolson error of a time-independent
+    Hamiltonian is even in dt, so the final field is extrapolated to
+    psi_f + (psi_f - psi_c)/(q^2 - 1) with q = n/m (Richardson), which
+    cancels the dt^2 term and leaves the field fourth order in time.
+    ``report`` is the run on the given grid and ``change`` the largest
+    change the extrapolation made; fewer than two steps are returned plainly,
+    with a change of 0.
+    """
+    grid = psi0.grid
+    n = grid.n_steps
+    report = propagate_linear_potential(psi0, system, slope, sample_every=max(1, n))
+    fine = report.final_field.values
+    if n < 2:
+        return report, fine, 0.0
+    m = (n + 1) // 2
+    coarse = Grid(grid.z_min, grid.z_max, grid.n_points, dt=grid.total_time / m, n_steps=m)
+    coarse_run = propagate_linear_potential(
+        ComplexField(coarse, psi0.values), system, slope, sample_every=m
     )
+    # times the reciprocal: dividing by q^2 - 1 can round the last bit differently
+    correction = (fine - coarse_run.final_field.values) * (1.0 / ((n / m) ** 2 - 1.0))
+    return report, fine + correction, float(np.max(np.abs(correction)))
 
 
 def frame_equivalence(psi0_free: ComplexField, system: PhysicalSystem) -> FrameEquivalenceResult:
@@ -508,12 +525,8 @@ def frame_equivalence(psi0_free: ComplexField, system: PhysicalSystem) -> FrameE
     a = m_g*g/m_i the two paths agree up to one global phase and
     discretization error; otherwise the mismatch grows with the violation.
 
-    Both paths run on the grid of ``psi0_free`` (n steps of dt) and once
-    more on the same spatial grid with m = ceil(n/2) steps of T/m.  The
-    Crank-Nicolson error of a time-independent Hamiltonian is even in dt,
-    so each path's final field is extrapolated to psi_f + (psi_f -
-    psi_c)/(q^2 - 1) with q = n/m (Richardson), which cancels the dt^2 term
-    and leaves the comparison fourth order in time.  The mismatch and the
+    Each path is a :func:`_extrapolated_run` on the grid of ``psi0_free``,
+    so the comparison is fourth order in time.  The mismatch and the
     global-phase alignment are taken on the extrapolated fields;
     ``free_report`` and ``direct_report`` are the runs on the given grid,
     and ``time_correction`` is the largest change the extrapolation made to
@@ -522,35 +535,16 @@ def frame_equivalence(psi0_free: ComplexField, system: PhysicalSystem) -> FrameE
     grid = psi0_free.grid
     ft = FrameTransform.from_system(system)
     t_final = grid.total_time
-    direct_initial = to_stationary_frame(ft, psi0_free, 0.0)
-    free_report, direct_report = _both_paths(psi0_free, direct_initial, system)
-    free = free_report.final_field.values
-    direct = direct_report.final_field.values
-    time_correction = 0.0
-    if grid.n_steps >= 2:
-        coarse_steps = (grid.n_steps + 1) // 2
-        coarse = Grid(
-            grid.z_min, grid.z_max, grid.n_points, dt=t_final / coarse_steps, n_steps=coarse_steps
-        )
-        coarse_free, coarse_direct = _both_paths(
-            ComplexField(coarse, psi0_free.values),
-            ComplexField(coarse, direct_initial.values),
-            system,
-        )
-        weight = 1.0 / ((grid.n_steps / coarse_steps) ** 2 - 1.0)
-        free_correction = (free - coarse_free.final_field.values) * weight
-        direct_correction = (direct - coarse_direct.final_field.values) * weight
-        time_correction = float(
-            max(np.max(np.abs(free_correction)), np.max(np.abs(direct_correction)))
-        )
-        free = free + free_correction
-        direct = direct + direct_correction
+    free_report, free, free_change = _extrapolated_run(psi0_free, system, 0.0)
+    direct_report, direct, direct_change = _extrapolated_run(
+        to_stationary_frame(ft, psi0_free, 0.0), system, system.weight
+    )
     shifted = shift_field(ComplexField(grid, free), ft.shift(t_final))
     direct_field = ComplexField(grid, direct)
     transformed = align_global_phase(to_stationary_frame(ft, shifted, t_final), direct_field)
     return FrameEquivalenceResult(
         max_mismatch=float(np.max(np.abs(transformed.values - direct))),
-        time_correction=time_correction,
+        time_correction=max(free_change, direct_change),
         transformed=transformed,
         direct=direct_field,
         free_report=free_report,
@@ -600,7 +594,10 @@ def heisenberg_checks(
     dz^2 exactly linear in t is absorbed into C.  A residual is the largest
     difference over a scale, with T the last sample time: dp0 + |F|*T,
     dz0 + (|p0| + dp0)*T/m_i + |F|*T^2/(2*m_i), dp0 and dz(T)^2.  Series of
-    any length are checked; a single sample matches by construction.
+    any length are checked, but a single sample matches by construction, and
+    a two-sample series (one step, or a run sampled at its ends) checks the
+    means and dp but not dz^2: C is fixed by the last sample, so the dz^2
+    residual of two samples is zero.
 
     The bounds (1e-6 relative for the means and dz^2, 1e-8 for dp) are set
     for packets started near rest near the potential's zero, z = 0, as in

@@ -205,6 +205,10 @@ def test_propagate_input_validation():
             propagate_linear_potential(psi0, system, slope)
     with pytest.raises(NumericError, match=r"slope\*z"):  # 1e308 * 10 overflows
         propagate_linear_potential(psi0, system, 1e308)
+    # zero steps take the stepping path too: no report before the range check
+    still = gaussian_packet(Grid(-12.0, 12.0, 128, dt=1e-3, n_steps=0), 0.0, 0.5)
+    with pytest.raises(NumericError, match=r"slope\*z"):
+        propagate_linear_potential(still, system, 1e308)
 
 
 def test_last_moment_sample_is_the_final_field():
@@ -680,6 +684,27 @@ def test_frame_equivalence_fourth_order_in_time():
     coarse, fine = results
     assert 12.0 <= coarse.max_mismatch / fine.max_mismatch <= 20.0
     assert 3.5 <= coarse.time_correction / fine.time_correction <= 4.5
+
+
+def test_extrapolated_run_fourth_order_against_avron_herbst():
+    # one path alone, no frame map: V = F z moves a free packet along
+    # z0 - F t^2/(2m) and multiplies it by exp(-i F t z/hbar) (up to a global
+    # phase, which the mismatch aligns); the extrapolated error must fall
+    # about 16x per halving of dt, the plain one about 4x
+    system = natural(a=1.0)
+    extrapolated, plain = [], []
+    for dt in (1e-2, 5e-3):
+        grid = Grid(-20.0, 30.0, 2048, dt=dt, n_steps=round(1.0 / dt))
+        z, t = grid.z, grid.total_time
+        exact = ComplexField(
+            grid, free_gaussian_analytic(z + 0.5 * t**2, t, 0.5, z0=8.0) * np.exp(-1j * t * z)
+        )
+        report, values, _ = dynamics._extrapolated_run(gaussian_packet(grid, 8.0, 0.5), system, 1.0)
+        extrapolated.append(max_pointwise_mismatch(ComplexField(grid, values), exact))
+        plain.append(max_pointwise_mismatch(report.final_field, exact))
+    assert extrapolated[0] <= 5e-5
+    assert 12.0 <= extrapolated[0] / extrapolated[1] <= 20.0
+    assert 3.5 <= plain[0] / plain[1] <= 4.5
 
 
 def _plain_mismatch(psi0, system):

@@ -236,12 +236,6 @@ class ComplexField:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def norm_squared(self) -> float:
-        return norm_squared(self)
-
-    def is_normalized(self, tol: float = 1e-10) -> bool:
-        return abs(self.norm_squared() - 1.0) <= tol
-
     def normalized(self) -> "ComplexField":
         """Rescaled copy with unit norm.
 

@@ -134,6 +134,27 @@ def test_step_matches_dense_numerov_crank_nicolson(steps):
     assert error <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("n_points", [96, 97])
+@pytest.mark.parametrize("steps", [2, 3])
+def test_free_path_matches_dense_numerov_crank_nicolson(n_points, steps):
+    # the free runs of the extrapolation are made in the sine eigenbasis of
+    # the step, not stepped: both (n steps of dt, m = ceil(n/2) of T/m)
+    # against the scheme solved densely, on an even and an odd grid
+    system = PhysicalSystem(m_i=1.3, m_g=1.3, g=0.9, hbar=0.9)
+    grid = Grid(-8.0, 8.0, n_points, dt=1e-2, n_steps=steps)
+    psi0 = gaussian_packet(grid, -1.0, 0.5, k0=2.0)
+    report, values, _ = dynamics._extrapolated_run(psi0, system, 0.0)
+    m = (steps + 1) // 2
+    fine, coarse = (
+        numerov_cn_oracle(psi0.values, grid.z, dt, k, system.hbar, system.m_i, 0.0)
+        for dt, k in ((grid.dt, steps), (grid.total_time / m, m))
+    )
+    scale = np.max(np.abs(fine))
+    assert np.max(np.abs(report.final_field.values - fine)) <= 1e-12 * scale
+    expected = fine + (fine - coarse) / ((steps / m) ** 2 - 1.0)
+    assert np.max(np.abs(values - expected)) <= 1e-12 * scale
+
+
 def test_boundary_contact_is_diagnosed():
     # the contact is raised at the first step whose edge samples exceed the
     # limit: one step fewer runs to the end
@@ -155,6 +176,19 @@ def test_boundary_contact_is_diagnosed():
     with pytest.raises(BoundaryContactError) as err:
         run(steps)
     assert err.value.time == contact
+
+
+def test_free_path_diagnoses_boundary_contact_at_the_stepped_step():
+    # the packet of test_boundary_contact_is_diagnosed: the free path checks
+    # the edges at every step, as the stepped run does
+    grid = Grid(-6.0, 6.0, 1024, dt=1e-3, n_steps=3000)
+    psi0 = gaussian_packet(grid, 0.0, 0.5, k0=4.0)
+    with pytest.raises(BoundaryContactError) as stepped:
+        propagate_linear_potential(psi0, natural(), 0.0, sample_every=3000)
+    with pytest.raises(BoundaryContactError) as free:
+        dynamics._extrapolated_run(psi0, natural(), 0.0)
+    assert free.value.time == stepped.value.time
+    assert free.value.amplitude == pytest.approx(stepped.value.amplitude, rel=1e-6)
 
 
 def test_non_finite_field_fails_at_the_step_it_appears(monkeypatch):
@@ -705,6 +739,43 @@ def test_extrapolated_run_fourth_order_against_avron_herbst():
     assert extrapolated[0] <= 5e-5
     assert 12.0 <= extrapolated[0] / extrapolated[1] <= 20.0
     assert 3.5 <= plain[0] / plain[1] <= 4.5
+
+
+def test_free_path_matches_the_stepped_runs():
+    # the reference grid: the free path's fields and end moments agree with
+    # the stepped runs it replaces to rounding
+    system = natural()
+    grid = Grid(-20.0, 30.0, 2048, dt=2e-3, n_steps=500)
+    psi0 = gaussian_packet(grid, 8.0, 0.5)
+    report, values, _ = dynamics._extrapolated_run(psi0, system, 0.0)
+    fine = propagate_linear_potential(psi0, system, 0.0, sample_every=500)
+    coarse_grid = Grid(-20.0, 30.0, 2048, dt=4e-3, n_steps=250)
+    coarse = propagate_linear_potential(ComplexField(coarse_grid, psi0.values), system, 0.0)
+    expected = fine.final_field.values
+    expected = expected + (expected - coarse.final_field.values) / 3.0
+    scale = np.max(np.abs(fine.final_field.values))
+    assert np.max(np.abs(report.final_field.values - fine.final_field.values)) <= 1e-12 * scale
+    assert np.max(np.abs(values - expected)) <= 1e-12 * scale
+    np.testing.assert_array_equal(report.moment_series[:, 0], fine.moment_series[:, 0])
+    np.testing.assert_allclose(report.moment_series, fine.moment_series, rtol=0.0, atol=1e-12)
+    assert report.norm_drift <= 1e-12
+
+
+def test_frame_equivalence_steps_only_the_direct_path(monkeypatch):
+    # the free path is never stepped: a fallback to stepping would otherwise
+    # show only as a slower benchmark
+    slopes = []
+    stepped = dynamics.propagate_linear_potential
+
+    def counting(psi0, system, slope, **kwargs):
+        slopes.append(slope)
+        return stepped(psi0, system, slope, **kwargs)
+
+    monkeypatch.setattr(dynamics, "propagate_linear_potential", counting)
+    system = natural(a=1.0)
+    grid = Grid(-15.0, 15.0, 1024, dt=2e-3, n_steps=100)
+    frame_equivalence(gaussian_packet(grid, 2.0, 0.5), system)
+    assert slopes == [system.weight, system.weight]
 
 
 def _plain_mismatch(psi0, system):

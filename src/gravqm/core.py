@@ -64,9 +64,6 @@ def lazy_module(name: str):
 
 np = lazy_module("numpy")
 
-# Tolerance for the free-fall identity a*m_i = m_g*g.  This is an algebraic
-# check, not a physical one, so it sits just above double rounding.
-FREE_FALL_RTOL = 1e-12
 # Longest propagation a Grid describes; the demos and the reference run take 10^4 steps.
 MAX_STEPS = 10**7
 # Most points a Grid describes: 85 times the largest grid in use (12288), 16 MiB
@@ -153,13 +150,6 @@ class PhysicalSystem:
             require_finite(name, getattr(self, name))
         if self.m_g < 0:
             raise ParameterError(f"m_g must be non-negative, got {self.m_g}")
-
-    def free_fall_condition(self, rel_tol: float = FREE_FALL_RTOL) -> bool:
-        """True iff the frame acceleration cancels the field: a*m_i = m_g*g."""
-        lhs = self.a * self.m_i
-        rhs = self.m_g * self.g
-        scale = max(abs(lhs), abs(rhs))
-        return abs(lhs - rhs) <= rel_tol * scale
 
     @property
     def weight(self) -> float:

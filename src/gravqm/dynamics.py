@@ -732,6 +732,13 @@ def heisenberg_checks(
     points on [-14, 13] and 600 steps of 1e-3, a packet at rest reads
     ``mean_momentum`` 1.4e-7 at z0 = 0 but 1.22e-6 at z0 = -2, and one
     started at z0 = -2 with k0 = 1.5 reads ``momentum_spread`` 7.8e-7.
+
+    The bounds also assume spectral moments (``momentum_method="spectral"``),
+    as the demo takes them: the default central differences fail on working
+    code, and dp0 carries their error into the dz^2 check.  On the demo's
+    packet with 2048 points, dt 1e-3 and T 0.2 they read ``mean_momentum``
+    1.47e-5, ``momentum_spread`` 3.48e-6 and ``position_spread`` 5.93e-6,
+    against 4.2e-8, 8.7e-15 and 6.5e-8 with spectral moments.
     """
     t, mean_z, mean_p, sigma_z, sigma_p = report.moment_series.T
     z0, p0, dz0, dp0 = (float(column[0]) for column in (mean_z, mean_p, sigma_z, sigma_p))

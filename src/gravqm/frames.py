@@ -23,9 +23,10 @@ field acts along -z, and a > 0 means the primed frame accelerates downward.
 The stationary-frame states (plane wave, falling box) are the map applied to
 free states, so its algebra lives only in :meth:`FrameTransform.shift` and
 :func:`phase_s`.  Also here: the stationary observer's momentum and energy
-eigenvalues, the COW phase shift proportional to the enclosed beam area, the
+eigenvalues, the COW phase shift proportional to the enclosed beam area and the
 frequency shift between detectors at different heights (the redshift once an
-effective mass hbar*omega'/c^2 is inserted) and the Galilean limit a = 0.
+effective mass hbar*omega'/c^2 is inserted).  The a = 0 case of
+:func:`to_stationary_frame` is the Galilean boost.
 """
 
 from __future__ import annotations
@@ -100,12 +101,6 @@ class PlaneWaveState:
         omega = finite_result("omega'", square / (2.0 * system.m_i) / system.hbar)
         return cls(p_prime=p_prime, omega_prime=omega)
 
-    def dispersion_residual(self, system: PhysicalSystem) -> float:
-        """Relative violation of hbar*omega' = p'^2/(2 m_i)."""
-        kinetic = checked_square("p_prime", self.p_prime) / (2.0 * system.m_i)
-        scale = max(abs(kinetic), abs(system.hbar * self.omega_prime), 1e-300)
-        return abs(system.hbar * self.omega_prime - kinetic) / scale
-
 
 def _coordinate(name: str, value):
     """A numpy array as it is (its caller checks the result), else :func:`require_finite`."""
@@ -144,17 +139,6 @@ def to_stationary_frame(ft: FrameTransform, psi_free: ComplexField, t: float) ->
     t = require_finite("t", t)
     phase = phase_s(ft, psi_free.grid.z + ft.shift(t), t)
     return ComplexField(psi_free.grid, psi_free.values * np.exp(1j * phase))
-
-
-def galilean_boost(ft: FrameTransform, psi_free: ComplexField, t: float) -> ComplexField:
-    """The a = 0 limit of the map: a pure Galilean boost phase.
-
-    Provided as a named operation so the inertial-frames limit is directly
-    testable; it shares the code path of :func:`to_stationary_frame`.
-    """
-    if ft.a != 0.0:
-        raise ParameterError(f"galilean_boost requires a = 0, got a = {ft.a}")
-    return to_stationary_frame(ft, psi_free, t)
 
 
 def _stationary_image(free_phase, ft: FrameTransform, z_prime, t):

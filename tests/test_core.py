@@ -40,14 +40,6 @@ def test_system_validation():
         PhysicalSystem(m_i=1.0, m_g=1.0, g=math.inf)
 
 
-def test_free_fall_condition():
-    s = PhysicalSystem(m_i=2.0, m_g=1.0, g=3.0, a=1.5)
-    assert s.free_fall_condition()
-    assert not PhysicalSystem(m_i=2.0, m_g=1.0, g=3.0, a=1.5000001).free_fall_condition()
-    # both sides zero is the trivially satisfied case
-    assert make_natural_system(1.0).free_fall_condition()
-
-
 def test_grid_validation_and_spacing():
     g = Grid(-1.0, 1.0, 101)
     assert g.dz == pytest.approx(0.02)

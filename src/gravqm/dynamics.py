@@ -84,12 +84,14 @@ _MOMENTUM_SPREAD_RTOL = 1e-8
 class PropagationReport:
     """Outcome of one propagation: final field, drift, sampled moments.
 
-    ``moment_series`` has one row (t, <z>, <p>, dz, dp) per sample.
+    ``moment_series`` has one row (t, <z>, <p>, dz, dp) per sample, its
+    momentum moments taken by ``momentum_method`` (see :func:`moments`).
     """
 
     final_field: ComplexField
     norm_drift: float
     moment_series: np.ndarray
+    momentum_method: str
 
 
 @dataclass(frozen=True)
@@ -444,6 +446,7 @@ def propagate_linear_potential(
         final_field=final,
         norm_drift=abs(norm_squared(final) - norm0),
         moment_series=np.array(rows),
+        momentum_method=momentum_method,
     )
 
 
@@ -589,6 +592,7 @@ def _free_runs(
         final_field=final,
         norm_drift=abs(norm_squared(final) - norm0),
         moment_series=np.array(rows),
+        momentum_method="central",
     )
     return report, ends
 
@@ -733,13 +737,13 @@ def heisenberg_checks(
     ``mean_momentum`` 1.4e-7 at z0 = 0 but 1.22e-6 at z0 = -2, and one
     started at z0 = -2 with k0 = 1.5 reads ``momentum_spread`` 7.8e-7.
 
-    The bounds also assume spectral moments (``momentum_method="spectral"``),
-    as the demo takes them: the default central differences fail on working
-    code, and dp0 carries their error into the dz^2 check.  On the demo's
-    packet with 2048 points, dt 1e-3 and T 0.2 they read ``mean_momentum``
-    1.47e-5, ``momentum_spread`` 3.48e-6 and ``position_spread`` 5.93e-6,
-    against 4.2e-8, 8.7e-15 and 6.5e-8 with spectral moments.
+    A report whose ``momentum_method`` is not ``"spectral"`` is a ParameterError:
+    the bounds are set for spectral moments, and central ones fail them on working code.
     """
+    if report.momentum_method != "spectral":
+        raise ParameterError(
+            f"heisenberg_checks needs spectral moments, not {report.momentum_method!r}"
+        )
     t, mean_z, mean_p, sigma_z, sigma_p = report.moment_series.T
     z0, p0, dz0, dp0 = (float(column[0]) for column in (mean_z, mean_p, sigma_z, sigma_p))
     m, force, end = system.m_i, system.weight, float(t[-1])

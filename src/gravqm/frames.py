@@ -81,27 +81,6 @@ class InterferometerGeometry:
         return self.height * self.horizontal_length
 
 
-@dataclass(frozen=True)
-class PlaneWaveState:
-    """Free plane wave in the falling frame: momentum p' and frequency omega'."""
-
-    p_prime: float
-    omega_prime: float
-
-    def __post_init__(self):
-        # stored as floats: the square of an int p' is an exact int, and past
-        # double range its quotient by 2*m_i raises OverflowError
-        for name in ("p_prime", "omega_prime"):
-            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
-
-    @classmethod
-    def from_momentum(cls, p_prime: float, system: PhysicalSystem) -> "PlaneWaveState":
-        """hbar*omega' = p'^2/(2 m_i); ParameterError for a non-finite p', NumericError past range."""
-        square = checked_square("p_prime", require_finite("p_prime", p_prime))
-        omega = finite_result("omega'", square / (2.0 * system.m_i) / system.hbar)
-        return cls(p_prime=p_prime, omega_prime=omega)
-
-
 def _coordinate(name: str, value):
     """A numpy array as it is (its caller checks the result), else :func:`require_finite`."""
     return value if isinstance(value, np.ndarray) else require_finite(name, value)
@@ -149,35 +128,32 @@ def _stationary_image(free_phase, ft: FrameTransform, z_prime, t):
     return np.exp(1j * phase)
 
 
-def plane_wave_stationary(pw: PlaneWaveState, ft: FrameTransform, z, t):
+def plane_wave_stationary(p_prime: float, ft: FrameTransform, z, t):
     """The map applied to the free plane wave exp(i(p'z' - p'^2 t/(2 m_i))/hbar).
 
-    The wave is evaluated at z' = z + v*t + a*t^2/2 and multiplied by
-    exp(i*S(z', t)); its frequency is p'^2/(2 m_i hbar), not ``pw.omega_prime``.
-    Scalars or numpy arrays; not normalizable.  ParameterError for a scalar
-    that is not finite, NumericError where the phase is out of double range.
+    p' is the falling-frame momentum.  The wave is evaluated at z' = z + v*t + a*t^2/2
+    and multiplied by exp(i*S(z', t)).  z and t are scalars or numpy arrays; not
+    normalizable.  ParameterError for a scalar (p' included) that is not finite,
+    NumericError where the phase is out of double range.
     """
+    p = require_finite("p_prime", p_prime)  # a float: an int p'^2 would not overflow
     z = _coordinate("z", z)
     t = _coordinate("t", t)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         z_prime = z + ft.shift(t)
-        p = pw.p_prime
         free = (p * z_prime - checked_square("p_prime", p) * t / (2.0 * ft.m_i)) / ft.hbar
         return _stationary_image(free, ft, z_prime, t)
 
 
-def momentum_eigenvalue(pw: PlaneWaveState, ft: FrameTransform, t: float) -> float:
+def momentum_eigenvalue(p_prime: float, ft: FrameTransform, t: float) -> float:
     """Momentum seen by the stationary observer: p(t) = p' - m_i*(v + a*t), or NumericError."""
-    return finite_result("p(t)", pw.p_prime - ft.m_i * (ft.v + ft.a * require_finite("t", t)))
+    p = require_finite("p_prime", p_prime)
+    return finite_result("p(t)", p - ft.m_i * (ft.v + ft.a * require_finite("t", t)))
 
 
-def energy_eigenvalue(
-    pw: PlaneWaveState, ft: FrameTransform, system: PhysicalSystem, z: float, t: float
-) -> float:
+def energy_eigenvalue(p_prime: float, ft: FrameTransform, z: float, t: float) -> float:
     """Energy seen by the stationary observer, E = p(t)^2/(2 m_i) + m_i*a*z, or NumericError."""
-    if system.m_i != ft.m_i or system.hbar != ft.hbar:
-        raise ParameterError("transform and system disagree on m_i or hbar")
-    p = momentum_eigenvalue(pw, ft, t)
+    p = momentum_eigenvalue(p_prime, ft, t)
     return finite_result("energy", p * p / (2.0 * ft.m_i) + ft.m_i * ft.a * require_finite("z", z))
 
 
@@ -247,13 +223,13 @@ def falling_box_state(
         return 0.0 + 0.0j
     z_prime = z - lo
     p_box = positive_result("box momentum n*pi*hbar/L", n * math.pi * ft.hbar / box_length)
-    wave = PlaneWaveState.from_momentum(p_box, system)
+    omega = finite_result("omega'", checked_square("p_prime", p_box) / (2.0 * ft.m_i) / ft.hbar)
     amplitude = math.sqrt(2.0 / box_length) * math.sin(n * math.pi * z_prime / box_length)
-    return amplitude * _stationary_image(-wave.omega_prime * t, ft, z_prime, t)
+    return amplitude * _stationary_image(-omega * t, ft, z_prime, t)
 
 
 def box_eigenvalues(
-    n: int, box_length: float, ft: FrameTransform, system: PhysicalSystem, z: float, t: float
+    n: int, box_length: float, ft: FrameTransform, z: float, t: float
 ) -> tuple[float, float]:
     """(p_n(t), E_n(z, t)) of the falling-box state for the stationary observer.
 
@@ -263,5 +239,4 @@ def box_eigenvalues(
     require_count("box quantum number", n, 1)
     require_positive("box length", box_length)
     p_box = positive_result("box momentum n*pi*hbar/L", n * math.pi * ft.hbar / box_length)
-    wave = PlaneWaveState.from_momentum(p_box, system)
-    return momentum_eigenvalue(wave, ft, t), energy_eigenvalue(wave, ft, system, z, t)
+    return momentum_eigenvalue(p_box, ft, t), energy_eigenvalue(p_box, ft, z, t)

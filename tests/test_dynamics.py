@@ -16,7 +16,6 @@ from gravqm import (
     NumericError,
     ParameterError,
     PhysicalSystem,
-    PlaneWaveState,
     align_global_phase,
     frame_equivalence,
     frame_equivalence_test,
@@ -542,11 +541,10 @@ def test_moments_reject_unnormalized_field():
 def test_plane_wave_residual_small_on_condition():
     system = natural(v=0.3, a=1.0)
     ft = FrameTransform.from_system(system)
-    pw = PlaneWaveState.from_momentum(1.2, system)
     h = 1e-3
     z = 0.5 + np.arange(9) * h
     t = 0.2 + np.arange(9) * h
-    vals = sample_stencil(lambda zz, tt: plane_wave_stationary(pw, ft, zz, tt), z, t)
+    vals = sample_stencil(lambda zz, tt: plane_wave_stationary(1.2, ft, zz, tt), z, t)
     assert pde_residual(vals, z, t, system, system.m_i * system.a) <= 1e-6
 
 
@@ -554,12 +552,11 @@ def test_plane_wave_residual_detects_wrong_acceleration():
     # a*m_i != m_g*g leaves a linear-in-z source term
     system = dataclasses.replace(natural(v=0.3, a=1.5), g=1.0)
     ft = FrameTransform.from_system(system)
-    pw = PlaneWaveState.from_momentum(1.2, system)
     h = 1e-3
     for z0 in (5.0, -5.0):
         z = z0 + np.arange(9) * h
         t = 0.2 + np.arange(9) * h
-        vals = sample_stencil(lambda zz, tt: plane_wave_stationary(pw, ft, zz, tt), z, t)
+        vals = sample_stencil(lambda zz, tt: plane_wave_stationary(1.2, ft, zz, tt), z, t)
         assert pde_residual(vals, z, t, system, system.weight) > 1e-2
 
 
@@ -653,6 +650,16 @@ def test_heisenberg_checks_on_short_series(n_steps):
     assert all(oc.passed for oc in checks.values())
 
 
+def test_heisenberg_checks_refuse_central_moments():
+    # the bounds are set for spectral moments, which central ones fail on working code
+    grid = Grid(-14.0, 13.0, 256, dt=5e-3, n_steps=2)
+    system = natural(a=1.0)
+    report = propagate_linear_potential(gaussian_packet(grid, 0.0, 0.5), system, system.weight)
+    assert report.momentum_method == "central"
+    with pytest.raises(ParameterError, match="'central'"):
+        heisenberg_checks(report, system)
+
+
 def test_heisenberg_checks_keep_gravitational_and_inertial_mass_apart():
     # a moving packet with m_g != m_i follows the operator solution; the same
     # series checked against m_g = m_i misses the force in both means
@@ -688,6 +695,7 @@ def test_frame_equivalence_small_run():
     assert 0.0 < result.max_mismatch <= 5e-4
     assert result.free_report.norm_drift <= 1e-9
     assert result.direct_report.norm_drift <= 1e-9
+    assert result.free_report.momentum_method == result.direct_report.momentum_method == "central"
 
 
 def test_frame_equivalence_with_initial_frame_velocity():

@@ -13,7 +13,6 @@ from gravqm import (
     NumericError,
     ParameterError,
     PhysicalSystem,
-    PlaneWaveState,
     box_eigenvalues,
     cow_phase_shift,
     cow_phase_shift_time_route,
@@ -122,25 +121,14 @@ def test_galilean_boost_contract():
 # ------------------------------------------------------------- plane waves
 
 
-def test_plane_wave_dispersion_invariant():
-    s = natural()
-    pw = PlaneWaveState.from_momentum(1.7, s)
-    assert s.hbar * pw.omega_prime == pytest.approx(pw.p_prime**2 / (2.0 * s.m_i), rel=1e-12)
-
-
-def test_plane_wave_at_rest():
-    s = natural()
-    pw = PlaneWaveState.from_momentum(0.0, s)
-    assert pw.omega_prime == 0.0
-
-
 @pytest.mark.parametrize(
     "call",
     [
-        lambda s: PlaneWaveState.from_momentum(1e200, s),  # p'^2 overflows
-        # 2*m_i*hbar underflows to 0, and omega' = 1/(2*m_i*hbar) overflows
-        lambda s: PlaneWaveState.from_momentum(
-            1.0, dataclasses.replace(s, m_i=1e-200, hbar=1e-200)
+        lambda s: energy_eigenvalue(1e200, FrameTransform.from_system(s), 0.0, 0.0),  # p'^2
+        # the free phase p'^2*t/(2*m_i*hbar) = 5e399 at t = 1 overflows
+        lambda s: plane_wave_stationary(
+            1.0, FrameTransform.from_system(dataclasses.replace(s, m_i=1e-200, hbar=1e-200)),
+            0.0, 1.0,
         ),
     ],
     ids=["from-momentum", "from-momentum-frequency"],
@@ -153,13 +141,12 @@ def test_plane_wave_momentum_out_of_double_range(call):
 def test_plane_wave_on_arrays_matches_scalar_calls():
     s = natural(v=0.3, a=1.0)
     ft = FrameTransform.from_system(s)
-    pw = PlaneWaveState.from_momentum(1.2, s)
     rng = np.random.default_rng(23)
     z = rng.uniform(-3.0, 3.0, 16)
     t = rng.uniform(0.0, 2.0, 16)
-    on_arrays = plane_wave_stationary(pw, ft, z, t)
+    on_arrays = plane_wave_stationary(1.2, ft, z, t)
     assert on_arrays.shape == (16,)
-    scalar = [plane_wave_stationary(pw, ft, float(zz), float(tt)) for zz, tt in zip(z, t)]
+    scalar = [plane_wave_stationary(1.2, ft, float(zz), float(tt)) for zz, tt in zip(z, t)]
     assert all(isinstance(value, complex) for value in scalar)
     np.testing.assert_allclose(on_arrays, scalar, rtol=0.0, atol=1e-15)
 
@@ -167,53 +154,47 @@ def test_plane_wave_on_arrays_matches_scalar_calls():
 def test_momentum_eigenvalue_examples():
     s = natural(v=0.0, a=1.0)
     ft = FrameTransform.from_system(s)
-    pw = PlaneWaveState.from_momentum(1.0, s)
-    assert momentum_eigenvalue(pw, ft, 0.0) == pytest.approx(1.0)
+    assert momentum_eigenvalue(1.0, ft, 0.0) == pytest.approx(1.0)
     s2 = natural(v=0.2, a=1.0)
     ft2 = FrameTransform.from_system(s2)
-    assert momentum_eigenvalue(pw, ft2, 0.3) == pytest.approx(0.5, rel=1e-14)
+    assert momentum_eigenvalue(1.0, ft2, 0.3) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_momentum_eigenvalue_matches_log_derivative():
     s = natural(v=0.3, a=1.0)
     ft = FrameTransform.from_system(s)
-    pw = PlaneWaveState.from_momentum(1.2, s)
     h = 1e-6
     rng = np.random.default_rng(17)
     for _ in range(5):
         z = float(rng.uniform(-2.0, 2.0))
         t = float(rng.uniform(0.0, 1.0))
-        up = plane_wave_stationary(pw, ft, z + h, t)
-        dn = plane_wave_stationary(pw, ft, z - h, t)
-        mid = plane_wave_stationary(pw, ft, z, t)
+        up = plane_wave_stationary(1.2, ft, z + h, t)
+        dn = plane_wave_stationary(1.2, ft, z - h, t)
+        mid = plane_wave_stationary(1.2, ft, z, t)
         numeric = (-1j * ft.hbar * (up - dn) / (2.0 * h) / mid).real
-        assert numeric == pytest.approx(momentum_eigenvalue(pw, ft, t), abs=1e-6)
+        assert numeric == pytest.approx(momentum_eigenvalue(1.2, ft, t), abs=1e-6)
 
 
 def test_energy_eigenvalue_examples():
     s = natural(v=0.0, a=1.0)
     ft = FrameTransform.from_system(s)
-    pw = PlaneWaveState.from_momentum(1.4, s)
-    assert energy_eigenvalue(pw, ft, s, 0.0, 0.0) == pytest.approx(
-        s.hbar * pw.omega_prime, rel=1e-14
-    )
+    assert energy_eigenvalue(1.4, ft, 0.0, 0.0) == pytest.approx(1.4**2 / (2.0 * s.m_i), rel=1e-14)
     # potential difference is exactly linear in separation
     for z in (0.5, 2.0, -3.0):
-        diff = energy_eigenvalue(pw, ft, s, z, 0.7) - energy_eigenvalue(pw, ft, s, 0.0, 0.7)
+        diff = energy_eigenvalue(1.4, ft, z, 0.7) - energy_eigenvalue(1.4, ft, 0.0, 0.7)
         assert diff == pytest.approx(s.m_i * s.a * z, rel=1e-14)
 
 
 def test_energy_eigenvalue_matches_time_derivative():
     s = natural(v=0.25, a=0.8)
     ft = FrameTransform.from_system(s)
-    pw = PlaneWaveState.from_momentum(0.9, s)
     h = 1e-6
     z, t = 0.6, 0.4
-    up = plane_wave_stationary(pw, ft, z, t + h)
-    dn = plane_wave_stationary(pw, ft, z, t - h)
-    mid = plane_wave_stationary(pw, ft, z, t)
+    up = plane_wave_stationary(0.9, ft, z, t + h)
+    dn = plane_wave_stationary(0.9, ft, z, t - h)
+    mid = plane_wave_stationary(0.9, ft, z, t)
     numeric = (1j * ft.hbar * (up - dn) / (2.0 * h) / mid).real
-    assert numeric == pytest.approx(energy_eigenvalue(pw, ft, s, z, t), abs=1e-6)
+    assert numeric == pytest.approx(energy_eigenvalue(0.9, ft, z, t), abs=1e-6)
 
 
 # ----------------------------------------------------- frequency / redshift
@@ -237,11 +218,10 @@ def test_frequency_shift_time_independent_via_energy_difference():
     # is the same at any time
     s = natural(v=0.2, a=1.3)
     ft = FrameTransform.from_system(s)
-    pw = PlaneWaveState.from_momentum(0.8, s)
     z = 2.0
     extracted = []
     for t in (0.0, 1.7):
-        diff = energy_eigenvalue(pw, ft, s, z, t) - energy_eigenvalue(pw, ft, s, 0.0, t)
+        diff = energy_eigenvalue(0.8, ft, z, t) - energy_eigenvalue(0.8, ft, 0.0, t)
         extracted.append(diff / s.hbar)
     assert extracted[0] == pytest.approx(extracted[1], rel=1e-12)
     assert extracted[0] == pytest.approx(frequency_shift(s, z), rel=1e-12)
@@ -397,9 +377,7 @@ def test_frame_squares_out_of_double_range(call):
 
 
 def _plane_wave_call(z, t):
-    s = natural(v=0.3, a=1.0)
-    pw = PlaneWaveState.from_momentum(1.2, s)
-    return lambda: plane_wave_stationary(pw, FrameTransform.from_system(s), z, t)
+    return lambda: plane_wave_stationary(1.2, _free_frame()[1], z, t)
 
 
 @pytest.mark.parametrize(
@@ -412,11 +390,9 @@ def _plane_wave_call(z, t):
         lambda: falling_box_state(1, 1e-100, FrameTransform.from_system(natural()), natural(),
                                   0.5e-100, 1e108),
         # n*pi*hbar/L overflows, and so does its square
-        lambda: box_eigenvalues(1, 1e-320, FrameTransform.from_system(natural()), natural(),
-                                0.0, 0.0),
+        lambda: box_eigenvalues(1, 1e-320, FrameTransform.from_system(natural()), 0.0, 0.0),
         # p(t) = p' - m_i*v = -1e200 squares past double range
-        lambda: box_eigenvalues(1, 1.0, FrameTransform.from_system(natural(v=1e200)),
-                                natural(v=1e200), 0.0, 0.0),
+        lambda: box_eigenvalues(1, 1.0, FrameTransform.from_system(natural(v=1e200)), 0.0, 0.0),
     ],
     ids=["plane-wave-time", "plane-wave-time-array", "plane-wave-height", "box-free-phase",
          "box-eigenvalues-length", "box-energy-drift"],
@@ -429,18 +405,27 @@ def test_stationary_states_out_of_double_range(call):
 
 def _free_frame():
     s = natural(v=0.3, a=1.0)
-    return s, FrameTransform.from_system(s), PlaneWaveState.from_momentum(1.2, s)
+    return s, FrameTransform.from_system(s)
+
+
+def _wave_calls(p_prime):
+    """Both plane-wave entry points with this p': each must raise ParameterError."""
+    def call():
+        ft = _free_frame()[1]
+        with pytest.raises(ParameterError, match="p_prime"):
+            momentum_eigenvalue(p_prime, ft, 0.0)
+        plane_wave_stationary(p_prime, ft, 0.0, 0.0)
+    return call
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: PlaneWaveState(10**400, 0.0),
-        lambda: PlaneWaveState(math.nan, 0.0),
-        lambda: PlaneWaveState(1.0, math.inf),
-        lambda: momentum_eigenvalue(PlaneWaveState(10**400, 0.0), _free_frame()[1], 0.0),
-        lambda: plane_wave_stationary(_free_frame()[2], _free_frame()[1], 10**400, 0.0),
-        lambda: plane_wave_stationary(_free_frame()[2], _free_frame()[1], 0.0, math.nan),
+        _wave_calls(10**400),
+        _wave_calls(math.nan),
+        lambda: momentum_eigenvalue(10**400, _free_frame()[1], 0.0),
+        lambda: plane_wave_stationary(1.2, _free_frame()[1], 10**400, 0.0),
+        lambda: plane_wave_stationary(1.2, _free_frame()[1], 0.0, math.nan),
         lambda: phase_s(_free_frame()[1], math.nan, 0.0),
         lambda: phase_s(_free_frame()[1], 0.0, -(10**400)),
         lambda: to_stationary_frame(
@@ -449,7 +434,7 @@ def _free_frame():
         lambda: falling_box_state(1, 1.0, _free_frame()[1], _free_frame()[0], math.nan, 0.0),
         lambda: falling_box_state(1, 1.0, _free_frame()[1], _free_frame()[0], 0.5, 10**400),
     ],
-    ids=["wave-huge-int", "wave-nan", "wave-omega-inf", "momentum-huge-int", "plane-wave-z",
+    ids=["wave-huge-int", "wave-nan", "momentum-huge-int", "plane-wave-z",
          "plane-wave-t-nan", "phase-z-nan", "phase-t-huge-int", "to-stationary-t", "box-z-nan",
          "box-t-huge-int"],
 )
@@ -461,17 +446,14 @@ def test_non_finite_scalars_are_parameter_errors(call):
 def test_plane_wave_state_stores_floats():
     # an int p' squares as a float, whose overflow is a NumericError, not as
     # an exact int whose quotient by 2*m_i raises OverflowError
-    _, ft, _ = _free_frame()
-    pw = PlaneWaveState(10**300, 0)
-    assert type(pw.p_prime) is float and type(pw.omega_prime) is float
     with pytest.raises(NumericError, match="p_prime"):
-        plane_wave_stationary(pw, ft, 1.0, 1.0)
+        plane_wave_stationary(10**300, _free_frame()[1], 1.0, 1.0)
 
 def test_box_eigenvalue_examples():
     s = natural()
     ft = FrameTransform.from_system(s)
     n, box = 2, 1.0
-    p, e = box_eigenvalues(n, box, ft, s, 0.0, 0.0)
+    p, e = box_eigenvalues(n, box, ft, 0.0, 0.0)
     assert p == pytest.approx(n * math.pi * s.hbar / box, rel=1e-14)
     assert e == pytest.approx(p * p / (2.0 * s.m_i), rel=1e-14)
 
@@ -480,8 +462,8 @@ def test_box_energy_linear_in_height():
     s = natural(v=0.2, a=0.9)
     ft = FrameTransform.from_system(s)
     for z in (0.4, 1.7):
-        _, e_z = box_eigenvalues(2, 1.2, ft, s, z, 0.5)
-        _, e_0 = box_eigenvalues(2, 1.2, ft, s, 0.0, 0.5)
+        _, e_z = box_eigenvalues(2, 1.2, ft, z, 0.5)
+        _, e_0 = box_eigenvalues(2, 1.2, ft, 0.0, 0.5)
         assert e_z - e_0 == pytest.approx(s.m_i * s.a * z, rel=1e-13)
 
 
@@ -500,7 +482,7 @@ def test_box_momentum_pieces_from_finite_differences():
     dn = falling_box_state(n, box, ft, s, z0 - h, t)
     mid = falling_box_state(n, box, ft, s, z0, t)
     numeric_drift = (-1j * s.hbar * (up - dn) / (2.0 * h) / mid).real
-    p, _ = box_eigenvalues(n, box, ft, s, z0, t)
+    p, _ = box_eigenvalues(n, box, ft, z0, t)
     standing = n * math.pi * s.hbar / box
     assert numeric_drift == pytest.approx(p - standing, abs=1e-6)
     assert p == pytest.approx(standing - s.m_i * (s.v + s.a * t), rel=1e-13)
@@ -514,7 +496,15 @@ def test_box_validation():
     with pytest.raises(ParameterError):
         falling_box_state(1, -1.0, ft, s, 0.5, 0.0)
     with pytest.raises(ParameterError):
-        box_eigenvalues(1, 0.0, ft, s, 0.5, 0.0)
+        box_eigenvalues(1, 0.0, ft, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("field", ["m_i", "hbar"])
+def test_falling_box_state_refuses_a_system_unlike_its_transform(field):
+    s = natural(v=0.3, a=0.8)
+    ft = FrameTransform.from_system(s)
+    with pytest.raises(ParameterError, match="disagree"):
+        falling_box_state(1, 1.0, ft, dataclasses.replace(s, **{field: 2.0}), 0.5, 0.0)
 
 
 # ------------------------------------------------------------- error contract
@@ -531,8 +521,8 @@ _FALLING = FrameTransform(v=0.0, a=1.0, m_i=1.0, hbar=1.0)
         lambda: frequency_shift(natural(a=1.0), 10**400),
         lambda: falling_box_window(1, 10**400, _REST, 0.0),
         lambda: falling_box_window(1, 1.0, _REST, 10**400),
-        lambda: momentum_eigenvalue(PlaneWaveState.from_momentum(1.0, natural()), _REST, 10**400),
-        lambda: PlaneWaveState.from_momentum(10**400, natural()),
+        lambda: momentum_eigenvalue(1.0, _REST, 10**400),
+        lambda: energy_eigenvalue(10**400, _REST, 0.0, 0.0),
     ],
     ids=["transform", "geometry", "frequency-shift", "box-length", "window-time",
          "momentum-time", "plane-wave-momentum"],
@@ -559,7 +549,7 @@ def test_numpy_integer_box_level_is_accepted():
 def _tiny_hbar_box():
     s = dataclasses.replace(natural(), hbar=1e-30)
     # p' = pi*hbar/L = 3e-330 underflows to 0
-    return box_eigenvalues(1, 1e300, FrameTransform.from_system(s), s, 0.0, 0.0)
+    return box_eigenvalues(1, 1e300, FrameTransform.from_system(s), 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -570,10 +560,7 @@ def _tiny_hbar_box():
         lambda: cow_phase_shift_time_route(
             InterferometerGeometry(1e300, 1e300, 1.0), natural(a=1.0)
         ),
-        lambda: momentum_eigenvalue(
-            PlaneWaveState.from_momentum(1.0, natural()), FrameTransform(1e300, 1e300, 1e10, 1.0),
-            1.0,
-        ),
+        lambda: momentum_eigenvalue(1.0, FrameTransform(1e300, 1e300, 1e10, 1.0), 1.0),
         lambda: falling_box_window(1, 1.0, _FALLING, 1e200),
         lambda: falling_box_state(1, 1.0, _FALLING, natural(), 0.0, 1e200),
         _tiny_hbar_box,

@@ -10,9 +10,9 @@ M - r K = 2M - A, the step is psi_new = (6A)^-1 (12 M psi) - psi (Goldberg,
 Schey and Schwartz, Am. J. Phys. 35, 177 (1967)): 12 M = tridiag(1, 10, 1)
 holds no V, so the potential enters only 6A, factored once since the
 Hamiltonian is time independent.  The factorization and the solve are
-LAPACK's zgttrf and zgttrs, loaded at the first propagation from scipy's
-extension module alone, without the scipy.linalg package (whose import would
-cost more than a small run).  The spatial error is fourth order
+LAPACK's zgttrf and zgttrs, loaded at the first stepped propagation from
+scipy's extension module alone, without the scipy.linalg package (whose
+import would cost more than a small run).  The spatial error is fourth order
 and the time error second order (:func:`frame_equivalence` extrapolates its
 comparison to fourth order).  K is not Hermitian when V varies, so the
 trapezoid norm is conserved up to the discretization error (drifts of at
@@ -26,11 +26,13 @@ one right-hand side in place, and moments are sampled by one kernel
 propagation.  The public :func:`moments` is the same kernel built for a
 single call.
 
-A free run whose end fields alone are wanted, the free path of
-:func:`frame_equivalence`, is not stepped.  With V = 0 the sine transform
-(DST-I) diagonalizes the step exactly, so the run costs one transform pair
-and a product per step, and gives the scheme's own fields to rounding.  Every
-propagation that samples moments along the way is stepped.
+:func:`propagate_linear_potential` is the one place that picks the kernel.
+A free run (slope 0) that samples moments only at its two ends, such as
+the free path of :func:`frame_equivalence`, is not stepped: with V = 0 the
+sine transform (DST-I) diagonalizes the step exactly, so the run costs one
+transform pair and a product per step, and gives the scheme's own fields to
+rounding.  Every other run is stepped.  Both kernels share the input
+checks, the moment sampler and the report.
 
 On top of the propagator sit the consistency checks used throughout the
 package: a finite-difference residual of the governing equation for
@@ -391,15 +393,20 @@ def propagate_linear_potential(
 
     ``slope`` is the potential slope F (m_g*g for the field, 0 for free).
     The grid, with its time step and step count, is the grid of ``psi0``.
-    Moments are sampled at t = 0 and every ``sample_every`` steps.  Each
-    step is psi = (6A)^-1 (12 M psi) - psi, with V in 6A alone.  A slope
-    that is not finite is a ParameterError, and one whose potential leaves
-    double range on the grid a NumericError, both before the factorization.
-    """
-    # Loaded here, not at import, so that importing gravqm and every CLI
-    # command other than evolve load no scipy.
-    zgttrf, zgttrs = _lapack_tridiagonal()
+    Moments are sampled at t = 0 and every ``sample_every`` steps, and at
+    the last step.  Each step is psi = (6A)^-1 (12 M psi) - psi, with V in
+    6A alone.  A slope that is not finite is a ParameterError; a potential
+    that leaves double range on the grid, or a time step whose coefficients
+    3*dt*kin/hbar and 3*dt*V/hbar do, is a NumericError, both before either
+    kernel runs.
 
+    The kernel is chosen here alone.  A free run (slope 0) with steps and
+    ``sample_every >= n_steps`` samples only its two ends, so it is made in
+    the sine eigenbasis of the step (:func:`_free_run`), which gives the
+    same fields to rounding.  Every other run is stepped: 6A is factored
+    once with LAPACK's zgttrf and each step is one zgttrs solve.  Both
+    kernels check the samples nearest each edge at every step.
+    """
     grid = psi0.grid
     require_count("sample_every", sample_every, 1)
     slope = require_finite("slope", slope)
@@ -409,38 +416,51 @@ def propagate_linear_potential(
     dt = grid.dt
     kin = checked_square("hbar", system.hbar) / (2.0 * system.m_i * checked_square("dz", grid.dz))
     # the largest |V| on the grid, so that slope * z below cannot overflow
-    finite_result("potential slope*z", slope * max(-grid.z_min, grid.z_max))
-    potential = slope * grid.z
-    # 6A = 6M + 6r K with r = i dt/(2 hbar): the diagonals below, on and
-    # above, from K[j+1, j], K[j, j] and K[j, j+1] of K = T + M diag(V)
-    r6 = 3j * dt / system.hbar
-    dl, d, du, du2, ipiv, info = zgttrf(
-        0.5 + r6 * (potential[:-1] / 12.0 - kin),
-        5.0 + r6 * (potential * (10.0 / 12.0) + 2.0 * kin),
-        0.5 + r6 * (potential[1:] / 12.0 - kin),
+    v_max = abs(finite_result("potential slope*z", slope * max(-grid.z_min, grid.z_max)))
+    # the largest step coefficients, in the order each kernel forms them
+    finite_result(f"time step dt={dt:g}: 3*dt*kin/hbar", 3.0 * dt * kin * 4.0 / system.hbar)
+    finite_result(
+        f"time step dt={dt:g}: 3*dt*(V + kin)/hbar", 3.0 * dt / system.hbar * (v_max + 4.0 * kin)
     )
-    if info != 0:
-        raise NumericError(f"Crank-Nicolson matrix factorization failed (zgttrf info={info})")
-
-    psi = psi0.values.copy()
-    rhs = np.empty_like(psi)
-    rhs_head, rhs_tail, psi_head, psi_tail = rhs[:-1], rhs[1:], psi[:-1], psi[1:]
-    low, high = psi[:3], psi[-3:]
-    for step in range(1, grid.n_steps + 1):
-        # 12 M psi with the Dirichlet zeros: tridiag(1, 10, 1) psi
-        np.multiply(psi, 10.0, out=rhs)
-        rhs_head += psi_tail
-        rhs_tail += psi_head
-        # zgttrs solves in place for a contiguous complex128 right-hand side
-        solution, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+    if slope == 0.0 and 0 < grid.n_steps <= sample_every:
+        psi = _free_run(psi0.values, grid, kin, system.hbar)
+    else:
+        # Loaded here, not at import, so that importing gravqm and every CLI
+        # command other than evolve load no scipy.
+        zgttrf, zgttrs = _lapack_tridiagonal()
+        potential = slope * grid.z
+        # 6A = 6M + 6r K with r = i dt/(2 hbar): the diagonals below, on and
+        # above, from K[j+1, j], K[j, j] and K[j, j+1] of K = T + M diag(V)
+        r6 = 3j * dt / system.hbar
+        dl, d, du, du2, ipiv, info = zgttrf(
+            0.5 + r6 * (potential[:-1] / 12.0 - kin),
+            5.0 + r6 * (potential * (10.0 / 12.0) + 2.0 * kin),
+            0.5 + r6 * (potential[1:] / 12.0 - kin),
+        )
         if info != 0:
-            raise NumericError(
-                f"tridiagonal solve failed at t={step * dt:.6g} (zgttrs info={info})"
-            )
-        np.subtract(solution, psi, out=psi)
-        _check_edges(low, high, step * dt)
-        if step % sample_every == 0 or step == grid.n_steps:
-            rows.append((step * dt, *sample(psi)))
+            raise NumericError(f"Crank-Nicolson matrix factorization failed (zgttrf info={info})")
+
+        psi = psi0.values.copy()
+        rhs = np.empty_like(psi)
+        rhs_head, rhs_tail, psi_head, psi_tail = rhs[:-1], rhs[1:], psi[:-1], psi[1:]
+        low, high = psi[:3], psi[-3:]
+        for step in range(1, grid.n_steps + 1):
+            # 12 M psi with the Dirichlet zeros: tridiag(1, 10, 1) psi
+            np.multiply(psi, 10.0, out=rhs)
+            rhs_head += psi_tail
+            rhs_tail += psi_head
+            # zgttrs solves in place for a contiguous complex128 right-hand side
+            solution, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+            if info != 0:
+                raise NumericError(
+                    f"tridiagonal solve failed at t={step * dt:.6g} (zgttrs info={info})"
+                )
+            np.subtract(solution, psi, out=psi)
+            _check_edges(low, high, step * dt)
+            if step % sample_every == 0 and step < grid.n_steps:
+                rows.append((step * dt, *sample(psi)))
+    if grid.n_steps:
+        rows.append((grid.n_steps * dt, *sample(psi)))
     final = ComplexField(grid, psi)
     return PropagationReport(
         final_field=final,
@@ -522,36 +542,26 @@ def _sine_transform(values: np.ndarray) -> np.ndarray:
     return -0.5 * (spectrum[0] + 1j * spectrum[1])
 
 
-def _free_runs(
-    psi0: ComplexField, system: PhysicalSystem, grids: list[Grid]
-) -> tuple[PropagationReport, list[np.ndarray]]:
-    """Free runs from ``psi0``, one per grid, in the sine eigenbasis of the step.
+def _free_run(values: np.ndarray, grid: Grid, kin: float, hbar: float) -> np.ndarray:
+    """Final samples of a free run from ``values``, in the sine eigenbasis of the step.
 
-    Each grid has the points of ``psi0``'s grid and its own dt and step
-    count.  With V = 0 and Dirichlet walls, 12 M = tridiag(1, 10, 1) and 6A
-    are symmetric Toeplitz tridiagonal, so the sine vectors sin(j theta_k),
+    With V = 0 and Dirichlet walls, 12 M = tridiag(1, 10, 1) and 6A are
+    symmetric Toeplitz tridiagonal, so the sine vectors sin(j theta_k),
     theta_k = pi k/(N+1), diagonalize the Numerov-Crank-Nicolson step
     psi <- (6A)^-1 (12 M psi) - psi exactly, with eigenvalues
     lambda_k = (5 + cos theta_k - i kappa_k)/(5 + cos theta_k + i kappa_k),
     kappa_k = 3 dt kin (2 - 2 cos theta_k)/hbar, kin = hbar^2/(2 m_i dz^2),
-    and |lambda_k| = 1.  One transform of psi0 gives its coefficients, each
-    step multiplies them by lambda, and one inverse transform per grid
-    gives the final field: n steps cost an elementwise product each, not a
-    tridiagonal solve.
+    and |lambda_k| = 1.  One transform of ``values`` gives its coefficients,
+    each of the grid's steps multiplies them by lambda, and one inverse
+    transform gives the final samples: a step costs an elementwise product,
+    not a tridiagonal solve.
 
-    Every step is checked as :func:`propagate_linear_potential` checks it,
-    with the same errors at the same step: the three samples nearest each
-    edge come from a real 3 x N table of sin(j theta_k), j = 1, 2, 3, and
-    the far edge from sin((N+1-j) theta_k) = (-1)^(k+1) sin(j theta_k), so
-    the sums over odd and even k give both sides.  The report is that of
-    the first grid, sampled (central moments) at its two ends; a grid with
-    no steps ends at psi0 itself.
+    Every step is checked as the stepped kernel checks it, with the same
+    errors at the same step: the three samples nearest each edge come from a
+    real 3 x N table of sin(j theta_k), j = 1, 2, 3, and the far edge from
+    sin((N+1-j) theta_k) = (-1)^(k+1) sin(j theta_k), so the sums over odd
+    and even k give both sides.
     """
-    grid = psi0.grid
-    norm0 = _check_initial_state(psi0)
-    sample = _Moments(grid, system, "central")
-    rows = [(0.0, *sample(psi0.values))]
-    kin = checked_square("hbar", system.hbar) / (2.0 * system.m_i * checked_square("dz", grid.dz))
     n = grid.n_points
     theta = np.arange(1, n + 1) * (math.pi / (n + 1))
     # coefficients of odd k first, then even k: the far edge flips the sign of the second block
@@ -560,41 +570,25 @@ def _free_runs(
     table = np.sin(np.outer([1.0, 2.0, 3.0], theta[order])) * (2.0 / (n + 1))
     odd_table, even_table = table[:, :half], table[:, half:]
     cos = np.cos(theta[order])
-    coefficients = _sine_transform(psi0.values)[order]
+    kappa = 3.0 * grid.dt * kin * (2.0 - 2.0 * cos) / hbar
+    lam = (5.0 + cos - 1j * kappa) / (5.0 + cos + 1j * kappa)
+    w = _sine_transform(values)[order]
+    # (real, imaginary) columns, so the sums are real matrix products
+    parts = w.view(float).reshape(n, 2)
+    odd, even = parts[:half], parts[half:]
     odd_sum, even_sum = np.empty((3, 2)), np.empty((3, 2))
     edges = np.empty((2, 3, 2))
     near, far = edges.view(complex)[..., 0]
-    ends = []
-    for run in grids:
-        if run.n_steps == 0:
-            ends.append(psi0.values)
-            continue
-        kappa = 3.0 * run.dt * kin * (2.0 - 2.0 * cos) / system.hbar
-        lam = (5.0 + cos - 1j * kappa) / (5.0 + cos + 1j * kappa)
-        w = coefficients.copy()
-        # (real, imaginary) columns, so the sums are real matrix products
-        parts = w.view(float).reshape(n, 2)
-        odd, even = parts[:half], parts[half:]
-        for step in range(1, run.n_steps + 1):
-            w *= lam
-            np.matmul(odd_table, odd, out=odd_sum)
-            np.matmul(even_table, even, out=even_sum)
-            np.add(odd_sum, even_sum, out=edges[0])
-            np.subtract(odd_sum, even_sum, out=edges[1])
-            _check_edges(near, far, step * run.dt)
-        values = np.empty(n, dtype=complex)
-        values[order] = w
-        ends.append(_sine_transform(values) * (2.0 / (n + 1)))
-    final = ComplexField(grid, ends[0])
-    if grid.n_steps:
-        rows.append((grid.n_steps * grid.dt, *sample(final.values)))
-    report = PropagationReport(
-        final_field=final,
-        norm_drift=abs(norm_squared(final) - norm0),
-        moment_series=np.array(rows),
-        momentum_method="central",
-    )
-    return report, ends
+    for step in range(1, grid.n_steps + 1):
+        w *= lam
+        np.matmul(odd_table, odd, out=odd_sum)
+        np.matmul(even_table, even, out=even_sum)
+        np.add(odd_sum, even_sum, out=edges[0])
+        np.subtract(odd_sum, even_sum, out=edges[1])
+        _check_edges(near, far, step * grid.dt)
+    final = np.empty(n, dtype=complex)
+    final[order] = w
+    return _sine_transform(final) * (2.0 / (n + 1))
 
 
 def _extrapolated_run(
@@ -610,35 +604,23 @@ def _extrapolated_run(
     cancels the dt^2 term and leaves the field fourth order in time.
     ``report`` is the run on the given grid and ``change`` the largest
     change the extrapolation made; fewer than two steps are returned plainly,
-    with a change of 0.
-
-    Only the end fields are needed, so a free run (slope 0) is not stepped:
-    :func:`_free_runs` makes both runs of the same scheme in its sine
-    eigenbasis, with the same per-step edge checks, and agrees with the
-    stepped runs to rounding (1.9e-13 at 4096 points x 1000 steps).  Any
-    other slope is stepped by :func:`propagate_linear_potential`.
+    with a change of 0.  Both runs sample only their ends, so
+    :func:`propagate_linear_potential` makes a free pair (slope 0) in the
+    sine eigenbasis of the step and steps any other.
     """
     grid = psi0.grid
     n = grid.n_steps
-    m = (n + 1) // 2
-    grids = [grid]
-    if n >= 2:
-        grids.append(Grid(grid.z_min, grid.z_max, grid.n_points, dt=grid.total_time / m, n_steps=m))
-    if slope == 0.0:
-        report, ends = _free_runs(psi0, system, grids)
-    else:
-        runs = [
-            propagate_linear_potential(
-                ComplexField(run, psi0.values), system, slope, sample_every=max(1, run.n_steps)
-            )
-            for run in grids
-        ]
-        report, ends = runs[0], [run.final_field.values for run in runs]
-    fine = ends[0]
+    report = propagate_linear_potential(psi0, system, slope, sample_every=max(1, n))
+    fine = report.final_field.values
     if n < 2:
         return report, fine, 0.0
+    m = (n + 1) // 2
+    coarse_grid = Grid(grid.z_min, grid.z_max, grid.n_points, dt=grid.total_time / m, n_steps=m)
+    coarse = propagate_linear_potential(
+        ComplexField(coarse_grid, psi0.values), system, slope, sample_every=m
+    )
     # times the reciprocal: dividing by q^2 - 1 can round the last bit differently
-    correction = (fine - ends[1]) * (1.0 / ((n / m) ** 2 - 1.0))
+    correction = (fine - coarse.final_field.values) * (1.0 / ((n / m) ** 2 - 1.0))
     return report, fine + correction, float(np.max(np.abs(correction)))
 
 
@@ -655,7 +637,7 @@ def frame_equivalence(psi0_free: ComplexField, system: PhysicalSystem) -> FrameE
     Each path is a :func:`_extrapolated_run` on the grid of ``psi0_free``,
     so the comparison is fourth order in time.  The free path's two runs are
     made in the sine eigenbasis of the step, not stepped, so the check makes
-    two tridiagonal propagations, both on the direct path.  The mismatch and
+    two tridiagonal factorizations, both on the direct path.  The mismatch and
     the global-phase alignment are taken on the extrapolated fields;
     ``free_report`` and ``direct_report`` are the runs on the given grid,
     and ``time_correction`` is the largest change the extrapolation made to
@@ -739,6 +721,8 @@ def heisenberg_checks(
 
     A report whose ``momentum_method`` is not ``"spectral"`` is a ParameterError:
     the bounds are set for spectral moments, and central ones fail them on working code.
+    A difference or a scale out of double range (a run so long that the
+    closed form overflows) is a NumericError.
     """
     if report.momentum_method != "spectral":
         raise ParameterError(
@@ -747,23 +731,29 @@ def heisenberg_checks(
     t, mean_z, mean_p, sigma_z, sigma_p = report.moment_series.T
     z0, p0, dz0, dp0 = (float(column[0]) for column in (mean_z, mean_p, sigma_z, sigma_p))
     m, force, end = system.m_i, system.weight, float(t[-1])
-    # dz^2 less its C-free part is 2*C*t/m_i, and 2*C*T/m_i is its last value
-    excess = sigma_z**2 - dz0**2 - (dp0 * t / m) ** 2
-    checks = {
-        "mean_momentum": (mean_p - (p0 - force * t), dp0 + abs(force) * end, _MOMENT_RTOL),
-        "mean_position": (
-            mean_z - (z0 + (p0 - 0.5 * force * t) * t / m),
-            dz0 + ((abs(p0) + dp0) * end + 0.5 * abs(force) * end * end) / m,
-            _MOMENT_RTOL,
-        ),
-        "momentum_spread": (sigma_p - dp0, dp0, _MOMENTUM_SPREAD_RTOL),
-        # with one sample, t = 0 and so excess = 0
-        "position_spread": (
-            excess - excess[-1] * (t / end if end else t), float(sigma_z[-1]) ** 2, _MOMENT_RTOL
-        ),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
+        # dz^2 less its C-free part is 2*C*t/m_i, and 2*C*T/m_i is its last value
+        excess = sigma_z**2 - dz0**2 - (dp0 * t / m) ** 2
+        checks = {
+            "mean_momentum": (mean_p - (p0 - force * t), dp0 + abs(force) * end, _MOMENT_RTOL),
+            "mean_position": (
+                mean_z - (z0 + (p0 - 0.5 * force * t) * t / m),
+                dz0 + ((abs(p0) + dp0) * end + 0.5 * abs(force) * end * end) / m,
+                _MOMENT_RTOL,
+            ),
+            "momentum_spread": (sigma_p - dp0, dp0, _MOMENTUM_SPREAD_RTOL),
+            # with one sample, t = 0 and so excess = 0
+            "position_spread": (
+                excess - excess[-1] * (t / end if end else t), float(sigma_z[-1]) ** 2, _MOMENT_RTOL
+            ),
+        }
     outcomes = {}
     for name, (difference, scale, tolerance) in checks.items():
-        residual = float(np.max(np.abs(difference))) / scale
+        largest = float(np.max(np.abs(difference)))
+        if not (math.isfinite(largest) and math.isfinite(scale)):
+            raise NumericError(
+                f"heisenberg_checks {name}: the closed form at t={end:g} is out of double range"
+            )
+        residual = largest / scale
         outcomes[name] = CheckOutcome(residual, tolerance, residual <= tolerance)
     return outcomes

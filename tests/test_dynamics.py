@@ -179,11 +179,12 @@ def test_boundary_contact_is_diagnosed():
 
 def test_free_path_diagnoses_boundary_contact_at_the_stepped_step():
     # the packet of test_boundary_contact_is_diagnosed: the free path checks
-    # the edges at every step, as the stepped run does
+    # the edges at every step, as the stepped run (sampled before its end,
+    # so stepped) does
     grid = Grid(-6.0, 6.0, 1024, dt=1e-3, n_steps=3000)
     psi0 = gaussian_packet(grid, 0.0, 0.5, k0=4.0)
     with pytest.raises(BoundaryContactError) as stepped:
-        propagate_linear_potential(psi0, natural(), 0.0, sample_every=3000)
+        propagate_linear_potential(psi0, natural(), 0.0, sample_every=2999)
     with pytest.raises(BoundaryContactError) as free:
         dynamics._extrapolated_run(psi0, natural(), 0.0)
     assert free.value.time == stepped.value.time
@@ -203,8 +204,9 @@ def test_non_finite_field_fails_at_the_step_it_appears(monkeypatch):
     monkeypatch.setattr(dynamics, "_lapack_tridiagonal", lambda: (zgttrf, nan_solve))
     grid = Grid(-10.0, 10.0, 512, dt=1e-3, n_steps=50)
     psi0 = gaussian_packet(grid, 0.0, 0.5)
+    # slope 1: a free run sampled at its ends alone is not stepped
     with pytest.raises(NumericError, match=r"non-finite samples at t=0\.001\b") as err:
-        propagate_linear_potential(psi0, natural(), 0.0, sample_every=50)
+        propagate_linear_potential(psi0, natural(), 1.0, sample_every=50)
     assert not isinstance(err.value, BoundaryContactError)
 
 
@@ -660,6 +662,18 @@ def test_heisenberg_checks_refuse_central_moments():
         heisenberg_checks(report, system)
 
 
+def test_heisenberg_checks_out_of_double_range():
+    # the bouncer-moments packet, one step of 1e300: F*T^2/(2 m_i) overflows,
+    # a numeric failure rather than a nan residual
+    grid = Grid(-14.0, 13.0, 256, dt=1e300, n_steps=1)
+    system = natural(a=1.0)
+    report = propagate_linear_potential(
+        gaussian_packet(grid, 0.0, 0.5), system, system.weight, momentum_method="spectral"
+    )
+    with pytest.raises(NumericError, match=r"mean_position: the closed form at t=1e\+300 "):
+        heisenberg_checks(report, system)
+
+
 def test_heisenberg_checks_keep_gravitational_and_inertial_mass_apart():
     # a moving packet with m_g != m_i follows the operator solution; the same
     # series checked against m_g = m_i misses the force in both means
@@ -751,39 +765,61 @@ def test_extrapolated_run_fourth_order_against_avron_herbst():
 
 def test_free_path_matches_the_stepped_runs():
     # the reference grid: the free path's fields and end moments agree with
-    # the stepped runs it replaces to rounding
+    # the stepped runs (a free run sampled along the way is stepped) to
+    # rounding, through _extrapolated_run and through the public end-only
+    # call with either moment method
     system = natural()
     grid = Grid(-20.0, 30.0, 2048, dt=2e-3, n_steps=500)
     psi0 = gaussian_packet(grid, 8.0, 0.5)
     report, values, _ = dynamics._extrapolated_run(psi0, system, 0.0)
-    fine = propagate_linear_potential(psi0, system, 0.0, sample_every=500)
     coarse_grid = Grid(-20.0, 30.0, 2048, dt=4e-3, n_steps=250)
     coarse = propagate_linear_potential(ComplexField(coarse_grid, psi0.values), system, 0.0)
-    expected = fine.final_field.values
-    expected = expected + (expected - coarse.final_field.values) / 3.0
-    scale = np.max(np.abs(fine.final_field.values))
-    assert np.max(np.abs(report.final_field.values - fine.final_field.values)) <= 1e-12 * scale
+    for method in ("central", "spectral"):
+        end_only = propagate_linear_potential(
+            psi0, system, 0.0, sample_every=500, momentum_method=method
+        )
+        fine = propagate_linear_potential(
+            psi0, system, 0.0, sample_every=250, momentum_method=method
+        )
+        stepped = fine.final_field.values
+        scale = np.max(np.abs(stepped))
+        ends = fine.moment_series[[0, -1]]
+        for free in (report, end_only) if method == "central" else (end_only,):
+            assert free.momentum_method == method
+            assert np.max(np.abs(free.final_field.values - stepped)) <= 1e-12 * scale
+            np.testing.assert_array_equal(free.moment_series[:, 0], ends[:, 0])
+            np.testing.assert_allclose(free.moment_series, ends, rtol=0.0, atol=1e-12)
+            assert free.norm_drift <= 1e-12
+    expected = stepped + (stepped - coarse.final_field.values) / 3.0
     assert np.max(np.abs(values - expected)) <= 1e-12 * scale
-    np.testing.assert_array_equal(report.moment_series[:, 0], fine.moment_series[:, 0])
-    np.testing.assert_allclose(report.moment_series, fine.moment_series, rtol=0.0, atol=1e-12)
-    assert report.norm_drift <= 1e-12
 
 
 def test_frame_equivalence_steps_only_the_direct_path(monkeypatch):
     # the free path is never stepped: a fallback to stepping would otherwise
-    # show only as a slower benchmark
-    slopes = []
-    stepped = dynamics.propagate_linear_potential
+    # show only as a slower benchmark.  Each stepped run factors 6A once; a
+    # free run sampled at its ends alone factors nothing, one sampled along
+    # the way is stepped.
+    zgttrf, zgttrs = _lapack_tridiagonal()
+    factorizations = []
 
-    def counting(psi0, system, slope, **kwargs):
-        slopes.append(slope)
-        return stepped(psi0, system, slope, **kwargs)
+    def counting_zgttrf(*args):
+        factorizations.append(args)
+        return zgttrf(*args)
 
-    monkeypatch.setattr(dynamics, "propagate_linear_potential", counting)
+    monkeypatch.setattr(dynamics, "_lapack_tridiagonal", lambda: (counting_zgttrf, zgttrs))
     system = natural(a=1.0)
     grid = Grid(-15.0, 15.0, 1024, dt=2e-3, n_steps=100)
-    frame_equivalence(gaussian_packet(grid, 2.0, 0.5), system)
-    assert slopes == [system.weight, system.weight]
+    psi0 = gaussian_packet(grid, 2.0, 0.5)
+    counts = []
+    for run in (
+        lambda: frame_equivalence(psi0, system),
+        lambda: propagate_linear_potential(psi0, system, 0.0, sample_every=grid.n_steps),
+        lambda: propagate_linear_potential(psi0, system, 0.0, sample_every=grid.n_steps - 1),
+    ):
+        factorizations.clear()
+        run()
+        counts.append(len(factorizations))
+    assert counts == [2, 0, 1]
 
 
 def _plain_mismatch(psi0, system):

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gravqm import (
+    ComplexField,
     FrameTransform,
     Grid,
     InterferometerGeometry,
@@ -35,6 +36,7 @@ from gravqm import (
     energy_eigenvalue,
     falling_box_state,
     falling_box_window,
+    frame_equivalence,
     free_dispersion_width,
     frequency_shift,
     gaussian_packet,
@@ -213,6 +215,29 @@ def test_propagation_slope(slope, sample_every):
     if report is not None:
         assert _finite(report.norm_drift) and np.isfinite(report.moment_series).all()
         assert np.isfinite(report.final_field.values).all()
+
+
+@_SETTINGS
+@given(_or(1e-2))
+@example(1e308)  # 3*dt overflows
+def test_propagation_time_step(dt):
+    # both kernels (a free run sampled at its ends, a stepped run in the
+    # field) and the dual-path comparison, which makes both kinds of run
+    grid = _outcome(lambda: Grid(-12.0, 12.0, 128, dt=dt, n_steps=2))
+    if grid is None:
+        return
+    psi0 = ComplexField(grid, _SHORT_RUN.values)
+    for slope, sample_every in ((0.0, 2), (1.0, 1)):
+        report = _outcome(
+            lambda: propagate_linear_potential(psi0, _UNIT, slope, sample_every=sample_every)
+        )
+        if report is not None:
+            assert _finite(report.norm_drift) and np.isfinite(report.moment_series).all()
+            assert np.isfinite(report.final_field.values).all()
+    result = _outcome(lambda: frame_equivalence(psi0, _FALLING))
+    if result is not None:
+        assert _finite(result.max_mismatch, result.time_correction)
+        assert np.isfinite(result.transformed.values).all()
 
 
 @_SETTINGS

@@ -145,8 +145,11 @@ def shift_field(field: ComplexField, offset: float) -> ComplexField:
     run at the shifted coordinate of the falling frame.  The resampling is
     periodic, so the samples within |offset| of the incoming edge reappear
     at the far side: NumericError is raised when they exceed the contact
-    amplitude, or when |offset| is not smaller than the domain.
+    amplitude, or when |offset| is not smaller than the domain.  An offset
+    that is not finite, or an integer beyond double range, is a
+    ParameterError.
     """
+    offset = require_finite("shift offset", offset)
     if offset == 0.0:
         return field
     grid = field.grid
@@ -172,10 +175,13 @@ def align_global_phase(field: ComplexField, reference: ComplexField) -> ComplexF
     """Rotate ``field`` by the constant phase that best matches ``reference``.
 
     The falling-frame map fixes the wave function only up to one constant
-    phase, so comparisons are made after this alignment.  NumericError when
-    the fields' inner product is not finite (a NaN or infinite sample).
+    phase, so comparisons are made after this alignment.  The fields must
+    share their sample points (z_min, z_max, n_points), else ParameterError;
+    the time step and step count of their grids may differ.  NumericError
+    when the fields' inner product is not finite (a NaN or infinite sample).
     """
-    if field.grid != reference.grid:
+    a, b = field.grid, reference.grid
+    if (a.z_min, a.z_max, a.n_points) != (b.z_min, b.z_max, b.n_points):
         raise ParameterError("fields live on different grids")
     inner = np.sum(np.conj(field.values) * reference.values) * field.grid.dz
     if not np.isfinite(inner):
@@ -489,7 +495,9 @@ def pde_residual(
     ``values[i, j]`` samples psi(z_j, t_i) on uniform stencils.  Derivatives
     are second-order central differences on interior points; the maximum
     residual is divided by the magnitude of the largest single term so the
-    result measures relative cancellation.  A slope that is not finite is a
+    result measures relative cancellation.  A stencil whose steps differ
+    from its first by more than numpy's default relative tolerance (1e-5),
+    at any spacing, is a ParameterError.  A slope that is not finite is a
     ParameterError, and one whose F*z leaves double range a NumericError.
     """
     slope = require_finite("slope", slope)
@@ -502,7 +510,9 @@ def pde_residual(
         raise ParameterError("stencil needs at least 5 points per axis")
     dz = z_values[1] - z_values[0]
     dt = t_values[1] - t_values[0]
-    if not (np.allclose(np.diff(z_values), dz) and np.allclose(np.diff(t_values), dt)):
+    if not (
+        np.allclose(np.diff(z_values), dz, atol=0.0) and np.allclose(np.diff(t_values), dt, atol=0.0)
+    ):
         raise ParameterError("stencil must be uniform in z and t")
     if not np.all(np.isfinite(values)):
         raise NumericError("stencil contains non-finite samples")
@@ -557,38 +567,29 @@ def _free_run(values: np.ndarray, grid: Grid, kin: float, hbar: float) -> np.nda
     not a tridiagonal solve.
 
     Every step is checked as the stepped kernel checks it, with the same
-    errors at the same step: the three samples nearest each edge come from a
-    real 3 x N table of sin(j theta_k), j = 1, 2, 3, and the far edge from
-    sin((N+1-j) theta_k) = (-1)^(k+1) sin(j theta_k), so the sums over odd
-    and even k give both sides.
+    errors at the same step: the six samples nearest the edges are one
+    product of a real 6 x N table with the coefficients.  Its rows 1-3 are
+    sin(j theta_k) 2/(N+1), j = 1, 2, 3, for psi[:3]; rows 4-6 are the same
+    rows reversed and signed, as sin((N+1-j) theta_k) = (-1)^(k+1) sin(j theta_k),
+    for psi[N-3], psi[N-2], psi[N-1], the order of ``psi[-3:]``.
     """
     n = grid.n_points
     theta = np.arange(1, n + 1) * (math.pi / (n + 1))
-    # coefficients of odd k first, then even k: the far edge flips the sign of the second block
-    order = np.r_[0:n:2, 1:n:2]
-    half = (n + 1) // 2
-    table = np.sin(np.outer([1.0, 2.0, 3.0], theta[order])) * (2.0 / (n + 1))
-    odd_table, even_table = table[:, :half], table[:, half:]
-    cos = np.cos(theta[order])
+    near = np.sin(np.outer([1.0, 2.0, 3.0], theta)) * (2.0 / (n + 1))
+    table = np.vstack([near, near[::-1] * (-1.0) ** np.arange(n)])
+    cos = np.cos(theta)
     kappa = 3.0 * grid.dt * kin * (2.0 - 2.0 * cos) / hbar
     lam = (5.0 + cos - 1j * kappa) / (5.0 + cos + 1j * kappa)
-    w = _sine_transform(values)[order]
-    # (real, imaginary) columns, so the sums are real matrix products
+    w = _sine_transform(values)
+    # (real, imaginary) columns, so the sums are a real matrix product
     parts = w.view(float).reshape(n, 2)
-    odd, even = parts[:half], parts[half:]
-    odd_sum, even_sum = np.empty((3, 2)), np.empty((3, 2))
-    edges = np.empty((2, 3, 2))
-    near, far = edges.view(complex)[..., 0]
+    edges = np.empty((6, 2))
+    low, high = edges.view(complex)[:, 0].reshape(2, 3)
     for step in range(1, grid.n_steps + 1):
         w *= lam
-        np.matmul(odd_table, odd, out=odd_sum)
-        np.matmul(even_table, even, out=even_sum)
-        np.add(odd_sum, even_sum, out=edges[0])
-        np.subtract(odd_sum, even_sum, out=edges[1])
-        _check_edges(near, far, step * grid.dt)
-    final = np.empty(n, dtype=complex)
-    final[order] = w
-    return _sine_transform(final) * (2.0 / (n + 1))
+        np.matmul(table, parts, out=edges)
+        _check_edges(low, high, step * grid.dt)
+    return _sine_transform(w) * (2.0 / (n + 1))
 
 
 def _extrapolated_run(
@@ -650,7 +651,8 @@ def frame_equivalence(psi0_free: ComplexField, system: PhysicalSystem) -> FrameE
     direct_report, direct, direct_change = _extrapolated_run(
         to_stationary_frame(ft, psi0_free, 0.0), system, system.weight
     )
-    shifted = shift_field(ComplexField(grid, free), ft.shift(t_final))
+    offset = finite_result("frame shift v*t + a*t^2/2", ft.shift(t_final))
+    shifted = shift_field(ComplexField(grid, free), offset)
     direct_field = ComplexField(grid, direct)
     transformed = align_global_phase(to_stationary_frame(ft, shifted, t_final), direct_field)
     return FrameEquivalenceResult(

@@ -191,6 +191,28 @@ def test_free_path_diagnoses_boundary_contact_at_the_stepped_step():
     assert free.value.amplitude == pytest.approx(stepped.value.amplitude, rel=1e-6)
 
 
+@pytest.mark.parametrize("n_points", [1024, 1023])
+def test_both_kernels_check_the_same_edge_samples(monkeypatch, n_points):
+    # the packet of test_boundary_contact_is_diagnosed, run for 300 steps,
+    # short of its contact at t=0.371: the sine kernel (sampled at its ends)
+    # and the stepped one must hand the edge check the same six samples, in
+    # the order psi[:3], psi[-3:], at odd and even N
+    grid = Grid(-6.0, 6.0, n_points, dt=1e-3, n_steps=300)
+    psi0 = gaussian_packet(grid, 0.0, 0.5, k0=4.0)
+    seen = {}
+    for sample_every in (300, 299):
+        calls = seen[sample_every] = []
+        monkeypatch.setattr(
+            dynamics, "_check_edges", lambda low, high, t: calls.append((t, *low, *high))
+        )
+        propagate_linear_potential(psi0, natural(), 0.0, sample_every=sample_every)
+    free, stepped = np.array(seen[300]), np.array(seen[299])
+    assert free.shape == stepped.shape == (300, 7)
+    assert np.array_equal(free[:, 0], stepped[:, 0])
+    peak = np.max(np.abs(psi0.values))
+    assert np.max(np.abs(free[:, 1:] - stepped[:, 1:])) <= 1e-12 * peak
+
+
 def test_non_finite_field_fails_at_the_step_it_appears(monkeypatch):
     # a solve that returns NaN turns the field into NaN on the first step; the
     # per-step edge check must stop the run there, not at the next moment sample
@@ -357,7 +379,6 @@ def test_shift_field_moves_a_packet():
         (8.5, -2.0),  # and the other way round
         (0.0, 20.0),  # the whole domain
         (0.0, -25.0),
-        (0.0, math.nan),
     ],
 )
 def test_shift_field_refuses_wrap_around(center, offset):
@@ -519,13 +540,30 @@ def test_moments_with_spacing_out_of_double_range(method):
         (ParameterError, lambda: align_global_phase(
             gaussian_packet(Grid(-10.0, 10.0, 128), 0.0, 1.0),
             gaussian_packet(Grid(-10.0, 10.0, 129), 0.0, 1.0))),
+        (ParameterError, lambda: shift_field(
+            gaussian_packet(Grid(-10.0, 10.0, 1024), 0.0, 0.5), math.nan)),
     ],
     ids=["grid-negative-steps", "field-shape", "normalize-zero-field", "packet-zero-width",
-         "packet-negative-width", "residual-shape", "residual-non-finite", "align-across-grids"],
+         "packet-negative-width", "residual-shape", "residual-non-finite", "align-across-grids",
+         "shift-nan-offset"],
 )
 def test_validation_raises(error, call):
     with pytest.raises(error):
         call()
+
+
+def test_align_fields_of_runs_with_different_time_steps():
+    # the same 512 points, T = 0.5 in steps of 1e-2 and of 2e-2: the grids
+    # differ only in dt and n_steps, and the fields differ by the
+    # Crank-Nicolson time error
+    finals = []
+    for dt, n_steps in ((1e-2, 50), (2e-2, 25)):
+        grid = Grid(-12.0, 12.0, 512, dt=dt, n_steps=n_steps)
+        report = propagate_linear_potential(
+            gaussian_packet(grid, 0.0, 1.0), natural(), 0.0, sample_every=n_steps
+        )
+        finals.append(report.final_field)
+    assert 0.0 < max_pointwise_mismatch(*finals) <= 1e-5
 
 
 def test_moments_reject_unnormalized_field():
@@ -617,6 +655,10 @@ def test_residual_stencil_validation():
         pde_residual(np.ones((9, 9), dtype=complex), z_bad, t, system, 0.0)
     with pytest.raises(ParameterError):
         pde_residual(np.ones((3, 3), dtype=complex), z[:3], t[:3], system, 0.0)
+    # steps of 1e-9 and 2e-9: uneven at any spacing, not only above 1e-8
+    z_tiny = np.array([0.0, 1e-9, 3e-9, 4e-9, 6e-9, 7e-9])
+    with pytest.raises(ParameterError, match="uniform"):
+        pde_residual(np.ones((9, 6), dtype=complex), z_tiny, t, system, 0.0)
 
 
 # ------------------------------------------------------- frame equivalence

@@ -2,7 +2,7 @@
 
 The fields of ``Grid``, ``PhysicalSystem``, ``FrameTransform`` and
 ``InterferometerGeometry``, the scalar arguments of the entry points (a
-plane wave's momentum p' among them) and the derived scalars
+plane wave's momentum p' and a shift offset among them) and the derived scalars
 ``Grid.total_time`` and ``PhysicalSystem.weight`` are drawn from or built
 on values at and beyond the edges of double range: nan, infinities,
 +-1e308, subnormals, an int beyond double range, numpy integers, bools and
@@ -46,6 +46,7 @@ from gravqm import (
     phase_s,
     plane_wave_stationary,
     propagate_linear_potential,
+    shift_field,
 )
 
 _EDGES = [
@@ -202,6 +203,14 @@ def test_free_dispersion_width(sigma0, t):
 def test_pde_residual_slope(slope):
     residual = _outcome(lambda: pde_residual(_STENCIL, _STENCIL_Z, _STENCIL_T, _UNIT, slope))
     assert residual is None or _finite(residual)
+
+
+@_SETTINGS
+@given(_REAL)
+@example(10**400)  # float() overflows
+def test_shift_offset(offset):
+    shifted = _outcome(lambda: shift_field(_SHORT_RUN, offset))
+    assert shifted is None or np.isfinite(shifted.values).all()
 
 
 @_SETTINGS

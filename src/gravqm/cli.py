@@ -302,7 +302,7 @@ def _frame_equivalence_demo(psi0, system, cfg):
 
 
 def _bouncer_moments_demo(psi0, system, cfg):
-    report = propagate_linear_potential(psi0, system, system.weight, momentum_method="spectral")
+    report = propagate_linear_potential(psi0, system, system.weight)
     t, mz, mp_, sz, sp_ = report.moment_series.T
     columns = {
         "t": list(t), "mean_z": list(mz), "mean_p": list(mp_),

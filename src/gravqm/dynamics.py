@@ -22,9 +22,9 @@ is reported as an error naming the time).
 
 The step loop allocates no grid-sized array: it updates one state buffer and
 one right-hand side in place, and moments are sampled by one kernel
-(``_Moments``) whose weights, wavenumbers and work arrays are built once per
-propagation.  The public :func:`moments` is the same kernel built for a
-single call.
+(``_Moments``, a sixth-order first difference for the momentum) whose
+weights, padded buffer and work arrays are built once per propagation.  The
+public :func:`moments` is the same kernel built for a single call.
 
 :func:`propagate_linear_potential` is the one place that picks the kernel.
 A free run (slope 0) that samples moments only at its two ends, such as
@@ -86,14 +86,13 @@ _MOMENTUM_SPREAD_RTOL = 1e-8
 class PropagationReport:
     """Outcome of one propagation: final field, drift, sampled moments.
 
-    ``moment_series`` has one row (t, <z>, <p>, dz, dp) per sample, its
-    momentum moments taken by ``momentum_method`` (see :func:`moments`).
+    ``moment_series`` has one row (t, <z>, <p>, dz, dp) per sample, taken
+    by the kernel of :func:`moments`.
     """
 
     final_field: ComplexField
     norm_drift: float
     moment_series: np.ndarray
-    momentum_method: str
 
 
 @dataclass(frozen=True)
@@ -217,51 +216,41 @@ def _check_initial_state(psi0: ComplexField) -> float:
 
 
 class _Moments:
-    """Moment kernel for one (grid, system, method): (<z>, <p>, dz, dp) of samples.
+    """Moment kernel for one (grid, system): (<z>, <p>, dz, dp) of samples.
 
-    The trapezoid weights, the wavenumbers and three work arrays are built
-    once; a call fills the work arrays with ``out=`` ufuncs and reduces them
-    with numpy's pairwise ``sum``, so sampling a propagation allocates no
-    grid-sized array and starts no BLAS threads.  (A BLAS dot product from
-    about 10^4 points may hand the work to its threads, which costs more
-    than the product and stalls on a busy host.)  Position moments use
-    trapezoidal quadrature.  Momentum moments use -i*hbar times central
-    differences (``method="central"``) or the Fourier representation
-    (``method="spectral"``).  Position and momentum moments are both taken
-    in units of the grid spacing (positions as u = (z - z_mid)/dz) and
-    scaled by dz and hbar/dz in Python arithmetic, so any spread that is a
-    double comes out right, and <p^2> out of double range raises
-    NumericError instead of overflowing in numpy.
+    Position moments use trapezoidal quadrature.  Momentum moments use the
+    antisymmetric sixth-order first difference D, with weights 3/4, -3/20 and
+    1/60 over dz and Dirichlet zeros past both edges (Fornberg, Math. Comp.
+    51, 699 (1988)): <p> = hbar sum w Im(conj(psi) D psi) and <p^2> =
+    hbar^2 sum w |D psi|^2 with trapezoid weights w.  The weights, a
+    zero-padded copy of the samples and the work arrays are built once; a call
+    fills them with ``out=`` ufuncs and reduces them with numpy's pairwise
+    ``sum``, so sampling a propagation allocates no grid-sized array and
+    starts no BLAS threads.  (A BLAS dot product from about 10^4 points may
+    hand the work to its threads, which costs more than the product and
+    stalls on a busy host.)  Position and momentum moments are both taken in
+    units of the grid spacing (positions as u = (z - z_mid)/dz, D psi as
+    dz D psi) and scaled by dz and hbar/dz in Python arithmetic, so any
+    spread that is a double comes out right, and <p^2> out of double range
+    raises NumericError instead of overflowing in numpy.
     """
 
-    def __init__(self, grid: Grid, system: PhysicalSystem, method: str):
-        if method not in ("central", "spectral"):
-            raise ParameterError(f"unknown momentum method {method!r}")
+    def __init__(self, grid: Grid, system: PhysicalSystem):
         n, dz = grid.n_points, grid.dz
-        self._method = method
         self._hbar = system.hbar
-        # central differences step 2*dz; spectral wavenumbers are k*dz
-        self._step = 2.0 * dz if method == "central" else dz
         self._dz = dz
         self._z_mid = 0.5 * grid.z_min + 0.5 * grid.z_max
         self._u = np.arange(n) - (n - 1) / 2.0
         self._weights = np.full(n, dz)
         self._weights[[0, -1]] = dz / 2.0
-        if method == "spectral":
-            self._k = 2.0 * math.pi * np.fft.fftfreq(n)
-            self._k_sq = self._k * self._k
-            # Each FFT allocates a complex scratch array of about n points.
-            # glibc maps a block above its mmap threshold (128 KiB at start)
-            # fresh from the kernel, so every call faulted its pages in (64
-            # faults a call at 12288 points).  Freeing a larger block raises
-            # that threshold, and the scratch then comes from the heap.
-            np.empty(4 * n, dtype=complex)
+        # psi/60 with three Dirichlet zeros on each side
+        self._padded = np.zeros(n + 6, dtype=complex)
         self._density = np.empty(n)
         self._work = np.empty(n)
         self._complex_work = np.empty(n, dtype=complex)
 
     def __call__(self, psi: np.ndarray) -> tuple[float, float, float, float]:
-        rho, work, c = self._density, self._work, self._complex_work
+        rho, work, d, pad = self._density, self._work, self._complex_work, self._padded
         # trapezoid-weighted density: its sum is the norm
         np.abs(psi, out=rho)
         rho *= rho
@@ -278,32 +267,26 @@ class _Moments:
         work *= work
         work *= rho
         var_u = float(work.sum()) / nrm
-        # momentum moments in units of hbar/step
-        if self._method == "central":
-            np.subtract(psi[2:], psi[:-2], out=c[1:-1])
-            # one-sided edges with the Dirichlet zero just outside the grid
-            c[0] = psi[1]
-            c[-1] = -psi[-2]
-            np.abs(c, out=work)
-            work *= work
-            work *= self._weights
-            q_sq = float(work.sum()) / nrm
-            # Im(conj(psi) dpsi) = -Im(conj(dpsi) psi)
-            np.conjugate(c, out=c)
-            c *= psi
-            np.multiply(self._weights, c.imag, out=work)
-            mean_q = -float(work.sum()) / nrm
-        else:
-            np.fft.fft(psi, out=c)
-            np.abs(c, out=work)
-            work *= work
-            total = float(work.sum())
-            # the density is no longer needed: reuse it for the products
-            np.multiply(self._k, work, out=rho)
-            mean_q = float(rho.sum()) / total
-            np.multiply(self._k_sq, work, out=rho)
-            q_sq = float(rho.sum()) / total
-        scale = self._hbar / self._step
+        # dz D psi = (45 (psi[j+1] - psi[j-1]) - 9 (psi[j+2] - psi[j-2])
+        # + (psi[j+3] - psi[j-3]))/60, nested in one buffer on psi/60
+        np.multiply(psi, 1.0 / 60.0, out=pad[3:-3])
+        np.subtract(pad[4:-2], pad[2:-4], out=d)
+        d *= 5.0
+        d -= pad[5:-1]
+        d += pad[1:-5]
+        d *= 9.0
+        d += pad[6:]
+        d -= pad[:-6]
+        np.abs(d, out=work)
+        work *= work
+        work *= self._weights
+        q_sq = float(work.sum()) / nrm
+        # Im(conj(psi) D psi) = -Im(conj(D psi) psi)
+        np.conjugate(d, out=d)
+        d *= psi
+        np.multiply(self._weights, d.imag, out=work)
+        mean_q = -float(work.sum()) / nrm
+        scale = self._hbar / self._dz
         # Python floats: an overflow gives inf, not a numpy warning
         p_sq = scale * scale * q_sq
         if not math.isfinite(p_sq):
@@ -317,23 +300,17 @@ class _Moments:
         )
 
 
-def moments(
-    field: ComplexField,
-    system: PhysicalSystem,
-    method: str = "central",
-) -> tuple[float, float, float, float]:
+def moments(field: ComplexField, system: PhysicalSystem) -> tuple[float, float, float, float]:
     """(<z>, <p>, dz, dp) of a normalized field.
 
-    Position moments use trapezoidal quadrature.  Momentum moments use
-    -i*hbar times central differences by default; ``method="spectral"`` uses
-    the Fourier representation instead (same contract, sharper for smooth
-    packets away from the edges).  This is the kernel that
-    :func:`propagate_linear_potential` samples with, built for one call.
-    Raises ParameterError for an unnormalized field or an unknown method
-    and NumericError for non-finite samples or momentum moments out of
-    double range.
+    Position moments use trapezoidal quadrature, momentum moments -i*hbar
+    times the sixth-order first difference with Dirichlet zeros past both
+    edges.  This is the kernel that :func:`propagate_linear_potential`
+    samples with, built for one call.  Raises ParameterError for an
+    unnormalized field and NumericError for non-finite samples or momentum
+    moments out of double range.
     """
-    return _Moments(field.grid, system, method)(field.values)
+    return _Moments(field.grid, system)(field.values)
 
 
 def _lapack_tridiagonal():
@@ -393,7 +370,7 @@ def propagate_linear_potential(
     slope: float,
     *,
     sample_every: int = 1,
-    momentum_method: str = "central",
+    momentum_method: str | None = None,
 ) -> PropagationReport:
     """Numerov-Crank-Nicolson evolution under V = slope * z with Dirichlet walls.
 
@@ -412,12 +389,19 @@ def propagate_linear_potential(
     same fields to rounding.  Every other run is stepped: 6A is factored
     once with LAPACK's zgttrf and each step is one zgttrs solve.  Both
     kernels check the samples nearest each edge at every step.
+
+    ``momentum_method`` is accepted for the benchmark harness alone, which
+    still passes ``"spectral"``; there is one moment kernel, so None,
+    ``"central"`` and ``"spectral"`` are all ignored, and any other value is
+    a ParameterError.  The next revision of the benchmark deletes it.
     """
     grid = psi0.grid
+    if momentum_method not in (None, "central", "spectral"):
+        raise ParameterError(f"unknown momentum method {momentum_method!r}")
     require_count("sample_every", sample_every, 1)
     slope = require_finite("slope", slope)
     norm0 = _check_initial_state(psi0)
-    sample = _Moments(grid, system, momentum_method)
+    sample = _Moments(grid, system)
     rows = [(0.0, *sample(psi0.values))]
     dt = grid.dt
     kin = checked_square("hbar", system.hbar) / (2.0 * system.m_i * checked_square("dz", grid.dz))
@@ -472,7 +456,6 @@ def propagate_linear_potential(
         final_field=final,
         norm_drift=abs(norm_squared(final) - norm0),
         moment_series=np.array(rows),
-        momentum_method=momentum_method,
     )
 
 
@@ -714,22 +697,18 @@ def heisenberg_checks(
 
     The bounds (1e-6 relative for the means and dz^2, 1e-8 for dp) are set
     for packets started near rest near the potential's zero, z = 0, as in
-    criterion 5 and the bouncer-moments demo.  The Crank-Nicolson time
-    error grows with the packet's energy, so other packets can fail on
-    working code.  With m_i 1.3, m_g 0.7, g 2, hbar 0.9, sigma 0.6, 2048
-    points on [-14, 13] and 600 steps of 1e-3, a packet at rest reads
-    ``mean_momentum`` 1.4e-7 at z0 = 0 but 1.22e-6 at z0 = -2, and one
-    started at z0 = -2 with k0 = 1.5 reads ``momentum_spread`` 7.8e-7.
+    criterion 5 and the bouncer-moments demo, whose sixth-order momentum
+    moments (:func:`moments`) keep dp to 6e-14 at the demo's 12288 points
+    and to 4.7e-13 at 2048.  The Crank-Nicolson time error grows with the
+    packet's energy, so other packets can fail on working code.  With m_i
+    1.3, m_g 0.7, g 2, hbar 0.9, sigma 0.6, 2048 points on [-14, 13] and 600
+    steps of 1e-3, a packet at rest reads ``mean_momentum`` 1.4e-7 at z0 = 0
+    but 1.22e-6 at z0 = -2, and one started at z0 = -2 with k0 = 1.5 reads
+    ``momentum_spread`` 7.8e-7.
 
-    A report whose ``momentum_method`` is not ``"spectral"`` is a ParameterError:
-    the bounds are set for spectral moments, and central ones fail them on working code.
     A difference or a scale out of double range (a run so long that the
     closed form overflows) is a NumericError.
     """
-    if report.momentum_method != "spectral":
-        raise ParameterError(
-            f"heisenberg_checks needs spectral moments, not {report.momentum_method!r}"
-        )
     t, mean_z, mean_p, sigma_z, sigma_p = report.moment_series.T
     z0, p0, dz0, dp0 = (float(column[0]) for column in (mean_z, mean_p, sigma_z, sigma_p))
     m, force, end = system.m_i, system.weight, float(t[-1])

@@ -1,8 +1,11 @@
+import ast
 import dataclasses
+import inspect
 import json
 import math
 import re
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from gravqm import (
     to_stationary_frame,
 )
 from gravqm import dynamics
+from gravqm.cli import _run_demo
 from gravqm.dynamics import _lapack_tridiagonal
 from oracles import free_gaussian_analytic, numerov_cn_oracle, run_fresh, trapezoid_moments
 
@@ -108,9 +112,7 @@ def test_velocity_is_momentum_over_mass():
     grid = Grid(-14.0, 13.0, 8192, dt=5e-4, n_steps=2000)
     system = natural(a=1.0)
     psi0 = gaussian_packet(grid, 0.0, 0.5)
-    report = propagate_linear_potential(
-        psi0, system, system.weight, sample_every=50, momentum_method="spectral"
-    )
+    report = propagate_linear_potential(psi0, system, system.weight, sample_every=50)
     t, mean_z, mean_p = report.moment_series[:, 0], report.moment_series[:, 1], report.moment_series[:, 2]
     velocity = (mean_z[2:] - mean_z[:-2]) / (t[2:] - t[:-2])
     target = mean_p[1:-1] / system.m_i
@@ -272,15 +274,12 @@ def test_last_moment_sample_is_the_final_field():
     grid = Grid(-10.0, 10.0, 512, dt=1e-3, n_steps=40)
     system = natural(a=1.0)
     psi0 = gaussian_packet(grid, 0.5, 0.5, k0=1.0)
-    for method in ("central", "spectral"):
-        report = propagate_linear_potential(
-            psi0, system, system.weight, sample_every=7, momentum_method=method
-        )
-        assert report.moment_series[:, 0].tolist() == pytest.approx(
-            [0.0, 0.007, 0.014, 0.021, 0.028, 0.035, 0.04], rel=1e-12
-        )
-        last = (grid.total_time, *moments(report.final_field, system, method=method))
-        assert tuple(report.moment_series[-1]) == last
+    report = propagate_linear_potential(psi0, system, system.weight, sample_every=7)
+    assert report.moment_series[:, 0].tolist() == pytest.approx(
+        [0.0, 0.007, 0.014, 0.021, 0.028, 0.035, 0.04], rel=1e-12
+    )
+    last = (grid.total_time, *moments(report.final_field, system))
+    assert tuple(report.moment_series[-1]) == last
 
 
 def test_lapack_solve_writes_in_place():
@@ -331,8 +330,8 @@ def test_lapack_loader_names_a_missing_extension(monkeypatch, tmp_path):
 
 
 # Prints the minor page faults of two warm propagations at 12288 points with
-# spectral moments every step, of 8 and 56 steps, and whether scipy.linalg
-# was loaded.  Both calls allocate the same arrays, so the difference is what
+# moments every step, of 8 and 56 steps, and whether scipy.linalg was
+# loaded.  Both calls allocate the same arrays, so the difference is what
 # the 48 extra steps cost.
 PAGE_FAULTS = """
 import dataclasses, json, resource, sys
@@ -341,7 +340,7 @@ system = dataclasses.replace(make_natural_system(1.0), g=1.0)
 def faults(steps):
     psi0 = gaussian_packet(Grid(-30.0, 30.0, 12288, dt=1e-3, n_steps=steps), 0.0, 1.0)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    propagate_linear_potential(psi0, system, system.weight, momentum_method="spectral")
+    propagate_linear_potential(psi0, system, system.weight)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 faults(8)
 short, long = faults(8), faults(56)
@@ -350,14 +349,32 @@ print(json.dumps({"per_step": (long - short) / 48, "scipy.linalg": "scipy.linalg
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's mmap behaviour")
-def test_spectral_moments_fault_in_no_fresh_pages():
-    # the FFT's 192 KiB scratch array must come from the heap, not from pages
-    # mapped fresh on every call (64 faults a step without the moment
-    # kernel's threshold-raising allocation); scipy.linalg, whose import
-    # raised the threshold as a side effect, must stay unloaded
+def test_moment_sampling_faults_in_no_fresh_pages():
+    # a step and its moment sample must fill buffers built once, not
+    # scratch arrays that glibc maps fresh from the kernel on every call
+    # (above its 128 KiB mmap threshold a 12288-point complex array is one
+    # such block); scipy.linalg, whose import raises that threshold as a
+    # side effect and so would hide such an array, must stay unloaded
     report = json.loads(run_fresh(PAGE_FAULTS).splitlines()[-1])
     assert not report["scipy.linalg"]
     assert report["per_step"] < 1.0
+
+
+def test_moment_kernel_calls_no_blas():
+    # a BLAS product may hand a 10^4-point reduction to its threads, which
+    # costs more than the product and stalls on a busy host: the kernel
+    # reduces with numpy's pairwise sum alone
+    tree = ast.parse(textwrap.dedent(inspect.getsource(dynamics._Moments.__call__)))
+    calls, matmuls = set(), 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            matmuls += 1
+    assert "sum" in calls  # the walk saw the kernel's reductions
+    assert not calls & {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+    assert matmuls == 0
 
 
 # ------------------------------------------------------------- shift_field
@@ -403,25 +420,30 @@ def test_moments_of_boosted_gaussian():
     grid = Grid(-10.0, 10.0, 10001)
     k0 = 2.0
     psi0 = gaussian_packet(grid, 0.0, 1.0, k0=k0)
-    # central differences carry an O(dz^2) phase-gradient bias; the spectral
-    # route is exact for a packet this smooth
-    _, mean_p, _, _ = moments(psi0, natural(), method="central")
-    assert mean_p == pytest.approx(k0, abs=1e-5)
-    _, mean_p, _, _ = moments(psi0, natural(), method="spectral")
+    _, mean_p, _, _ = moments(psi0, natural())
     assert mean_p == pytest.approx(k0, abs=1e-8)
+
+
+def test_momentum_moment_is_sixth_order():
+    # the error of <p> must fall about 2^6 = 64 times per halving of dz; a
+    # wrong stencil weight leaves a second-order error, a ratio of about 4
+    errors = []
+    for n_points in (257, 513, 1025):
+        psi0 = gaussian_packet(Grid(-10.0, 10.0, n_points), 0.0, 1.0, k0=2.0)
+        errors.append(abs(moments(psi0, natural())[1] - 2.0))
+    assert 56.0 <= errors[0] / errors[1] <= 72.0
+    assert 56.0 <= errors[1] / errors[2] <= 72.0
 
 
 def test_minimum_uncertainty_product():
     grid = Grid(-10.0, 10.0, 10001)
     psi0 = gaussian_packet(grid, 0.0, 1.0)
     system = natural()
-    for method in ("central", "spectral"):
-        _, _, sigma_z, sigma_p = moments(psi0, system, method=method)
-        assert sigma_z * sigma_p == pytest.approx(system.hbar / 2.0, abs=1e-6)
+    _, _, sigma_z, sigma_p = moments(psi0, system)
+    assert sigma_z * sigma_p == pytest.approx(system.hbar / 2.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("method", ["central", "spectral"])
-def test_moments_match_trapezoid_oracle(method):
+def test_moments_match_trapezoid_oracle():
     rng = np.random.default_rng(17)
     grid = Grid(-14.0, 13.0, 4097)
     system = dataclasses.replace(make_natural_system(1.0), hbar=0.7)
@@ -432,19 +454,18 @@ def test_moments_match_trapezoid_oracle(method):
             sigma=float(rng.uniform(0.3, 1.5)),
             k0=float(rng.uniform(-4.0, 4.0)),
         )
-        expected = trapezoid_moments(field.values, grid.z, grid.dz, system.hbar, method)
-        got = moments(field, system, method=method)
+        expected = trapezoid_moments(field.values, grid.z, grid.dz, system.hbar)
+        got = moments(field, system)
         assert got == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
-@pytest.mark.parametrize("method", ["central", "spectral"])
-def test_moments_of_packet_wider_than_its_square_range(method):
+def test_moments_of_packet_wider_than_its_square_range():
     # sigma_z^2 = 1e398 and sigma_p^2 = 2.5e-399 leave double range, the
     # spreads do not; no RuntimeWarning (pyproject.toml turns one into an error)
     grid = Grid(-1e200, 1e200, 101)
     values = np.exp(-((grid.z / 1e199) ** 2) / 4.0)
     field = ComplexField(grid, values).normalized()
-    mean_z, mean_p, sigma_z, sigma_p = moments(field, natural(), method=method)
+    mean_z, mean_p, sigma_z, sigma_p = moments(field, natural())
     assert sigma_z == pytest.approx(1e199, rel=1e-12)
     assert sigma_p == pytest.approx(5e-200, rel=1e-2)  # 5 points per sigma
     assert abs(mean_z) <= 1e-15 * sigma_z
@@ -455,9 +476,8 @@ def test_moments_of_non_finite_field_are_a_numeric_error():
     grid = Grid(-10.0, 10.0, 101)
     values = gaussian_packet(grid, 0.0, 1.0).values.copy()
     values[50] = math.nan
-    for method in ("central", "spectral"):
-        with pytest.raises(NumericError):
-            moments(ComplexField(grid, values), natural(), method=method)
+    with pytest.raises(NumericError):
+        moments(ComplexField(grid, values), natural())
 
 
 def test_moments_with_hbar_out_of_double_range():
@@ -518,11 +538,10 @@ def test_propagation_with_spacing_out_of_double_range():
         propagate_linear_potential(_spike_on_fine_grid(n_steps=2), natural(), 0.0)
 
 
-@pytest.mark.parametrize("method", ["central", "spectral"])
-def test_moments_with_spacing_out_of_double_range(method):
+def test_moments_with_spacing_out_of_double_range():
     # a NumericError with no RuntimeWarning (pyproject.toml turns one into an error)
     with pytest.raises(NumericError):
-        moments(_spike_on_fine_grid(), natural(), method=method)
+        moments(_spike_on_fine_grid(), natural())
 
 
 @pytest.mark.parametrize(
@@ -571,8 +590,21 @@ def test_moments_reject_unnormalized_field():
     field = ComplexField(grid, np.exp(-grid.z**2))
     with pytest.raises(ParameterError):
         moments(field, natural())
-    with pytest.raises(ParameterError):
-        moments(gaussian_packet(grid, 0.0, 1.0), natural(), method="nope")
+
+
+def test_propagator_ignores_the_harness_momentum_method():
+    # "central" and "spectral" are accepted and change nothing; any other
+    # value is refused before the run
+    grid = Grid(-12.0, 12.0, 256, dt=1e-2, n_steps=3)
+    system = natural(a=1.0)
+    psi0 = gaussian_packet(grid, 0.0, 1.0)
+    plain = propagate_linear_potential(psi0, system, system.weight)
+    for method in ("central", "spectral"):
+        report = propagate_linear_potential(psi0, system, system.weight, momentum_method=method)
+        np.testing.assert_array_equal(report.moment_series, plain.moment_series)
+        np.testing.assert_array_equal(report.final_field.values, plain.final_field.values)
+    with pytest.raises(ParameterError, match="'nope'"):
+        propagate_linear_potential(psi0, system, system.weight, momentum_method="nope")
 
 
 # ------------------------------------------------------------ PDE residual
@@ -670,9 +702,7 @@ def test_heisenberg_checks_on_free_run():
     grid = Grid(-12.0, 12.0, 4096, dt=5e-4, n_steps=round(WIDTH_DOUBLING_TIME / 5e-4))
     system = natural()
     psi0 = gaussian_packet(grid, 0.0, 0.5)
-    report = propagate_linear_potential(
-        psi0, system, 0.0, sample_every=10, momentum_method="spectral"
-    )
+    report = propagate_linear_potential(psi0, system, 0.0, sample_every=10)
     checks = heisenberg_checks(report, system)
     assert checks["momentum_spread"].residual <= 1e-8
     assert checks["position_spread"].residual <= 1e-6
@@ -687,21 +717,27 @@ def test_heisenberg_checks_on_short_series(n_steps):
     grid = Grid(-14.0, 13.0, 256, dt=5e-3, n_steps=n_steps)
     system = natural(a=1.0)
     psi0 = gaussian_packet(grid, 0.0, 0.5)
-    report = propagate_linear_potential(psi0, system, system.weight, momentum_method="spectral")
+    report = propagate_linear_potential(psi0, system, system.weight)
     assert report.moment_series.shape == (n_steps + 1, 5)
     checks = heisenberg_checks(report, system)
     assert list(checks) == ["mean_momentum", "mean_position", "momentum_spread", "position_spread"]
     assert all(oc.passed for oc in checks.values())
 
 
-def test_heisenberg_checks_refuse_central_moments():
-    # the bounds are set for spectral moments, which central ones fail on working code
-    grid = Grid(-14.0, 13.0, 256, dt=5e-3, n_steps=2)
-    system = natural(a=1.0)
-    report = propagate_linear_potential(gaussian_packet(grid, 0.0, 0.5), system, system.weight)
-    assert report.momentum_method == "central"
-    with pytest.raises(ParameterError, match="'central'"):
-        heisenberg_checks(report, system)
+def test_heisenberg_residuals_at_the_ci_scale():
+    # the bouncer-moments demo on the CI console-script grid; each bound is
+    # about twice the residual the sixth-order moment reads (in the
+    # comments), so a change that degrades the moments shows here long
+    # before the 1e-6 and 1e-8 gates
+    bounds = {
+        "mean_momentum": 8.3e-8,  # 4.17e-8
+        "mean_position": 2.8e-8,  # 1.40e-8
+        "momentum_spread": 9.4e-13,  # 4.71e-13
+        "position_spread": 1.3e-7,  # 6.51e-8
+    }
+    checks = _run_demo("bouncer-moments", n_points=2048, dt=1e-3, t_final=0.2)[1]
+    residuals = {name: checks[name].residual for name in bounds}
+    assert all(residuals[name] <= bound for name, bound in bounds.items()), residuals
 
 
 def test_heisenberg_checks_out_of_double_range():
@@ -709,9 +745,7 @@ def test_heisenberg_checks_out_of_double_range():
     # a numeric failure rather than a nan residual
     grid = Grid(-14.0, 13.0, 256, dt=1e300, n_steps=1)
     system = natural(a=1.0)
-    report = propagate_linear_potential(
-        gaussian_packet(grid, 0.0, 0.5), system, system.weight, momentum_method="spectral"
-    )
+    report = propagate_linear_potential(gaussian_packet(grid, 0.0, 0.5), system, system.weight)
     with pytest.raises(NumericError, match=r"mean_position: the closed form at t=1e\+300 "):
         heisenberg_checks(report, system)
 
@@ -722,9 +756,7 @@ def test_heisenberg_checks_keep_gravitational_and_inertial_mass_apart():
     system = PhysicalSystem(m_i=1.3, m_g=0.7, g=2.0, hbar=0.9)
     grid = Grid(-12.0, 12.0, 2048, dt=1.25e-4, n_steps=2000)
     psi0 = gaussian_packet(grid, 0.0, 0.5, k0=0.5)
-    report = propagate_linear_potential(
-        psi0, system, system.weight, sample_every=10, momentum_method="spectral"
-    )
+    report = propagate_linear_potential(psi0, system, system.weight, sample_every=10)
     checks = heisenberg_checks(report, system)
     assert all(oc.passed for oc in checks.values()), checks
     assert max(oc.residual / oc.tolerance for oc in checks.values()) <= 0.2
@@ -751,7 +783,6 @@ def test_frame_equivalence_small_run():
     assert 0.0 < result.max_mismatch <= 5e-4
     assert result.free_report.norm_drift <= 1e-9
     assert result.direct_report.norm_drift <= 1e-9
-    assert result.free_report.momentum_method == result.direct_report.momentum_method == "central"
 
 
 def test_frame_equivalence_with_initial_frame_velocity():
@@ -809,29 +840,23 @@ def test_free_path_matches_the_stepped_runs():
     # the reference grid: the free path's fields and end moments agree with
     # the stepped runs (a free run sampled along the way is stepped) to
     # rounding, through _extrapolated_run and through the public end-only
-    # call with either moment method
+    # call
     system = natural()
     grid = Grid(-20.0, 30.0, 2048, dt=2e-3, n_steps=500)
     psi0 = gaussian_packet(grid, 8.0, 0.5)
     report, values, _ = dynamics._extrapolated_run(psi0, system, 0.0)
     coarse_grid = Grid(-20.0, 30.0, 2048, dt=4e-3, n_steps=250)
     coarse = propagate_linear_potential(ComplexField(coarse_grid, psi0.values), system, 0.0)
-    for method in ("central", "spectral"):
-        end_only = propagate_linear_potential(
-            psi0, system, 0.0, sample_every=500, momentum_method=method
-        )
-        fine = propagate_linear_potential(
-            psi0, system, 0.0, sample_every=250, momentum_method=method
-        )
-        stepped = fine.final_field.values
-        scale = np.max(np.abs(stepped))
-        ends = fine.moment_series[[0, -1]]
-        for free in (report, end_only) if method == "central" else (end_only,):
-            assert free.momentum_method == method
-            assert np.max(np.abs(free.final_field.values - stepped)) <= 1e-12 * scale
-            np.testing.assert_array_equal(free.moment_series[:, 0], ends[:, 0])
-            np.testing.assert_allclose(free.moment_series, ends, rtol=0.0, atol=1e-12)
-            assert free.norm_drift <= 1e-12
+    end_only = propagate_linear_potential(psi0, system, 0.0, sample_every=500)
+    fine = propagate_linear_potential(psi0, system, 0.0, sample_every=250)
+    stepped = fine.final_field.values
+    scale = np.max(np.abs(stepped))
+    ends = fine.moment_series[[0, -1]]
+    for free in (report, end_only):
+        assert np.max(np.abs(free.final_field.values - stepped)) <= 1e-12 * scale
+        np.testing.assert_array_equal(free.moment_series[:, 0], ends[:, 0])
+        np.testing.assert_allclose(free.moment_series, ends, rtol=0.0, atol=1e-12)
+        assert free.norm_drift <= 1e-12
     expected = stepped + (stepped - coarse.final_field.values) / 3.0
     assert np.max(np.abs(values - expected)) <= 1e-12 * scale
 

@@ -443,7 +443,18 @@ def test_minimum_uncertainty_product():
     assert sigma_z * sigma_p == pytest.approx(system.hbar / 2.0, abs=1e-6)
 
 
-def test_moments_match_trapezoid_oracle():
+# the two values the benchmark harness may still pass to the propagator; the
+# moment is one kernel, so its t = 0 sample under either is the public moment
+HARNESS_METHODS = ("central", "spectral")
+
+
+def _first_sample(field, system, momentum_method):
+    report = propagate_linear_potential(field, system, 0.0, momentum_method=momentum_method)
+    return tuple(float(x) for x in report.moment_series[0, 1:])
+
+
+@pytest.mark.parametrize("momentum_method", HARNESS_METHODS)
+def test_moments_match_trapezoid_oracle(momentum_method):
     rng = np.random.default_rng(17)
     grid = Grid(-14.0, 13.0, 4097)
     system = dataclasses.replace(make_natural_system(1.0), hbar=0.7)
@@ -457,9 +468,17 @@ def test_moments_match_trapezoid_oracle():
         expected = trapezoid_moments(field.values, grid.z, grid.dz, system.hbar)
         got = moments(field, system)
         assert got == pytest.approx(expected, rel=1e-13, abs=1e-13)
+    # the propagator refuses a packet near the walls, so its sample is checked
+    # on one clear of both
+    field = gaussian_packet(grid, center=0.5, sigma=1.0, k0=2.0)
+    got = _first_sample(field, system, momentum_method)
+    expected = trapezoid_moments(field.values, grid.z, grid.dz, system.hbar)
+    assert got == pytest.approx(expected, rel=1e-13, abs=1e-13)
+    assert got == moments(field, system)
 
 
-def test_moments_of_packet_wider_than_its_square_range():
+@pytest.mark.parametrize("momentum_method", HARNESS_METHODS)
+def test_moments_of_packet_wider_than_its_square_range(momentum_method):
     # sigma_z^2 = 1e398 and sigma_p^2 = 2.5e-399 leave double range, the
     # spreads do not; no RuntimeWarning (pyproject.toml turns one into an error)
     grid = Grid(-1e200, 1e200, 101)
@@ -470,6 +489,10 @@ def test_moments_of_packet_wider_than_its_square_range():
     assert sigma_p == pytest.approx(5e-200, rel=1e-2)  # 5 points per sigma
     assert abs(mean_z) <= 1e-15 * sigma_z
     assert abs(mean_p) <= 1e-15 * sigma_p
+    # the propagator takes the same sample at t = 0 and is refused only after
+    # it, where dz^2 = 1.6e397 leaves double range
+    with pytest.raises(NumericError, match=r"dz\^2 = inf"):
+        propagate_linear_potential(field, natural(), 0.0, momentum_method=momentum_method)
 
 
 def test_moments_of_non_finite_field_are_a_numeric_error():
@@ -538,10 +561,13 @@ def test_propagation_with_spacing_out_of_double_range():
         propagate_linear_potential(_spike_on_fine_grid(n_steps=2), natural(), 0.0)
 
 
-def test_moments_with_spacing_out_of_double_range():
+@pytest.mark.parametrize("momentum_method", HARNESS_METHODS)
+def test_moments_with_spacing_out_of_double_range(momentum_method):
     # a NumericError with no RuntimeWarning (pyproject.toml turns one into an error)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="momentum moments"):
         moments(_spike_on_fine_grid(), natural())
+    with pytest.raises(NumericError, match="momentum moments"):  # the sample at t = 0
+        _first_sample(_spike_on_fine_grid(), natural(), momentum_method)
 
 
 @pytest.mark.parametrize(

@@ -26,13 +26,11 @@ one right-hand side in place, and moments are sampled by one kernel
 weights, padded buffer and work arrays are built once per propagation.  The
 public :func:`moments` is the same kernel built for a single call.
 
-:func:`propagate_linear_potential` is the one place that picks the kernel.
-A free run (slope 0) that samples moments only at its two ends, such as
-the free path of :func:`frame_equivalence`, is not stepped: with V = 0 the
-sine transform (DST-I) diagonalizes the step exactly, so the run costs one
-transform pair and a product per step, and gives the scheme's own fields to
-rounding.  Every other run is stepped.  Both kernels share the input
-checks, the moment sampler and the report.
+:func:`propagate_linear_potential` checks the initial state, samples the
+moments and builds the report.  The run itself is ``_evolve``'s, which
+checks the time step and picks the kernel: the stepped loop, or the sine
+eigenbasis of the free step.  The coarse run of the extrapolation in
+:func:`frame_equivalence` is a bare ``_evolve`` call.
 
 On top of the propagator sit the consistency checks used throughout the
 package: a finite-difference residual of the governing equation for
@@ -377,18 +375,11 @@ def propagate_linear_potential(
     ``slope`` is the potential slope F (m_g*g for the field, 0 for free).
     The grid, with its time step and step count, is the grid of ``psi0``.
     Moments are sampled at t = 0 and every ``sample_every`` steps, and at
-    the last step.  Each step is psi = (6A)^-1 (12 M psi) - psi, with V in
-    6A alone.  A slope that is not finite is a ParameterError; a potential
-    that leaves double range on the grid, or a time step whose coefficients
-    3*dt*kin/hbar and 3*dt*V/hbar do, is a NumericError, both before either
-    kernel runs.
-
-    The kernel is chosen here alone.  A free run (slope 0) with steps and
-    ``sample_every >= n_steps`` samples only its two ends, so it is made in
-    the sine eigenbasis of the step (:func:`_free_run`), which gives the
-    same fields to rounding.  Every other run is stepped: 6A is factored
-    once with LAPACK's zgttrf and each step is one zgttrs solve.  Both
-    kernels check the samples nearest each edge at every step.
+    the last step.  A slope that is not finite, or an initial state that is
+    not normalized or not clear of both edges, is a ParameterError.  The run
+    is ``_evolve``'s, which picks the kernel and raises NumericError before
+    either kernel runs when the potential or a step coefficient on the grid
+    leaves double range.
 
     ``momentum_method`` is accepted for the benchmark harness alone, which
     still passes ``"spectral"``; there is one moment kernel, so None,
@@ -402,7 +393,41 @@ def propagate_linear_potential(
     slope = require_finite("slope", slope)
     norm0 = _check_initial_state(psi0)
     sample = _Moments(grid, system)
-    rows = [(0.0, *sample(psi0.values))]
+    rows = []
+
+    def record(time: float, values: np.ndarray) -> None:
+        rows.append((time, *sample(values)))
+
+    record(0.0, psi0.values)
+    psi = _evolve(psi0.values, grid, system, slope, sample_every, record)
+    if grid.n_steps:
+        record(grid.n_steps * grid.dt, psi)
+    final = ComplexField(grid, psi)
+    return PropagationReport(
+        final_field=final,
+        norm_drift=abs(norm_squared(final) - norm0),
+        moment_series=np.array(rows),
+    )
+
+
+def _evolve(
+    values: np.ndarray, grid: Grid, system: PhysicalSystem, slope: float, sample_every: int, record
+) -> np.ndarray:
+    """Final samples of a run from ``values`` in V = slope * z: the one kernel entry.
+
+    First the checks that depend on the grid's time step: a potential that
+    leaves double range on the grid, or a step coefficient 3*dt*kin/hbar or
+    3*dt*(V + kin)/hbar that does, is a NumericError naming dt.  Then the
+    kernel is chosen, here alone.  A free run (slope 0) with steps and
+    ``sample_every >= n_steps`` samples only its two ends, so it is made in
+    the sine eigenbasis of the step (:func:`_free_run`), which gives the
+    same fields to rounding.  Every other run is stepped: 6A is factored
+    once with LAPACK's zgttrf and each step psi = (6A)^-1 (12 M psi) - psi
+    is one zgttrs solve, with V in 6A alone.  Both kernels check the samples
+    nearest each edge at every step.  The stepped loop calls
+    ``record(t, psi)`` every ``sample_every`` steps before the last, so a
+    run with ``sample_every >= n_steps`` may pass None.
+    """
     dt = grid.dt
     kin = checked_square("hbar", system.hbar) / (2.0 * system.m_i * checked_square("dz", grid.dz))
     # the largest |V| on the grid, so that slope * z below cannot overflow
@@ -413,50 +438,42 @@ def propagate_linear_potential(
         f"time step dt={dt:g}: 3*dt*(V + kin)/hbar", 3.0 * dt / system.hbar * (v_max + 4.0 * kin)
     )
     if slope == 0.0 and 0 < grid.n_steps <= sample_every:
-        psi = _free_run(psi0.values, grid, kin, system.hbar)
-    else:
-        # Loaded here, not at import, so that importing gravqm and every CLI
-        # command other than evolve load no scipy.
-        zgttrf, zgttrs = _lapack_tridiagonal()
-        potential = slope * grid.z
-        # 6A = 6M + 6r K with r = i dt/(2 hbar): the diagonals below, on and
-        # above, from K[j+1, j], K[j, j] and K[j, j+1] of K = T + M diag(V)
-        r6 = 3j * dt / system.hbar
-        dl, d, du, du2, ipiv, info = zgttrf(
-            0.5 + r6 * (potential[:-1] / 12.0 - kin),
-            5.0 + r6 * (potential * (10.0 / 12.0) + 2.0 * kin),
-            0.5 + r6 * (potential[1:] / 12.0 - kin),
-        )
-        if info != 0:
-            raise NumericError(f"Crank-Nicolson matrix factorization failed (zgttrf info={info})")
-
-        psi = psi0.values.copy()
-        rhs = np.empty_like(psi)
-        rhs_head, rhs_tail, psi_head, psi_tail = rhs[:-1], rhs[1:], psi[:-1], psi[1:]
-        low, high = psi[:3], psi[-3:]
-        for step in range(1, grid.n_steps + 1):
-            # 12 M psi with the Dirichlet zeros: tridiag(1, 10, 1) psi
-            np.multiply(psi, 10.0, out=rhs)
-            rhs_head += psi_tail
-            rhs_tail += psi_head
-            # zgttrs solves in place for a contiguous complex128 right-hand side
-            solution, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
-            if info != 0:
-                raise NumericError(
-                    f"tridiagonal solve failed at t={step * dt:.6g} (zgttrs info={info})"
-                )
-            np.subtract(solution, psi, out=psi)
-            _check_edges(low, high, step * dt)
-            if step % sample_every == 0 and step < grid.n_steps:
-                rows.append((step * dt, *sample(psi)))
-    if grid.n_steps:
-        rows.append((grid.n_steps * dt, *sample(psi)))
-    final = ComplexField(grid, psi)
-    return PropagationReport(
-        final_field=final,
-        norm_drift=abs(norm_squared(final) - norm0),
-        moment_series=np.array(rows),
+        return _free_run(values, grid, kin, system.hbar)
+    # Loaded here, not at import, so that importing gravqm and every CLI
+    # command other than evolve load no scipy.
+    zgttrf, zgttrs = _lapack_tridiagonal()
+    potential = slope * grid.z
+    # 6A = 6M + 6r K with r = i dt/(2 hbar): the diagonals below, on and
+    # above, from K[j+1, j], K[j, j] and K[j, j+1] of K = T + M diag(V)
+    r6 = 3j * dt / system.hbar
+    dl, d, du, du2, ipiv, info = zgttrf(
+        0.5 + r6 * (potential[:-1] / 12.0 - kin),
+        5.0 + r6 * (potential * (10.0 / 12.0) + 2.0 * kin),
+        0.5 + r6 * (potential[1:] / 12.0 - kin),
     )
+    if info != 0:
+        raise NumericError(f"Crank-Nicolson matrix factorization failed (zgttrf info={info})")
+
+    psi = values.copy()
+    rhs = np.empty_like(psi)
+    rhs_head, rhs_tail, psi_head, psi_tail = rhs[:-1], rhs[1:], psi[:-1], psi[1:]
+    low, high = psi[:3], psi[-3:]
+    for step in range(1, grid.n_steps + 1):
+        # 12 M psi with the Dirichlet zeros: tridiag(1, 10, 1) psi
+        np.multiply(psi, 10.0, out=rhs)
+        rhs_head += psi_tail
+        rhs_tail += psi_head
+        # zgttrs solves in place for a contiguous complex128 right-hand side
+        solution, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+        if info != 0:
+            raise NumericError(
+                f"tridiagonal solve failed at t={step * dt:.6g} (zgttrs info={info})"
+            )
+        np.subtract(solution, psi, out=psi)
+        _check_edges(low, high, step * dt)
+        if step % sample_every == 0 and step < grid.n_steps:
+            record(step * dt, psi)
+    return psi
 
 
 def sample_stencil(fn, z_values: np.ndarray, t_values: np.ndarray) -> np.ndarray:
@@ -588,9 +605,8 @@ def _extrapolated_run(
     cancels the dt^2 term and leaves the field fourth order in time.
     ``report`` is the run on the given grid and ``change`` the largest
     change the extrapolation made; fewer than two steps are returned plainly,
-    with a change of 0.  Both runs sample only their ends, so
-    :func:`propagate_linear_potential` makes a free pair (slope 0) in the
-    sine eigenbasis of the step and steps any other.
+    with a change of 0.  The coarse run is a bare :func:`_evolve` call: it
+    checks its own time step, and samples no moments and builds no report.
     """
     grid = psi0.grid
     n = grid.n_steps
@@ -600,11 +616,9 @@ def _extrapolated_run(
         return report, fine, 0.0
     m = (n + 1) // 2
     coarse_grid = Grid(grid.z_min, grid.z_max, grid.n_points, dt=grid.total_time / m, n_steps=m)
-    coarse = propagate_linear_potential(
-        ComplexField(coarse_grid, psi0.values), system, slope, sample_every=m
-    )
+    coarse = _evolve(psi0.values, coarse_grid, system, slope, m, None)
     # times the reciprocal: dividing by q^2 - 1 can round the last bit differently
-    correction = (fine - coarse.final_field.values) * (1.0 / ((n / m) ** 2 - 1.0))
+    correction = (fine - coarse) * (1.0 / ((n / m) ** 2 - 1.0))
     return report, fine + correction, float(np.max(np.abs(correction)))
 
 
@@ -619,10 +633,9 @@ def frame_equivalence(psi0_free: ComplexField, system: PhysicalSystem) -> FrameE
     discretization error; otherwise the mismatch grows with the violation.
 
     Each path is a :func:`_extrapolated_run` on the grid of ``psi0_free``,
-    so the comparison is fourth order in time.  The free path's two runs are
-    made in the sine eigenbasis of the step, not stepped, so the check makes
-    two tridiagonal factorizations, both on the direct path.  The mismatch and
-    the global-phase alignment are taken on the extrapolated fields;
+    so the comparison is fourth order in time; its runs sample only their
+    ends, so the free path's are not stepped.  The mismatch and the
+    global-phase alignment are taken on the extrapolated fields;
     ``free_report`` and ``direct_report`` are the runs on the given grid,
     and ``time_correction`` is the largest change the extrapolation made to
     either path (0 for fewer than two steps, which are compared plainly).

@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import inspect
 import json
@@ -6,6 +7,7 @@ import math
 import re
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +360,25 @@ def test_moment_sampling_faults_in_no_fresh_pages():
     report = json.loads(run_fresh(PAGE_FAULTS).splitlines()[-1])
     assert not report["scipy.linalg"]
     assert report["per_step"] < 1.0
+
+
+def test_moment_sample_allocates_no_grid_sized_array():
+    # numpy reports its array buffers to tracemalloc, so a scratch array
+    # per sample shows in the peak whatever glibc's mmap threshold is
+    n = 12288
+    grid = Grid(-30.0, 30.0, n)
+    psi = gaussian_packet(grid, 0.0, 1.0).values
+    sample = dynamics._Moments(grid, natural())
+    sample(psi)
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sample(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline < n * 16 / 8
 
 
 def test_moment_kernel_calls_no_blas():
@@ -913,6 +934,51 @@ def test_frame_equivalence_steps_only_the_direct_path(monkeypatch):
         run()
         counts.append(len(factorizations))
     assert counts == [2, 0, 1]
+
+
+def test_frame_equivalence_samples_and_checks_only_the_fine_runs(monkeypatch):
+    # the coarse run of each path is a bare kernel call: the two fine runs
+    # alone check the initial state, sample their two ends and take a norm
+    # at each end
+    counts = collections.Counter()
+
+    class CountingMoments(dynamics._Moments):
+        def __init__(self, *args):
+            counts["samplers"] += 1
+            super().__init__(*args)
+
+        def __call__(self, psi):
+            counts["samples"] += 1
+            return super().__call__(psi)
+
+    def counting(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    system = natural(a=1.0)
+    psi0 = gaussian_packet(Grid(-15.0, 15.0, 1024, dt=2e-3, n_steps=100), 2.0, 0.5)
+    monkeypatch.setattr(dynamics, "_Moments", CountingMoments)
+    monkeypatch.setattr(
+        dynamics, "_check_initial_state", counting("initial checks", dynamics._check_initial_state)
+    )
+    monkeypatch.setattr(dynamics, "norm_squared", counting("norms", dynamics.norm_squared))
+    frame_equivalence(psi0, system)
+    assert counts == {"samplers": 2, "samples": 4, "initial checks": 2, "norms": 4}
+
+
+def test_coarse_run_checks_its_own_time_step():
+    # 3 steps of dt pass the coefficient checks, the 2 coarse steps of
+    # 1.5 dt do not: the coarse run must refuse its step, not end in a
+    # non-finite sample
+    grid = Grid(-12.0, 12.0, 256, dt=2.0668973471741636e305, n_steps=3)
+    psi0 = gaussian_packet(grid, 0.0, 1.0)
+    for slope in (0.0, 1.0):
+        propagate_linear_potential(psi0, natural(), slope, sample_every=3)
+        with pytest.raises(NumericError, match=r"time step dt=3\.10035e\+305"):
+            dynamics._extrapolated_run(psi0, natural(), slope)
 
 
 def _plain_mismatch(psi0, system):

@@ -9,6 +9,11 @@ and the message on stderr).  ``--format json`` without ``--out``, and an
 errors found before any computation.  All stored values are plain numbers
 (fractions, radians, SI or natural units); percentages and unit suffixes are
 formatting only.  Nothing is random, so every invocation is reproducible.
+
+Each subcommand is a ``cmd_*`` function from its own options to one result,
+``(columns, units, parameters, table, summary)``, and prints nothing: only
+:func:`_emit`, called once by :func:`main`, checks that result, formats it,
+builds the JSON ``meta`` from it and writes it.
 """
 
 from __future__ import annotations
@@ -54,33 +59,34 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _emit(
-    columns: dict[str, list],
-    meta: dict,
-    fmt: str,
-    out: str | None,
-    table_lines: list[str],
-    summary_lines: list[str],
-) -> None:
+def _emit(command: str, fmt: str, out: str | None, result: tuple) -> None:
+    """Check, format and write the result of one ``cmd_*`` function."""
+    columns, units, parameters, table, summary = result
     # one exit code per result, whatever the format: a non-finite number
     # fails before anything is printed or written
     numbers = [v for values in columns.values() for v in values]
-    numbers += meta["parameters"].values()
+    numbers += parameters.values()
     bad = [v for v in numbers if isinstance(v, float) and not math.isfinite(v)]
     if bad:
         raise NumericError(f"result is not finite ({bad[0]})")
     if fmt == "table":
-        text, summary_lines = "\n".join(table_lines + summary_lines) + "\n", []
+        text, summary = "\n".join(table + summary) + "\n", []
     elif fmt == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_fmt(v) for v in row) for row in zip(*columns.values())]
         text = "\n".join(lines) + "\n"
     else:  # json; main has already required --out
+        meta = {
+            "command": command,
+            "version": __version__,
+            "units": units,
+            "parameters": parameters,
+        }
         text = json.dumps({"meta": meta, "data": columns}, indent=2, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
         # keep the data stream clean for piping
-        for line in summary_lines:
+        for line in summary:
             print(line, file=sys.stderr)
         return
     try:
@@ -88,17 +94,17 @@ def _emit(
             handle.write(text)
     except OSError as exc:
         raise ParameterError(f"cannot write {out!r}: {exc.strerror}") from None
-    for line in summary_lines:
+    for line in summary:
         print(line)
 
 
-def _meta(command: str, units: str, **parameters) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "units": units,
-        "parameters": parameters,
-    }
+def _table(*columns: tuple[str, int, str, list]) -> list[str]:
+    """Right-aligned text table, one ``(header, width, format, values)`` per column."""
+    lines = [" ".join(format(header, f">{width}") for header, width, _, _ in columns)]
+    specs = [f">{width}{spec}" for _, width, spec, _ in columns]
+    for row in zip(*(values for _, _, _, values in columns)):
+        lines.append(" ".join(format(value, spec) for value, spec in zip(row, specs)))
+    return lines
 
 
 def _positive(text: str) -> float:
@@ -141,7 +147,7 @@ def _neutron_system(a: float = 0.0) -> PhysicalSystem:
     )
 
 
-def cmd_airy(eval_x, n_zeros, fmt, out) -> None:
+def cmd_airy(eval_x, n_zeros):
     """Airy function values or negative zeros of Ai."""
     if eval_x is not None:
         value = airy_values(eval_x)
@@ -152,28 +158,29 @@ def cmd_airy(eval_x, n_zeros, fmt, out) -> None:
             "bi": [value.bi],
             "bi_prime": [value.bi_prime],
         }
-        table = [
-            f"{'x':>12} {'Ai':>16} {'Ai_prime':>16} {'Bi':>16} {'Bi_prime':>16}",
-            f"{value.x:>12.6f} {value.ai:>16.8f} {value.ai_prime:>16.8f} "
-            f"{value.bi:>16.8f} {value.bi_prime:>16.8f}",
-        ]
-        meta = _meta("airy", "dimensionless", eval=eval_x)
-        _emit(columns, meta, fmt, out, table, [])
-        return
+        table = _table(
+            ("x", 12, ".6f", columns["x"]),
+            ("Ai", 16, ".8f", columns["ai"]),
+            ("Ai_prime", 16, ".8f", columns["ai_prime"]),
+            ("Bi", 16, ".8f", columns["bi"]),
+            ("Bi_prime", 16, ".8f", columns["bi_prime"]),
+        )
+        return columns, "dimensionless", {"eval": eval_x}, table, []
     zeros = [ai_negative_zero(i) for i in range(1, n_zeros + 1)]
     columns = {
         "n": list(range(1, n_zeros + 1)),
         "zero": zeros,
         "magnitude": [-z for z in zeros],
     }
-    table = [f"{'n':>4} {'zero':>16} {'magnitude':>16}"]
-    for i, z in enumerate(zeros, start=1):
-        table.append(f"{i:>4} {z:>16.8f} {-z:>16.8f}")
-    meta = _meta("airy", "dimensionless", zeros=n_zeros)
-    _emit(columns, meta, fmt, out, table, [])
+    table = _table(
+        ("n", 4, "", columns["n"]),
+        ("zero", 16, ".8f", columns["zero"]),
+        ("magnitude", 16, ".8f", columns["magnitude"]),
+    )
+    return columns, "dimensionless", {"zeros": n_zeros}, table, []
 
 
-def cmd_bouncer(n_levels, si_neutron, fmt, out) -> None:
+def cmd_bouncer(n_levels, si_neutron):
     """Quantized levels above an infinite floor in a linear potential.
 
     Natural mode uses a system with unit energy scale, so the printed
@@ -193,27 +200,23 @@ def cmd_bouncer(n_levels, si_neutron, fmt, out) -> None:
         "energy": [lv.energy for lv in levels],
         "p_outside": [lv.p_outside for lv in levels],
     }
+    energies = [("E [natural]", 12, ".4f", columns["energy"])]
     if si_neutron:
         columns["energy_peV"] = [lv.energy / EV_IN_JOULE * 1e12 for lv in levels]
-        table = [f"{'n':>4} {'E_tilde':>10} {'E [J]':>14} {'E [peV]':>10} {'P_outside [%]':>14}"]
-        for lv in levels:
-            pev = lv.energy / EV_IN_JOULE * 1e12
-            table.append(
-                f"{lv.n:>4} {lv.e_tilde:>10.4f} {lv.energy:>14.6e} {pev:>10.2f} "
-                f"{100.0 * lv.p_outside:>14.2f}"
-            )
-    else:
-        table = [f"{'n':>4} {'E_tilde':>10} {'E [natural]':>12} {'P_outside [%]':>14}"]
-        for lv in levels:
-            table.append(
-                f"{lv.n:>4} {lv.e_tilde:>10.4f} {lv.energy:>12.4f} "
-                f"{100.0 * lv.p_outside:>14.2f}"
-            )
-    meta = _meta("bouncer", units, levels=n_levels, si_neutron=si_neutron)
-    _emit(columns, meta, fmt, out, table, [])
+        energies = [
+            ("E [J]", 14, ".6e", columns["energy"]),
+            ("E [peV]", 10, ".2f", columns["energy_peV"]),
+        ]
+    table = _table(
+        ("n", 4, "", columns["n"]),
+        ("E_tilde", 10, ".4f", columns["e_tilde"]),
+        *energies,
+        ("P_outside [%]", 14, ".2f", [100.0 * p for p in columns["p_outside"]]),
+    )
+    return columns, units, {"levels": n_levels, "si_neutron": si_neutron}, table, []
 
 
-def cmd_cow(wavelength, height, length, accel, si_neutron, via_time_route, fmt, out) -> None:
+def cmd_cow(wavelength, height, length, accel, si_neutron, via_time_route):
     """Interferometric phase shift proportional to the enclosed beam area."""
     if si_neutron:
         a = STANDARD_GRAVITY if accel is None else accel
@@ -245,14 +248,13 @@ def cmd_cow(wavelength, height, length, accel, si_neutron, via_time_route, fmt, 
         columns["phase_rad_time_route"] = [phase_t]
         columns["route_rel_difference"] = [agreement]
         summary.append(f"time-route phase : {phase_t:.10g} rad (rel diff {agreement:.3e})")
-    meta = _meta(
-        "cow", units, wavelength=wavelength, height=height, length=length, a=a,
-        si_neutron=si_neutron,
+    parameters = dict(
+        wavelength=wavelength, height=height, length=length, a=a, si_neutron=si_neutron
     )
-    _emit(columns, meta, fmt, out, table, summary)
+    return columns, units, parameters, table, summary
 
 
-def cmd_redshift(z_sep, si, mass, accel, hbar_value, omega_prime, fmt, out) -> None:
+def cmd_redshift(z_sep, si, mass, accel, hbar_value, omega_prime):
     """Frequency shift between detectors at different heights."""
     if si:
         # the natural-mode options default to None, so an option given at its
@@ -286,8 +288,7 @@ def cmd_redshift(z_sep, si, mass, accel, hbar_value, omega_prime, fmt, out) -> N
         ratio = delta_omega / omega_prime
         columns["ratio"] = [ratio]
         table.append(f"delta_omega/omega' : {ratio:.10g}")
-    meta = _meta("redshift", units, z=z_sep, si=si)
-    _emit(columns, meta, fmt, out, table, [])
+    return columns, units, {"z": z_sep, "si": si}, table, []
 
 
 def _frame_equivalence_demo(psi0, system, cfg):
@@ -356,7 +357,7 @@ def _run_demo(name, n_points=None, dt=None, t_final=None):
     return columns, results, {**cfg, "n_steps": n_steps}
 
 
-def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
+def cmd_evolve(demo, n_points, dt, t_final):
     """Time-dependent demos in natural units (m = g = hbar = 1).
 
     Emits a data series plus a summary line; the summary statistics are
@@ -368,7 +369,7 @@ def cmd_evolve(demo, fmt, out, n_points, dt, t_final) -> None:
         if isinstance(r, CheckOutcome) else f"{name}={_fmt(r)}"
         for name, r in results.items()
     ]
-    _emit(columns, _meta("evolve", "natural", demo=demo, **parameters), fmt, out, [], summary)
+    return columns, "natural", {"demo": demo, **parameters}, [], summary
 
 
 # argparse's own pattern reads only integers and decimals such as -2.5 as
@@ -396,7 +397,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def command(name, run):
         sub = commands.add_parser(name, help=run.__doc__.splitlines()[0], description=run.__doc__)
-        sub.set_defaults(run=run, usage=sub)
+        sub.set_defaults(run=run, usage=sub, command=name)
         return sub
 
     def output_options(sub, formats=("table", "csv", "json"), what="Output format"):
@@ -466,11 +467,12 @@ def main(argv: list[str] | None = None) -> NoReturn:
     ``numeric failure: ...`` on stderr.
     """
     options = vars(_parser().parse_args(argv))
-    run, usage = options.pop("run"), options.pop("usage")
-    if options["fmt"] == "json" and options["out"] is None:
+    run, usage, command = options.pop("run"), options.pop("usage"), options.pop("command")
+    fmt, out = options.pop("fmt"), options.pop("out")
+    if fmt == "json" and out is None:
         usage.error("--out is required with --format json")
     try:
-        run(**options)
+        _emit(command, fmt, out, run(**options))
     except ParameterError as exc:
         usage.error(str(exc))
     except NumericError as exc:

@@ -10,6 +10,7 @@ from gravqm import (
     ParameterError,
     PhysicalSystem,
     airy_ai,
+    airy_ai_prime,
     alpha,
     eigenfunction,
     energy_scale,
@@ -117,6 +118,35 @@ def test_norm_const_matches_simpson():
         integrand = np.array([airy_ai(float(x)) ** 2 for x in xs])
         norm_sq_quad = 1.0 / simpson(integrand, x=xs)
         assert lv.norm_const**2 == pytest.approx(norm_sq_quad, rel=1e-6)
+
+
+# m_i != m_g and hbar != 1, so a lost factor of alpha or of a mass shows
+ASYMMETRIC = PhysicalSystem(m_i=1.3, m_g=0.7, g=2.0, hbar=0.9)
+
+
+def test_floor_force_equals_weight():
+    # the floor's force hbar^2 |chi_n'(0)|^2 / (2 m_i) on level n is m_g g; chi_n
+    # is normalised in z, chi_n(z) = sqrt(alpha) A_n Ai(alpha z - E_n), so the
+    # slope at the floor carries alpha^(3/2)
+    s = ASYMMETRIC
+    a = alpha(s)
+    for n in range(1, 11):
+        lv = level(s, n)
+        slope = a**1.5 * lv.norm_const * airy_ai_prime(-lv.e_tilde)
+        force = s.hbar**2 * slope**2 / (2.0 * s.m_i)
+        assert force == pytest.approx(s.m_g * s.g, rel=1e-13)
+
+
+def test_virial_theorem_mean_height():
+    # <z_tilde>_n = 2 E_tilde_n / 3, i.e. <z>_n = 2 E_n / (3 F); not divided by
+    # the quadrature's norm, so the normalisation A_n is on the tested path
+    s = ASYMMETRIC
+    for n in range(1, 11):
+        lv = level(s, n)
+        zs = np.linspace(0.0, lv.e_tilde + 14.0, 4001)
+        density = np.array([eigenfunction(lv, float(u)) ** 2 for u in zs])
+        mean = np.trapezoid(zs * density, zs)
+        assert mean == pytest.approx(2.0 * lv.e_tilde / 3.0, rel=1e-10)
 
 
 def test_ground_state_has_single_maximum():

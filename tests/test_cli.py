@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from gravqm import __version__, cli
 from oracles import SPEED_OF_LIGHT, run_fresh
 from oracles import run_cli as run
 
@@ -448,6 +449,116 @@ def test_table_writes_to_out_when_given(tmp_path):
     assert result.exit_code == 0
     assert result.output == ""
     assert "2.33810741" in out.read_text()
+
+
+# ------------------------------------------------------------ output contract
+
+# The exact text of the human-readable output: headers, widths, alignment and
+# the summary lines, which table format prints after the table on stdout.
+GOLDEN_TABLES = {
+    "airy --eval 0": (
+        "           x               Ai         Ai_prime               Bi         Bi_prime\n"
+        "    0.000000       0.35502805      -0.25881940       0.61492663       0.44828836\n"
+    ),
+    "airy --zeros 3": (
+        "   n             zero        magnitude\n"
+        "   1      -2.33810741       2.33810741\n"
+        "   2      -4.08794944       4.08794944\n"
+        "   3      -5.52055983       5.52055983\n"
+    ),
+    "bouncer --levels 2": (
+        "   n    E_tilde  E [natural]  P_outside [%]\n"
+        "   1     2.3381       2.3381          13.62\n"
+        "   2     4.0879       4.0879          10.39\n"
+    ),
+    "bouncer --levels 1 --si-neutron": (
+        "   n    E_tilde          E [J]    E [peV]  P_outside [%]\n"
+        "   1     2.3381   2.253812e-31       1.41          13.62\n"
+    ),
+    "cow --lambda 6.2831853 --height 1 --length 1 --via-time-route": (
+        "phase shift : 0.9999999989 rad\n"
+        "fringes     : 0.1591549429\n"
+        "area        : 1\n"
+        "time-route phase : 0.9999999989 rad (rel diff 1.110e-16)\n"
+    ),
+    "redshift --z 1 --si": (
+        "delta_omega : 155754472.9 rad/s\n"
+        "delta_omega/omega' = a*z/c^2 : 1.091136967e-16\n"
+    ),
+    "redshift --z 1 --omega-prime 2": (
+        "delta_omega : 1\n"
+        "delta_omega/omega' : 0.5\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_TABLES))
+def test_table_output_is_exact(command):
+    result = run(*command.split())
+    assert result.exit_code == 0
+    assert result.stdout == GOLDEN_TABLES[command]
+    assert result.stderr == ""
+
+
+def _expected_meta(command, units, **parameters):
+    return {"command": command, "version": __version__, "units": units,
+            "parameters": parameters}
+
+
+JSON_META = {
+    "airy --eval 0": _expected_meta("airy", "dimensionless", eval=0.0),
+    "airy --zeros 3": _expected_meta("airy", "dimensionless", zeros=3),
+    "bouncer --levels 2": _expected_meta("bouncer", "natural", levels=2, si_neutron=False),
+    "bouncer --levels 1 --si-neutron": _expected_meta("bouncer", "si", levels=1, si_neutron=True),
+    "cow --lambda 6.2831853 --height 1 --length 1 --via-time-route": _expected_meta(
+        "cow", "natural", wavelength=6.2831853, height=1.0, length=1.0, a=1.0, si_neutron=False,
+    ),
+    "cow --lambda 1.419e-10 --height 0.05 --length 0.02 --si-neutron": _expected_meta(
+        "cow", "si", wavelength=1.419e-10, height=0.05, length=0.02, a=9.80665, si_neutron=True,
+    ),
+    "redshift --z 1 --si": _expected_meta("redshift", "si", z=1.0, si=True),
+    "redshift --z 1 --omega-prime 2": _expected_meta("redshift", "natural", z=1.0, si=False),
+    "evolve --demo free-dispersion --n-points 256 --dt 1e-2 --t-final 0.05": _expected_meta(
+        "evolve", "natural", demo="free-dispersion", z_min=-12.0, z_max=12.0, n_points=256,
+        dt=0.01, t_final=0.05, sigma0=0.5, center=0.0, n_steps=5,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(JSON_META))
+def test_json_meta_is_exact(tmp_path, command):
+    out = tmp_path / "result.json"
+    result = run(*command.split(), "--format", "json", "--out", str(out))
+    assert result.exit_code == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta == JSON_META[command]
+    # the order of the parameters is part of the written file
+    assert list(meta["parameters"]) == list(JSON_META[command]["parameters"])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "airy --eval 0",
+        "airy --zeros 3",
+        "bouncer --levels 2",
+        "cow --lambda 1 --height 1 --length 1 --via-time-route",
+        "redshift --z 1 --si",
+        "evolve --demo free-dispersion --n-points 128 --dt 1e-2 --t-final 0.05",
+    ],
+)
+def test_commands_return_their_result_and_write_nothing(capsys, command):
+    # each subcommand maps its own options to (columns, units, parameters,
+    # table, summary); only main formats and writes that result
+    options = vars(cli._parser().parse_args(command.split()))
+    command_function = options.pop("run")
+    for name in ("usage", "command", "fmt", "out"):
+        del options[name]
+    result = command_function(**options)
+    assert isinstance(result, tuple) and len(result) == 5
+    columns = result[0]
+    assert len({len(values) for values in columns.values()}) == 1
+    assert capsys.readouterr() == ("", "")
 
 
 def test_cli_import_does_not_load_scipy_linalg():

@@ -156,6 +156,10 @@ class PhysicalSystem:
         """Force magnitude m_g*g, the slope of the linear potential, or NumericError past range."""
         return finite_result("weight m_g*g", self.m_g * self.g)
 
+    def shift(self, t: float) -> float:
+        """Coordinate offset v*t + a*t^2/2 between the falling and the stationary frame."""
+        return self.v * t + 0.5 * self.a * t * t
+
 
 def make_natural_system(mass_scale: float) -> PhysicalSystem:
     """Natural-unit system: hbar = 1, m_i = m_g = mass_scale, kinematics zeroed.

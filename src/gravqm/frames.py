@@ -21,12 +21,13 @@ Sign convention (shared with :mod:`gravqm.core`): z increases upward, the
 field acts along -z, and a > 0 means the primed frame accelerates downward.
 
 The stationary-frame states (plane wave, falling box) are the map applied to
-free states, so its algebra lives only in :meth:`FrameTransform.shift` and
-:func:`phase_s`.  Also here: the stationary observer's momentum and energy
-eigenvalues, the COW phase shift proportional to the enclosed beam area and the
-frequency shift between detectors at different heights (the redshift once an
-effective mass hbar*omega'/c^2 is inserted).  The a = 0 case of
-:func:`to_stationary_frame` is the Galilean boost.
+free states, so its algebra lives only in :meth:`PhysicalSystem.shift` and
+:func:`phase_s`, which read the system's v, a, m_i and hbar, never m_g or g.
+Also here: the stationary observer's momentum and energy eigenvalues, the COW
+phase shift proportional to the enclosed beam area and the frequency shift
+between detectors at different heights (the redshift once an effective mass
+hbar*omega'/c^2 is inserted).  The a = 0 case of :func:`to_stationary_frame` is
+the Galilean boost.
 """
 
 from __future__ import annotations
@@ -39,28 +40,13 @@ from .core import require_count, require_finite, require_positive
 from .errors import NumericError, ParameterError
 
 
-@dataclass(frozen=True)
 class FrameTransform:
-    """Parameters of the falling-frame map: v, a, inertial mass, hbar."""
+    """Kept for the benchmark harness in ``perfbench/``: every frame function takes the
+    :class:`PhysicalSystem` itself, so ``from_system`` returns its argument unchanged."""
 
-    v: float
-    a: float
-    m_i: float
-    hbar: float
-
-    def __post_init__(self):
-        for name in ("v", "a"):
-            require_finite(name, getattr(self, name))
-        for name in ("m_i", "hbar"):
-            require_positive(name, getattr(self, name))
-
-    @classmethod
-    def from_system(cls, system: PhysicalSystem) -> "FrameTransform":
-        return cls(v=system.v, a=system.a, m_i=system.m_i, hbar=system.hbar)
-
-    def shift(self, t: float) -> float:
-        """Coordinate offset v*t + a*t^2/2 between the two frames."""
-        return self.v * t + 0.5 * self.a * t * t
+    @staticmethod
+    def from_system(system: PhysicalSystem) -> PhysicalSystem:
+        return system
 
 
 @dataclass(frozen=True)
@@ -86,7 +72,7 @@ def _coordinate(name: str, value):
     return value if isinstance(value, np.ndarray) else require_finite(name, value)
 
 
-def phase_s(ft: FrameTransform, z_prime, t_prime):
+def phase_s(system: PhysicalSystem, z_prime, t_prime):
     """Phase S(z', t') of the map, in falling-frame coordinates.
 
     S = -(m_i*v/hbar)*(z' - v*t'/2) - (m_i*a*t'/hbar)*(z' - v*t' - a*t'^2/3).
@@ -95,11 +81,11 @@ def phase_s(ft: FrameTransform, z_prime, t_prime):
     """
     z_prime = _coordinate("z'", z_prime)
     t_prime = _coordinate("t'", t_prime)
-    m_over_h = ft.m_i / ft.hbar
+    m_over_h = system.m_i / system.hbar
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        term_v = -m_over_h * ft.v * (z_prime - 0.5 * ft.v * t_prime)
-        term_a = -m_over_h * ft.a * t_prime * (
-            z_prime - ft.v * t_prime - ft.a * (t_prime * t_prime) / 3.0
+        term_v = -m_over_h * system.v * (z_prime - 0.5 * system.v * t_prime)
+        term_a = -m_over_h * system.a * t_prime * (
+            z_prime - system.v * t_prime - system.a * (t_prime * t_prime) / 3.0
         )
         phase = term_v + term_a
     if not np.isfinite(phase).all():  # .all() also serves a scalar, at half the cost
@@ -107,7 +93,7 @@ def phase_s(ft: FrameTransform, z_prime, t_prime):
     return phase
 
 
-def to_stationary_frame(ft: FrameTransform, psi_free: ComplexField, t: float) -> ComplexField:
+def to_stationary_frame(system: PhysicalSystem, psi_free: ComplexField, t: float) -> ComplexField:
     """Phase-multiply a free-frame field into the stationary frame at time t.
 
     ``psi_free`` must already be sampled at the shifted coordinate
@@ -116,19 +102,19 @@ def to_stationary_frame(ft: FrameTransform, psi_free: ComplexField, t: float) ->
     so |Psi|^2 is preserved sample by sample.
     """
     t = require_finite("t", t)
-    phase = phase_s(ft, psi_free.grid.z + ft.shift(t), t)
+    phase = phase_s(system, psi_free.grid.z + system.shift(t), t)
     return ComplexField(psi_free.grid, psi_free.values * np.exp(1j * phase))
 
 
-def _stationary_image(free_phase, ft: FrameTransform, z_prime, t):
+def _stationary_image(free_phase, system: PhysicalSystem, z_prime, t):
     """exp(i*(free_phase + S(z', t))), or NumericError where that phase is not finite."""
-    phase = free_phase + phase_s(ft, z_prime, t)
+    phase = free_phase + phase_s(system, z_prime, t)
     if not np.isfinite(phase).all():
         raise NumericError("phase of the stationary-frame state is out of double range")
     return np.exp(1j * phase)
 
 
-def plane_wave_stationary(p_prime: float, ft: FrameTransform, z, t):
+def plane_wave_stationary(p_prime: float, system: PhysicalSystem, z, t):
     """The map applied to the free plane wave exp(i(p'z' - p'^2 t/(2 m_i))/hbar).
 
     p' is the falling-frame momentum.  The wave is evaluated at z' = z + v*t + a*t^2/2
@@ -140,21 +126,23 @@ def plane_wave_stationary(p_prime: float, ft: FrameTransform, z, t):
     z = _coordinate("z", z)
     t = _coordinate("t", t)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        z_prime = z + ft.shift(t)
-        free = (p * z_prime - checked_square("p_prime", p) * t / (2.0 * ft.m_i)) / ft.hbar
-        return _stationary_image(free, ft, z_prime, t)
+        z_prime = z + system.shift(t)
+        free = (p * z_prime - checked_square("p_prime", p) * t / (2.0 * system.m_i)) / system.hbar
+        return _stationary_image(free, system, z_prime, t)
 
 
-def momentum_eigenvalue(p_prime: float, ft: FrameTransform, t: float) -> float:
+def momentum_eigenvalue(p_prime: float, system: PhysicalSystem, t: float) -> float:
     """Momentum seen by the stationary observer: p(t) = p' - m_i*(v + a*t), or NumericError."""
     p = require_finite("p_prime", p_prime)
-    return finite_result("p(t)", p - ft.m_i * (ft.v + ft.a * require_finite("t", t)))
+    return finite_result("p(t)", p - system.m_i * (system.v + system.a * require_finite("t", t)))
 
 
-def energy_eigenvalue(p_prime: float, ft: FrameTransform, z: float, t: float) -> float:
+def energy_eigenvalue(p_prime: float, system: PhysicalSystem, z: float, t: float) -> float:
     """Energy seen by the stationary observer, E = p(t)^2/(2 m_i) + m_i*a*z, or NumericError."""
-    p = momentum_eigenvalue(p_prime, ft, t)
-    return finite_result("energy", p * p / (2.0 * ft.m_i) + ft.m_i * ft.a * require_finite("z", z))
+    p = momentum_eigenvalue(p_prime, system, t)
+    return finite_result(
+        "energy", p * p / (2.0 * system.m_i) + system.m_i * system.a * require_finite("z", z)
+    )
 
 
 def frequency_shift(system: PhysicalSystem, z: float) -> float:
@@ -196,16 +184,18 @@ def cow_phase_shift_time_route(geom: InterferometerGeometry, system: PhysicalSys
     return finite_result("COW phase", system.m_i * system.a * t * geom.height / system.hbar)
 
 
-def falling_box_window(n: int, box_length: float, ft: FrameTransform, t: float) -> tuple[float, float]:
+def falling_box_window(
+    n: int, box_length: float, system: PhysicalSystem, t: float
+) -> tuple[float, float]:
     """Support [-v*t - a*t^2/2, L - v*t - a*t^2/2] of the box at t, or NumericError."""
     require_count("box quantum number", n, 1)
     require_positive("box length", box_length)
-    lo = finite_result("window start", -ft.shift(require_finite("t", t)))
+    lo = finite_result("window start", -system.shift(require_finite("t", t)))
     return lo, finite_result("window end", box_length + lo)
 
 
 def falling_box_state(
-    n: int, box_length: float, ft: FrameTransform, system: PhysicalSystem, z: float, t: float
+    n: int, box_length: float, frame: PhysicalSystem, system: PhysicalSystem, z: float, t: float
 ) -> complex:
     """Stationary-frame eigenstate of a rigid box in free fall.
 
@@ -213,23 +203,28 @@ def falling_box_state(
     z' = z + v*t + a*t^2/2 runs over [0, L] and the state is
     sqrt(2/L)*sin(n*pi*z'/L)*exp(i*(S(z', t) - E_box*t/hbar)), with
     E_box = (n*pi*hbar/L)^2/(2 m_i); outside it the state is exactly 0.
+
+    ``frame`` must agree with ``system`` on m_i and hbar (else ParameterError); both
+    stay because the benchmark harness in ``perfbench/`` passes them separately.
     """
-    if system.m_i != ft.m_i or system.hbar != ft.hbar:
-        raise ParameterError("transform and system disagree on m_i or hbar")
+    if system.m_i != frame.m_i or system.hbar != frame.hbar:
+        raise ParameterError("frame and system disagree on m_i or hbar")
     z = require_finite("z", z)
     t = require_finite("t", t)
-    lo, hi = falling_box_window(n, box_length, ft, t)
+    lo, hi = falling_box_window(n, box_length, frame, t)
     if z < lo or z > hi:
         return 0.0 + 0.0j
     z_prime = z - lo
-    p_box = positive_result("box momentum n*pi*hbar/L", n * math.pi * ft.hbar / box_length)
-    omega = finite_result("omega'", checked_square("p_prime", p_box) / (2.0 * ft.m_i) / ft.hbar)
+    p_box = positive_result("box momentum n*pi*hbar/L", n * math.pi * frame.hbar / box_length)
+    omega = finite_result(
+        "omega'", checked_square("p_prime", p_box) / (2.0 * frame.m_i) / frame.hbar
+    )
     amplitude = math.sqrt(2.0 / box_length) * math.sin(n * math.pi * z_prime / box_length)
-    return amplitude * _stationary_image(-omega * t, ft, z_prime, t)
+    return amplitude * _stationary_image(-omega * t, frame, z_prime, t)
 
 
 def box_eigenvalues(
-    n: int, box_length: float, ft: FrameTransform, z: float, t: float
+    n: int, box_length: float, system: PhysicalSystem, z: float, t: float
 ) -> tuple[float, float]:
     """(p_n(t), E_n(z, t)) of the falling-box state for the stationary observer.
 
@@ -238,5 +233,5 @@ def box_eigenvalues(
     """
     require_count("box quantum number", n, 1)
     require_positive("box length", box_length)
-    p_box = positive_result("box momentum n*pi*hbar/L", n * math.pi * ft.hbar / box_length)
-    return momentum_eigenvalue(p_box, ft, t), energy_eigenvalue(p_box, ft, z, t)
+    p_box = positive_result("box momentum n*pi*hbar/L", n * math.pi * system.hbar / box_length)
+    return momentum_eigenvalue(p_box, system, t), energy_eigenvalue(p_box, system, z, t)

@@ -14,8 +14,8 @@ import numpy as np
 from gravqm import (
     REFERENCE_FRAME_RUN,
     ComplexField,
-    FrameTransform,
     Grid,
+    PhysicalSystem,
     ai_negative_zero,
     airy_values,
     cow_phase_shift,
@@ -153,14 +153,14 @@ def test_criterion_6_property_suite():
     # (c) modulus preservation of the phase map, rounding only
     rng = np.random.default_rng(99)
     field = ComplexField(grid, rng.normal(size=2048) + 1j * rng.normal(size=2048))
-    ft = FrameTransform(v=0.7, a=1.9, m_i=1.3, hbar=0.8)
+    ft = PhysicalSystem(m_i=1.3, m_g=1.3, v=0.7, a=1.9, hbar=0.8)
     mapped = to_stationary_frame(ft, field, 0.83)
     modulus_dev = float(np.max(np.abs(np.abs(mapped.values) - np.abs(field.values))))
 
     # (d) Galilean limit: the a = 0 map is exactly the boost phase, and the
     # boosted free packet still solves the free equation
     boost_system = natural(v=0.8, a=0.0)
-    bft = FrameTransform.from_system(boost_system)
+    bft = boost_system
     small = Grid(-10.0, 10.0, 512)
     packet = gaussian_packet(small, 0.0, 0.7)
     t_ref = 0.4
@@ -204,7 +204,7 @@ def test_criterion_7_falling_box_residuals():
     worst = 0.0
     for n, box, v, a in configs:
         system = natural(v=v, a=a)
-        ft = FrameTransform.from_system(system)
+        ft = system
         lo, hi = falling_box_window(n, box, ft, 0.0)
         z0 = lo + 0.37 * (hi - lo)
         z = z0 + np.arange(5) * h

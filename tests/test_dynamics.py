@@ -16,7 +16,6 @@ from gravqm import (
     REFERENCE_FRAME_RUN,
     BoundaryContactError,
     ComplexField,
-    FrameTransform,
     Grid,
     NumericError,
     ParameterError,
@@ -247,6 +246,14 @@ def test_phase_alignment_of_a_non_finite_field_is_a_numeric_error():
             align_global_phase(a, b)
         with pytest.raises(NumericError, match="not finite"):
             max_pointwise_mismatch(a, b)
+
+
+def test_phase_alignment_of_orthogonal_fields_keeps_the_values():
+    # disjoint supports: the inner product is exactly 0, and exp(i*angle(0)) = 1
+    grid = Grid(-4.0, 4.0, 64)
+    lower = ComplexField(grid, np.where(grid.z < 0.0, 1.0 + 0.5j, 0.0))
+    upper = ComplexField(grid, np.where(grid.z > 0.0, 0.3 - 2.0j, 0.0))
+    np.testing.assert_array_equal(align_global_phase(lower, upper).values, lower.values)
 
 
 def test_propagate_input_validation():
@@ -659,7 +666,7 @@ def test_propagator_ignores_the_harness_momentum_method():
 
 def test_plane_wave_residual_small_on_condition():
     system = natural(v=0.3, a=1.0)
-    ft = FrameTransform.from_system(system)
+    ft = system
     h = 1e-3
     z = 0.5 + np.arange(9) * h
     t = 0.2 + np.arange(9) * h
@@ -670,7 +677,7 @@ def test_plane_wave_residual_small_on_condition():
 def test_plane_wave_residual_detects_wrong_acceleration():
     # a*m_i != m_g*g leaves a linear-in-z source term
     system = dataclasses.replace(natural(v=0.3, a=1.5), g=1.0)
-    ft = FrameTransform.from_system(system)
+    ft = system
     h = 1e-3
     for z0 in (5.0, -5.0):
         z = z0 + np.arange(9) * h
@@ -693,7 +700,7 @@ def test_free_gaussian_residual():
 def test_transformed_gaussian_solves_gravitational_equation():
     # free packet mapped through the falling-frame phase obeys V = m*a*z
     system = natural(v=0.0, a=1.0)
-    ft = FrameTransform.from_system(system)
+    ft = system
 
     def mapped(zz, tt):
         zp = zz + ft.shift(tt)
@@ -709,7 +716,7 @@ def test_transformed_gaussian_solves_gravitational_equation():
 
 def test_galilean_boosted_gaussian_stays_free():
     system = natural(v=0.8, a=0.0)
-    ft = FrameTransform.from_system(system)
+    ft = system
 
     def boosted(zz, tt):
         zp = zz + system.v * tt
@@ -983,7 +990,7 @@ def test_coarse_run_checks_its_own_time_step():
 
 def _plain_mismatch(psi0, system):
     # the dual-path comparison without the extrapolation in time
-    ft = FrameTransform.from_system(system)
+    ft = system
     t_final = psi0.grid.total_time
     free = propagate_linear_potential(psi0, system, 0.0).final_field
     direct = propagate_linear_potential(

@@ -1,15 +1,16 @@
 """Property test of the library's error contract.
 
-The fields of ``Grid``, ``PhysicalSystem``, ``FrameTransform`` and
-``InterferometerGeometry``, the scalar arguments of the entry points (a
-plane wave's momentum p' and a shift offset among them) and the derived scalars
-``Grid.total_time`` and ``PhysicalSystem.weight`` are drawn from or built
-on values at and beyond the edges of double range: nan, infinities,
-+-1e308, subnormals, an int beyond double range, numpy integers, bools and
-floats passed as counts.  Every call must return finite numbers or raise
-ParameterError or NumericError.  Any other exception fails the test, and so
-does a RuntimeWarning, which pyproject.toml turns into an error.  Grids have
-at most 4096 points, or the 2**20 points of the bound itself (8 MiB of
+The fields of ``Grid``, ``PhysicalSystem`` (which also carries the frame
+map's v, a, m_i and hbar) and ``InterferometerGeometry``, the scalar
+arguments of the entry points (a plane wave's momentum p' and a shift offset
+among them) and the derived scalars ``Grid.total_time`` and
+``PhysicalSystem.weight`` are drawn from or built on values at and beyond
+the edges of double range: nan, infinities, +-1e308, subnormals, an int
+beyond double range, numpy integers, bools and floats passed as counts.
+Every call must return finite numbers or raise ParameterError or
+NumericError.  Any other exception fails the test, and so does a
+RuntimeWarning, which pyproject.toml turns into an error.  Grids have at
+most 4096 points, or the 2**20 points of the bound itself (8 MiB of
 coordinates), and the one propagation takes two steps on 128 points, so no
 example allocates a large array.
 """
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 
 from gravqm import (
     ComplexField,
-    FrameTransform,
     Grid,
     InterferometerGeometry,
     NumericError,
@@ -131,7 +131,7 @@ def test_system_frequency_shift_and_level(m_i, m_g, g, v, a, hbar, z, n):
 )
 @example(10**400, 0.0, 1.0, 1.0, 1, 1.0, 0.0, 1.0, 0.3)
 def test_frame_window_and_momentum(v, a, m_i, hbar, n, box_length, t, p_prime, z):
-    ft = _outcome(lambda: FrameTransform(v=v, a=a, m_i=m_i, hbar=hbar))
+    ft = _outcome(lambda: PhysicalSystem(m_i=m_i, m_g=m_i, v=v, a=a, hbar=hbar))
     if ft is None:
         return
     window = _outcome(lambda: falling_box_window(n, box_length, ft, t))
@@ -153,7 +153,7 @@ _FALLING = PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0, v=0.3, a=1.0)
 @example(1.2, math.nan, 0.5, 1, 1.0)
 @example(1.2, 0.4, -(10**400), 1, 1.0)
 def test_plane_wave_phase_and_box_state(p_prime, z, t, n, box_length):
-    ft = FrameTransform.from_system(_FALLING)
+    ft = _FALLING
     phase = _outcome(lambda: phase_s(ft, z, t))
     assert phase is None or _finite(phase)
     box = _outcome(lambda: falling_box_state(n, box_length, ft, _FALLING, z, t))

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -38,13 +39,13 @@ def natural(v=0.0, a=0.0, g=None):
 
 
 def test_phase_vanishes_without_motion():
-    ft = FrameTransform(v=0.0, a=0.0, m_i=1.0, hbar=1.0)
+    ft = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=0.0, hbar=1.0)
     for z, t in [(0.0, 0.0), (3.0, 0.5), (-7.0, 2.0)]:
         assert phase_s(ft, z, t) == 0.0
 
 
 def test_phase_reduces_to_boost_without_acceleration():
-    ft = FrameTransform(v=0.7, a=0.0, m_i=1.3, hbar=0.9)
+    ft = PhysicalSystem(m_i=1.3, m_g=1.3, v=0.7, a=0.0, hbar=0.9)
     for z, t in [(1.0, 0.2), (-2.0, 1.5)]:
         boost = -(ft.m_i * ft.v / ft.hbar) * (z - 0.5 * ft.v * t)
         assert phase_s(ft, z, t) == pytest.approx(boost, rel=1e-14)
@@ -54,7 +55,7 @@ def test_phase_generic_monomial_expansion():
     # independent term-by-term evaluation of the closed form
     m, hbar, v, a = 1.0, 1.0, 1.0, 2.0
     z, t = 3.0, 0.5
-    ft = FrameTransform(v=v, a=a, m_i=m, hbar=hbar)
+    ft = PhysicalSystem(m_i=m, m_g=m, v=v, a=a, hbar=hbar)
     expected = (
         -(m * v / hbar) * z
         + (m * v * v / (2.0 * hbar)) * t
@@ -69,10 +70,10 @@ def test_map_is_identity_at_rest_and_t_zero():
     grid = Grid(-5.0, 5.0, 256)
     rng = np.random.default_rng(3)
     field = ComplexField(grid, rng.normal(size=256) + 1j * rng.normal(size=256))
-    ft = FrameTransform(v=0.0, a=1.0, m_i=1.0, hbar=1.0)
+    ft = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=1.0, hbar=1.0)
     out = to_stationary_frame(ft, field, 0.0)
     np.testing.assert_array_equal(out.values, field.values)
-    ft2 = FrameTransform(v=0.0, a=0.0, m_i=1.0, hbar=1.0)
+    ft2 = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=0.0, hbar=1.0)
     out2 = to_stationary_frame(ft2, field, 0.7)
     np.testing.assert_array_equal(out2.values, field.values)
 
@@ -81,7 +82,7 @@ def test_map_preserves_modulus_to_rounding():
     grid = Grid(-8.0, 8.0, 512)
     rng = np.random.default_rng(5)
     field = ComplexField(grid, rng.normal(size=512) + 1j * rng.normal(size=512))
-    ft = FrameTransform(v=0.4, a=1.7, m_i=2.0, hbar=0.5)
+    ft = PhysicalSystem(m_i=2.0, m_g=2.0, v=0.4, a=1.7, hbar=0.5)
     out = to_stationary_frame(ft, field, 1.3)
     # unit-modulus factor: agreement limited only by complex multiply rounding
     assert float(np.max(np.abs(np.abs(out.values) - np.abs(field.values)))) <= 1e-14
@@ -94,9 +95,9 @@ def test_map_composition_up_to_constant_phase():
     rng = np.random.default_rng(8)
     field = ComplexField(grid, rng.normal(size=400) + 1j * rng.normal(size=400))
     v, a, t = 0.6, 1.1, 0.9
-    boost_only = FrameTransform(v=v, a=0.0, m_i=1.0, hbar=1.0)
-    accel_only = FrameTransform(v=0.0, a=a, m_i=1.0, hbar=1.0)
-    combined = FrameTransform(v=v, a=a, m_i=1.0, hbar=1.0)
+    boost_only = PhysicalSystem(m_i=1.0, m_g=1.0, v=v, a=0.0, hbar=1.0)
+    accel_only = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=a, hbar=1.0)
+    combined = PhysicalSystem(m_i=1.0, m_g=1.0, v=v, a=a, hbar=1.0)
     two_step = to_stationary_frame(accel_only, to_stationary_frame(boost_only, field, t), t)
     one_step = to_stationary_frame(combined, field, t)
     ratio = one_step.values / two_step.values
@@ -110,11 +111,11 @@ def test_galilean_boost_contract():
     grid = Grid(-5.0, 5.0, 128)
     rng = np.random.default_rng(13)
     field = ComplexField(grid, rng.normal(size=128) + 1j * rng.normal(size=128))
-    ft = FrameTransform(v=0.9, a=0.0, m_i=1.0, hbar=1.0)
+    ft = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.9, a=0.0, hbar=1.0)
     boosted = to_stationary_frame(ft, field, 0.4)
     explicit = field.values * np.exp(-1j * (ft.m_i * ft.v / ft.hbar) * (grid.z + 0.5 * ft.v * 0.4))
     np.testing.assert_allclose(boosted.values, explicit, rtol=0.0, atol=1e-12)
-    ft0 = FrameTransform(v=0.0, a=0.0, m_i=1.0, hbar=1.0)
+    ft0 = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=0.0, hbar=1.0)
     np.testing.assert_array_equal(to_stationary_frame(ft0, field, 2.0).values, field.values)
 
 
@@ -124,10 +125,10 @@ def test_galilean_boost_contract():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda s: energy_eigenvalue(1e200, FrameTransform.from_system(s), 0.0, 0.0),  # p'^2
+        lambda s: energy_eigenvalue(1e200, s, 0.0, 0.0),  # p'^2
         # the free phase p'^2*t/(2*m_i*hbar) = 5e399 at t = 1 overflows
         lambda s: plane_wave_stationary(
-            1.0, FrameTransform.from_system(dataclasses.replace(s, m_i=1e-200, hbar=1e-200)),
+            1.0, dataclasses.replace(s, m_i=1e-200, hbar=1e-200),
             0.0, 1.0,
         ),
     ],
@@ -140,7 +141,7 @@ def test_plane_wave_momentum_out_of_double_range(call):
 
 def test_plane_wave_on_arrays_matches_scalar_calls():
     s = natural(v=0.3, a=1.0)
-    ft = FrameTransform.from_system(s)
+    ft = s
     rng = np.random.default_rng(23)
     z = rng.uniform(-3.0, 3.0, 16)
     t = rng.uniform(0.0, 2.0, 16)
@@ -153,16 +154,16 @@ def test_plane_wave_on_arrays_matches_scalar_calls():
 
 def test_momentum_eigenvalue_examples():
     s = natural(v=0.0, a=1.0)
-    ft = FrameTransform.from_system(s)
+    ft = s
     assert momentum_eigenvalue(1.0, ft, 0.0) == pytest.approx(1.0)
     s2 = natural(v=0.2, a=1.0)
-    ft2 = FrameTransform.from_system(s2)
+    ft2 = s2
     assert momentum_eigenvalue(1.0, ft2, 0.3) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_momentum_eigenvalue_matches_log_derivative():
     s = natural(v=0.3, a=1.0)
-    ft = FrameTransform.from_system(s)
+    ft = s
     h = 1e-6
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -177,7 +178,7 @@ def test_momentum_eigenvalue_matches_log_derivative():
 
 def test_energy_eigenvalue_examples():
     s = natural(v=0.0, a=1.0)
-    ft = FrameTransform.from_system(s)
+    ft = s
     assert energy_eigenvalue(1.4, ft, 0.0, 0.0) == pytest.approx(1.4**2 / (2.0 * s.m_i), rel=1e-14)
     # potential difference is exactly linear in separation
     for z in (0.5, 2.0, -3.0):
@@ -187,7 +188,7 @@ def test_energy_eigenvalue_examples():
 
 def test_energy_eigenvalue_matches_time_derivative():
     s = natural(v=0.25, a=0.8)
-    ft = FrameTransform.from_system(s)
+    ft = s
     h = 1e-6
     z, t = 0.6, 0.4
     up = plane_wave_stationary(0.9, ft, z, t + h)
@@ -217,7 +218,7 @@ def test_frequency_shift_time_independent_via_energy_difference():
     # the detector-frequency difference extracted from the energy eigenvalue
     # is the same at any time
     s = natural(v=0.2, a=1.3)
-    ft = FrameTransform.from_system(s)
+    ft = s
     z = 2.0
     extracted = []
     for t in (0.0, 1.7):
@@ -319,7 +320,7 @@ def test_geometry_validation():
 
 def test_falling_box_reduces_to_static_box():
     s = natural()
-    ft = FrameTransform.from_system(s)
+    ft = s
     n, box = 2, 1.5
     e_free = (n * math.pi * s.hbar / box) ** 2 / (2.0 * s.m_i)
     for z, t in [(0.3, 0.0), (0.7, 0.8), (1.1, 2.0)]:
@@ -333,7 +334,7 @@ def test_falling_box_reduces_to_static_box():
 
 def test_falling_box_density_translates():
     s = natural(v=0.4, a=1.0)
-    ft = FrameTransform.from_system(s)
+    ft = s
     n, box, t = 3, 2.0, 0.6
     shift = s.v * t + 0.5 * s.a * t * t
     lo, hi = falling_box_window(n, box, ft, t)
@@ -355,7 +356,7 @@ def test_falling_box_density_translates():
 
 def _box_call(box_length, hbar):
     s = dataclasses.replace(natural(), hbar=hbar)
-    ft = FrameTransform.from_system(s)
+    ft = s
     return lambda: falling_box_state(1, box_length, ft, s, 0.5 * box_length, 0.0)
 
 
@@ -364,9 +365,12 @@ def _box_call(box_length, hbar):
     [
         _box_call(1.0, 1e200),  # (n*pi*hbar/L)^2 overflows
         _box_call(1e-200, 1.0),
-        lambda: phase_s(FrameTransform(v=0.0, a=1.0, m_i=1.0, hbar=1.0), 0.0, 1e200),  # t'^2
         lambda: phase_s(
-            FrameTransform(v=0.0, a=1.0, m_i=1.0, hbar=1.0), np.zeros(3), np.array([0.0, 1e200, 1.0])
+            PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=1.0, hbar=1.0), 0.0, 1e200
+        ),  # t'^2
+        lambda: phase_s(
+            PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=1.0, hbar=1.0),
+            np.zeros(3), np.array([0.0, 1e200, 1.0]),
         ),
     ],
     ids=["box-hbar", "box-length", "phase-time", "phase-time-array"],
@@ -387,12 +391,11 @@ def _plane_wave_call(z, t):
         _plane_wave_call(np.zeros(3), np.array([0.0, 1e110, 1.0])),
         _plane_wave_call(1e300, 1e10),  # a*t*z'
         # v = a = 0, so S = 0: the free phase E_box*t/hbar = 5e200 * 1e108 overflows
-        lambda: falling_box_state(1, 1e-100, FrameTransform.from_system(natural()), natural(),
-                                  0.5e-100, 1e108),
+        lambda: falling_box_state(1, 1e-100, natural(), natural(), 0.5e-100, 1e108),
         # n*pi*hbar/L overflows, and so does its square
-        lambda: box_eigenvalues(1, 1e-320, FrameTransform.from_system(natural()), 0.0, 0.0),
+        lambda: box_eigenvalues(1, 1e-320, natural(), 0.0, 0.0),
         # p(t) = p' - m_i*v = -1e200 squares past double range
-        lambda: box_eigenvalues(1, 1.0, FrameTransform.from_system(natural(v=1e200)), 0.0, 0.0),
+        lambda: box_eigenvalues(1, 1.0, natural(v=1e200), 0.0, 0.0),
     ],
     ids=["plane-wave-time", "plane-wave-time-array", "plane-wave-height", "box-free-phase",
          "box-eigenvalues-length", "box-energy-drift"],
@@ -405,7 +408,7 @@ def test_stationary_states_out_of_double_range(call):
 
 def _free_frame():
     s = natural(v=0.3, a=1.0)
-    return s, FrameTransform.from_system(s)
+    return s, s
 
 
 def _wave_calls(p_prime):
@@ -451,7 +454,7 @@ def test_plane_wave_state_stores_floats():
 
 def test_box_eigenvalue_examples():
     s = natural()
-    ft = FrameTransform.from_system(s)
+    ft = s
     n, box = 2, 1.0
     p, e = box_eigenvalues(n, box, ft, 0.0, 0.0)
     assert p == pytest.approx(n * math.pi * s.hbar / box, rel=1e-14)
@@ -460,7 +463,7 @@ def test_box_eigenvalue_examples():
 
 def test_box_energy_linear_in_height():
     s = natural(v=0.2, a=0.9)
-    ft = FrameTransform.from_system(s)
+    ft = s
     for z in (0.4, 1.7):
         _, e_z = box_eigenvalues(2, 1.2, ft, z, 0.5)
         _, e_0 = box_eigenvalues(2, 1.2, ft, 0.0, 0.5)
@@ -473,7 +476,7 @@ def test_box_momentum_pieces_from_finite_differences():
     # antinode (where the amplitude gradient vanishes); the wavenumber is
     # fixed by the node spacing L/n checked in the density test above.
     s = natural(v=0.3, a=0.8)
-    ft = FrameTransform.from_system(s)
+    ft = s
     n, box, t = 2, 2.0, 0.4
     lo, _ = falling_box_window(n, box, ft, t)
     z0 = lo + box / (2.0 * n)  # first antinode of the translated sine
@@ -490,7 +493,7 @@ def test_box_momentum_pieces_from_finite_differences():
 
 def test_box_validation():
     s = natural()
-    ft = FrameTransform.from_system(s)
+    ft = s
     with pytest.raises(ParameterError):
         falling_box_state(0, 1.0, ft, s, 0.5, 0.0)
     with pytest.raises(ParameterError):
@@ -502,21 +505,21 @@ def test_box_validation():
 @pytest.mark.parametrize("field", ["m_i", "hbar"])
 def test_falling_box_state_refuses_a_system_unlike_its_transform(field):
     s = natural(v=0.3, a=0.8)
-    ft = FrameTransform.from_system(s)
+    ft = s
     with pytest.raises(ParameterError, match="disagree"):
         falling_box_state(1, 1.0, ft, dataclasses.replace(s, **{field: 2.0}), 0.5, 0.0)
 
 
 # ------------------------------------------------------------- error contract
 
-_REST = FrameTransform(v=0.0, a=0.0, m_i=1.0, hbar=1.0)
-_FALLING = FrameTransform(v=0.0, a=1.0, m_i=1.0, hbar=1.0)
+_REST = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=0.0, hbar=1.0)
+_FALLING = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=1.0, hbar=1.0)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: FrameTransform(v=10**400, a=0.0, m_i=1.0, hbar=1.0),
+        lambda: PhysicalSystem(m_i=1.0, m_g=1.0, v=10**400, a=0.0, hbar=1.0),
         lambda: InterferometerGeometry(10**400, 1.0, 1.0),
         lambda: frequency_shift(natural(a=1.0), 10**400),
         lambda: falling_box_window(1, 10**400, _REST, 0.0),
@@ -549,7 +552,7 @@ def test_numpy_integer_box_level_is_accepted():
 def _tiny_hbar_box():
     s = dataclasses.replace(natural(), hbar=1e-30)
     # p' = pi*hbar/L = 3e-330 underflows to 0
-    return box_eigenvalues(1, 1e300, FrameTransform.from_system(s), 0.0, 0.0)
+    return box_eigenvalues(1, 1e300, s, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -560,7 +563,9 @@ def _tiny_hbar_box():
         lambda: cow_phase_shift_time_route(
             InterferometerGeometry(1e300, 1e300, 1.0), natural(a=1.0)
         ),
-        lambda: momentum_eigenvalue(1.0, FrameTransform(1e300, 1e300, 1e10, 1.0), 1.0),
+        lambda: momentum_eigenvalue(
+            1.0, PhysicalSystem(m_i=1e10, m_g=1e10, v=1e300, a=1e300, hbar=1.0), 1.0
+        ),
         lambda: falling_box_window(1, 1.0, _FALLING, 1e200),
         lambda: falling_box_state(1, 1.0, _FALLING, natural(), 0.0, 1e200),
         _tiny_hbar_box,
@@ -571,3 +576,73 @@ def _tiny_hbar_box():
 def test_results_out_of_double_range_raise(call):
     with pytest.raises(NumericError):
         call()
+
+
+# ------------------------------------------------------------- golden values
+
+# m_g*g = 1.4 differs from m_i*a = 2.21: the map never reads the field
+_GOLDEN_SYSTEM = PhysicalSystem(m_i=1.3, m_g=0.7, g=2.0, v=0.4, a=1.7, hbar=0.9)
+
+
+def _frame_values(frame, system):
+    """Every frame function at fixed arguments, each result as a numpy array.
+
+    n = 2, L = 1.5 and t = 0.6 put the box window at [-0.546, 0.954]: z = 0.3
+    lies inside it and z = 1.2 outside.
+    """
+    grid = Grid(-4.0, 4.0, 64)
+    field = ComplexField(grid, (1.0 + 0.5j * grid.z) / (1.0 + grid.z * grid.z))
+    n, box, t = 2, 1.5, 0.6
+    values = {
+        "phase_s": phase_s(frame, 0.3, t),
+        "phase_s-array": phase_s(frame, np.array([-1.0, 0.0, 2.5]), np.array([0.0, 0.6, 1.1])),
+        "to_stationary_frame": to_stationary_frame(frame, field, t).values,
+        "plane_wave_stationary": plane_wave_stationary(1.2, frame, 0.3, t),
+        "momentum_eigenvalue": momentum_eigenvalue(1.2, frame, t),
+        "energy_eigenvalue": energy_eigenvalue(1.2, frame, 0.3, t),
+        "falling_box_window": falling_box_window(n, box, frame, t),
+        "falling_box_state-inside": falling_box_state(n, box, frame, system, 0.3, t),
+        "falling_box_state-outside": falling_box_state(n, box, frame, system, 1.2, t),
+        "box_eigenvalues": box_eigenvalues(n, box, frame, 0.3, t),
+    }
+    return {name: np.asarray(value) for name, value in values.items()}
+
+
+def _golden_form(value):
+    """A result as Python numbers, or the sha256 of its bytes past 4 entries."""
+    return hashlib.sha256(value.tobytes()).hexdigest() if value.size > 4 else value.tolist()
+
+
+_GOLDEN = {
+    "phase_s": 0.10815999999999995,
+    "phase_s-array": [0.5777777777777778, 0.7234933333333332, -5.02956037037037],
+    "to_stationary_frame": "37064836d1b8fe245077df7483a4a90499e41a721949e174cb004a1778bd1c96",
+    "plane_wave_stationary": 0.9681714986081148 - 0.2502877329852925j,
+    "momentum_eigenvalue": -0.6459999999999999,
+    "energy_eigenvalue": 0.8235061538461537,
+    "falling_box_window": [-0.546, 0.954],
+    "falling_box_state-inside": 0.025511149266914744 - 0.4511987485811672j,
+    "falling_box_state-outside": 0j,
+    "box_eigenvalues": [1.9239111843077519, 2.086628555809406],
+}
+
+
+@pytest.mark.parametrize(
+    "frame_of", [FrameTransform.from_system, lambda s: s], ids=["from-system", "system"]
+)
+def test_frame_functions_golden_values(frame_of):
+    # exact to the bit: which object carries v, a, m_i and hbar must not touch the arithmetic
+    values = _frame_values(frame_of(_GOLDEN_SYSTEM), _GOLDEN_SYSTEM)
+    assert {name: _golden_form(value) for name, value in values.items()} == _GOLDEN
+
+
+def test_frame_map_reads_only_v_a_m_i_and_hbar():
+    def bits(system):
+        return {name: value.tobytes() for name, value in _frame_values(system, system).items()}
+
+    assert bits(dataclasses.replace(_GOLDEN_SYSTEM, m_g=2.9, g=-0.3)) == bits(_GOLDEN_SYSTEM)
+
+
+def test_from_system_returns_the_system():
+    assert FrameTransform.from_system(_GOLDEN_SYSTEM) is _GOLDEN_SYSTEM
+

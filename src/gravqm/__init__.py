@@ -9,118 +9,19 @@ numerically.
 
 __version__ = "0.1.0"
 
-from .airy import (
-    AiryValue,
-    ai_negative_zero,
-    ai_squared_tail,
-    airy_ai,
-    airy_ai_prime,
-    airy_bi,
-    airy_bi_prime,
-    airy_values,
-)
-from .bouncer import (
-    BouncerLevel,
-    alpha,
-    eigenfunction,
-    energy_scale,
-    level,
-    probability_outside,
-    stationary_state,
-)
-from .core import (
-    ComplexField,
-    Grid,
-    PhysicalSystem,
-    make_natural_system,
-    norm_squared,
-)
-from .dynamics import (
-    REFERENCE_FRAME_RUN,
-    CheckOutcome,
-    FrameEquivalenceResult,
-    PropagationReport,
-    align_global_phase,
-    frame_equivalence,
-    frame_equivalence_test,
-    free_dispersion_width,
-    gaussian_packet,
-    heisenberg_checks,
-    max_pointwise_mismatch,
-    moments,
-    pde_residual,
-    propagate_linear_potential,
-    sample_stencil,
-    shift_field,
-)
-from .errors import BoundaryContactError, NumericError, ParameterError
-from .frames import (
-    FrameTransform,
-    InterferometerGeometry,
-    box_eigenvalues,
-    cow_phase_shift,
-    cow_phase_shift_time_route,
-    energy_eigenvalue,
-    falling_box_state,
-    falling_box_window,
-    frequency_shift,
-    momentum_eigenvalue,
-    phase_s,
-    plane_wave_stationary,
-    to_stationary_frame,
-)
+from . import airy, bouncer, core, dynamics, errors, frames
+from .airy import *
+from .bouncer import *
+from .core import *
+from .dynamics import *
+from .errors import *
+from .frames import *
 
-__all__ = [
-    "REFERENCE_FRAME_RUN",
-    "AiryValue",
-    "BouncerLevel",
-    "BoundaryContactError",
-    "CheckOutcome",
-    "ComplexField",
-    "FrameEquivalenceResult",
-    "FrameTransform",
-    "Grid",
-    "InterferometerGeometry",
-    "NumericError",
-    "ParameterError",
-    "PhysicalSystem",
-    "PropagationReport",
-    "ai_negative_zero",
-    "ai_squared_tail",
-    "airy_ai",
-    "airy_ai_prime",
-    "airy_bi",
-    "airy_bi_prime",
-    "airy_values",
-    "align_global_phase",
-    "alpha",
-    "box_eigenvalues",
-    "cow_phase_shift",
-    "cow_phase_shift_time_route",
-    "eigenfunction",
-    "energy_eigenvalue",
-    "energy_scale",
-    "falling_box_state",
-    "falling_box_window",
-    "frame_equivalence",
-    "frame_equivalence_test",
-    "free_dispersion_width",
-    "frequency_shift",
-    "gaussian_packet",
-    "heisenberg_checks",
-    "level",
-    "make_natural_system",
-    "max_pointwise_mismatch",
-    "moments",
-    "momentum_eigenvalue",
-    "norm_squared",
-    "pde_residual",
-    "phase_s",
-    "plane_wave_stationary",
-    "probability_outside",
-    "propagate_linear_potential",
-    "sample_stencil",
-    "shift_field",
-    "stationary_state",
-    "to_stationary_frame",
-]
+__all__ = (
+    airy.__all__
+    + bouncer.__all__
+    + core.__all__
+    + dynamics.__all__
+    + errors.__all__
+    + frames.__all__
+)

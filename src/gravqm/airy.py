@@ -50,6 +50,17 @@ from dataclasses import dataclass
 from .core import require_count, require_finite
 from .errors import NumericError
 
+__all__ = [
+    "AiryValue",
+    "ai_negative_zero",
+    "ai_squared_tail",
+    "airy_ai",
+    "airy_ai_prime",
+    "airy_bi",
+    "airy_bi_prime",
+    "airy_values",
+]
+
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT3 = math.sqrt(3.0)
 
@@ -72,6 +83,10 @@ _AI_UNDERFLOW_X = (746.0 * 1.5) ** (2.0 / 3.0)
 # Below this point the phase 2/3 * |x|**1.5 of the oscillatory expansion
 # passes 2**53, where doubles are 2 apart, so no digit of Ai or Bi is left.
 _PHASE_LOSS_X = -((1.5 * 2.0**53) ** (2.0 / 3.0))
+
+# Highest zero index ai_negative_zero takes: its Newton bracket was measured on
+# 1..MAX_ZERO_INDEX, which also bounds the bouncer levels built on the zeros.
+MAX_ZERO_INDEX = 50
 
 
 @dataclass(frozen=True)
@@ -341,11 +356,11 @@ def ai_negative_zero(n: int) -> float:
     """The n-th negative zero of Ai (n >= 1), accurate to better than 1e-10.
 
     Newton iteration from the asymptotic seed -(3*pi*(4n-1)/8)**(2/3); on
-    1..50 it converges in at most 3 steps without leaving the bracket
+    1..MAX_ZERO_INDEX it converges in at most 3 steps without leaving the bracket
     [seed-0.5, seed+0.5].  Raises NumericError if an iterate leaves that
     bracket, if Ai' vanishes at one, or if 50 steps do not converge.
     """
-    n = require_count("zero index", n, 1, 50)
+    n = require_count("zero index", n, 1, MAX_ZERO_INDEX)
     seed = -((3.0 * math.pi * (4.0 * n - 1.0) / 8.0) ** (2.0 / 3.0))
     x = seed
     for _ in range(50):

@@ -24,6 +24,16 @@ from .core import PhysicalSystem, checked_square, finite_result, positive_result
 from .core import require_finite, require_positive
 from .errors import ParameterError
 
+__all__ = [
+    "BouncerLevel",
+    "alpha",
+    "eigenfunction",
+    "energy_scale",
+    "level",
+    "probability_outside",
+    "stationary_state",
+]
+
 
 @dataclass(frozen=True)
 class BouncerLevel:

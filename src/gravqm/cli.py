@@ -28,7 +28,7 @@ import sys
 from typing import NoReturn
 
 from . import __version__
-from .airy import ai_negative_zero, airy_values
+from .airy import MAX_ZERO_INDEX, ai_negative_zero, airy_values
 from .bouncer import level as bouncer_level
 from .core import MAX_STEPS, Grid, PhysicalSystem, np, require_positive
 from .dynamics import (
@@ -115,14 +115,16 @@ def _positive(text: str) -> float:
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number") from None
 
 
-def _one_to_fifty(text: str) -> int:
-    """A whole number from 1 to 50, the range of ``--zeros`` and ``--levels``."""
+def _zero_count(text: str) -> int:
+    """A whole number from 1 to MAX_ZERO_INDEX, the range of ``--zeros`` and ``--levels``."""
     try:
         count = int(text)
     except ValueError:
         count = 0
-    if not 1 <= count <= 50:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number from 1 to 50")
+    if not 1 <= count <= MAX_ZERO_INDEX:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a whole number from 1 to {MAX_ZERO_INDEX}"
+        )
     return count
 
 
@@ -410,13 +412,13 @@ def _parser() -> argparse.ArgumentParser:
     which = airy.add_mutually_exclusive_group(required=True)
     which.add_argument("--eval", dest="eval_x", metavar="X", type=float,
                        help="Evaluate Ai, Ai', Bi, Bi' at x.")
-    which.add_argument("--zeros", dest="n_zeros", metavar="N", type=_one_to_fifty,
-                       help="Print the first N negative zeros of Ai (1..50).")
+    which.add_argument("--zeros", dest="n_zeros", metavar="N", type=_zero_count,
+                       help=f"Print the first N negative zeros of Ai (1..{MAX_ZERO_INDEX}).")
     output_options(airy)
 
     bouncer = command("bouncer", cmd_bouncer)
-    bouncer.add_argument("--levels", dest="n_levels", metavar="N", type=_one_to_fifty,
-                         required=True, help="Number of levels to print (1..50).")
+    bouncer.add_argument("--levels", dest="n_levels", metavar="N", type=_zero_count,
+                         required=True, help=f"Number of levels to print (1..{MAX_ZERO_INDEX}).")
     bouncer.add_argument("--si-neutron", action="store_true",
                          help="Use CODATA neutron constants and print energies in peV.")
     output_options(bouncer)

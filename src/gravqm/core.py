@@ -34,6 +34,14 @@ from dataclasses import dataclass, field
 
 from .errors import NumericError, ParameterError
 
+__all__ = [
+    "ComplexField",
+    "Grid",
+    "PhysicalSystem",
+    "make_natural_system",
+    "norm_squared",
+]
+
 
 def lazy_module(name: str):
     """The module ``name``, imported at its first attribute access.

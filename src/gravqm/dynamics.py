@@ -54,6 +54,25 @@ from .core import require_count, require_finite, require_positive
 from .errors import BoundaryContactError, NumericError, ParameterError
 from .frames import to_stationary_frame
 
+__all__ = [
+    "REFERENCE_FRAME_RUN",
+    "CheckOutcome",
+    "FrameEquivalenceResult",
+    "PropagationReport",
+    "align_global_phase",
+    "frame_equivalence",
+    "frame_equivalence_test",
+    "free_dispersion_width",
+    "gaussian_packet",
+    "heisenberg_checks",
+    "max_pointwise_mismatch",
+    "moments",
+    "pde_residual",
+    "propagate_linear_potential",
+    "sample_stencil",
+    "shift_field",
+]
+
 # Edge amplitude required of the initial state (within 5 points of each edge).
 _INITIAL_EDGE_AMPLITUDE = 1e-12
 

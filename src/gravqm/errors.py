@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "BoundaryContactError",
+    "NumericError",
+    "ParameterError",
+]
+
 
 class ParameterError(ValueError):
     """An input violates a documented precondition."""

@@ -39,6 +39,22 @@ from .core import ComplexField, PhysicalSystem, checked_square, finite_result, n
 from .core import require_count, require_finite, require_positive
 from .errors import NumericError, ParameterError
 
+__all__ = [
+    "FrameTransform",
+    "InterferometerGeometry",
+    "box_eigenvalues",
+    "cow_phase_shift",
+    "cow_phase_shift_time_route",
+    "energy_eigenvalue",
+    "falling_box_state",
+    "falling_box_window",
+    "frequency_shift",
+    "momentum_eigenvalue",
+    "phase_s",
+    "plane_wave_stationary",
+    "to_stationary_frame",
+]
+
 
 class FrameTransform:
     """Kept for the benchmark harness in ``perfbench/``: every frame function takes the

@@ -153,27 +153,27 @@ def test_criterion_6_property_suite():
     # (c) modulus preservation of the phase map, rounding only
     rng = np.random.default_rng(99)
     field = ComplexField(grid, rng.normal(size=2048) + 1j * rng.normal(size=2048))
-    ft = PhysicalSystem(m_i=1.3, m_g=1.3, v=0.7, a=1.9, hbar=0.8)
-    mapped = to_stationary_frame(ft, field, 0.83)
+    moving = PhysicalSystem(m_i=1.3, m_g=1.3, v=0.7, a=1.9, hbar=0.8)
+    mapped = to_stationary_frame(moving, field, 0.83)
     modulus_dev = float(np.max(np.abs(np.abs(mapped.values) - np.abs(field.values))))
 
     # (d) Galilean limit: the a = 0 map is exactly the boost phase, and the
     # boosted free packet still solves the free equation
     boost_system = natural(v=0.8, a=0.0)
-    bft = boost_system
     small = Grid(-10.0, 10.0, 512)
     packet = gaussian_packet(small, 0.0, 0.7)
     t_ref = 0.4
-    boosted = to_stationary_frame(bft, packet, t_ref)
+    boosted = to_stationary_frame(boost_system, packet, t_ref)
     explicit = packet.values * np.exp(
-        -1j * (bft.m_i * bft.v / bft.hbar) * (small.z + 0.5 * bft.v * t_ref)
+        -1j * (boost_system.m_i * boost_system.v / boost_system.hbar)
+        * (small.z + 0.5 * boost_system.v * t_ref)
     )
     boost_phase_dev = float(np.max(np.abs(boosted.values - explicit)))
 
     def boosted_fn(zz, tt):
         zp = zz + boost_system.v * tt
         return complex(free_gaussian_analytic(zp, tt, 0.7)) * complex(
-            np.exp(1j * phase_s(bft, zp, tt))
+            np.exp(1j * phase_s(boost_system, zp, tt))
         )
 
     h = 2.5e-4
@@ -204,13 +204,12 @@ def test_criterion_7_falling_box_residuals():
     worst = 0.0
     for n, box, v, a in configs:
         system = natural(v=v, a=a)
-        ft = system
-        lo, hi = falling_box_window(n, box, ft, 0.0)
+        lo, hi = falling_box_window(n, box, system, 0.0)
         z0 = lo + 0.37 * (hi - lo)
         z = z0 + np.arange(5) * h
         t = np.arange(5) * h
         vals = sample_stencil(
-            lambda zz, tt: falling_box_state(n, box, ft, system, zz, tt), z, t
+            lambda zz, tt: falling_box_state(n, box, system, system, zz, tt), z, t
         )
         residual = pde_residual(vals, z, t, system, system.m_i * a)
         worst = max(worst, residual)

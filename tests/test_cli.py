@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -559,6 +560,81 @@ def test_commands_return_their_result_and_write_nothing(capsys, command):
     columns = result[0]
     assert len({len(values) for values in columns.values()}) == 1
     assert capsys.readouterr() == ("", "")
+
+
+# The exit-code contract of whole commands, one row per command line (FILE
+# stands for a file in the test's tmp_path): the exit code, text that stderr
+# must contain (None: stderr stays empty), and a stdout line that must (True)
+# or must not (False) be printed.
+CONSOLE_CONTRACT = {
+    # both ends of the Airy cell tables
+    "airy --eval -20": (0, None, None),
+    "airy --eval 11.9": (0, None, None),
+    "evolve --demo free-dispersion --n-points 256 --dt 1e-2 --t-final 0.05 --out FILE": (
+        0, None, None,
+    ),
+    # one step leaves nothing to extrapolate in time, three steps do
+    "evolve --demo frame-equivalence --n-points 2048 --dt 1e-2 --t-final 0.01 --out FILE": (
+        0, None, ("time_correction=0", True),
+    ),
+    "evolve --demo frame-equivalence --n-points 2048 --dt 1e-2 --t-final 0.03 --out FILE": (
+        0, None, ("time_correction=0", False),
+    ),
+    # the free packet reaches the walls long before t = 20, on even and odd grids
+    "evolve --demo frame-equivalence --n-points 512 --dt 4e-3 --t-final 20 --out FILE": (
+        1, "touched the grid boundary at t=2.98", None,
+    ),
+    "evolve --demo frame-equivalence --n-points 511 --dt 4e-3 --t-final 20 --out FILE": (
+        1, "touched the grid boundary at t=2.98", None,
+    ),
+    # time steps whose arithmetic leaves double range fail before any step runs
+    "evolve --demo free-dispersion --n-points 256 --dt 1e308 --t-final 1e308 --out FILE": (
+        1, "time step dt=1e+308", None,
+    ),
+    "evolve --demo bouncer-moments --n-points 256 --dt 1e300 --t-final 1e300 --out FILE": (
+        1, "the closed form at t=1e+300", None,
+    ),
+    "evolve --demo frame-equivalence --n-points 256 --dt 1e200 --t-final 4e200 --out FILE": (
+        1, "frame shift v*t + a*t^2/2 = inf", None,
+    ),
+    # three steps: the coarse pass of the extrapolation names its own dt
+    "evolve --demo frame-equivalence --n-points 256 --dt 1e306 --t-final 3e306 --out FILE": (
+        1, "time step dt=1.5e+306", None,
+    ),
+    # delta_omega/omega' = 1/5e-324 overflows in the command itself
+    "redshift --z 1 --omega-prime 5e-324": (1, "result is not finite (inf)", None),
+    "redshift --z 1 --omega-prime 5e-324 --format csv": (
+        1, "result is not finite (inf)", None,
+    ),
+    "redshift --z 1 --omega-prime 5e-324 --format json --out FILE": (
+        1, "result is not finite (inf)", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(CONSOLE_CONTRACT))
+def test_console_contract(tmp_path, command):
+    code, error, line = CONSOLE_CONTRACT[command]
+    out = tmp_path / "out"
+    args = [str(out) if arg == "FILE" else arg for arg in command.split()]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(*args)
+    assert result.exit_code == code
+    assert "Traceback" not in result.output
+    assert [str(w.message) for w in caught] == []
+    if error is None:
+        assert result.stderr == ""
+    else:
+        assert error in result.stderr
+    if line is not None:
+        text, printed = line
+        assert (text in result.stdout.splitlines()) == printed
+    if code != 0:
+        assert result.stdout == ""
+        assert not out.exists()
+    if code == 1:
+        assert result.stderr.startswith("numeric failure: ")
 
 
 def test_cli_import_does_not_load_scipy_linalg():

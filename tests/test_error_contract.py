@@ -131,16 +131,16 @@ def test_system_frequency_shift_and_level(m_i, m_g, g, v, a, hbar, z, n):
 )
 @example(10**400, 0.0, 1.0, 1.0, 1, 1.0, 0.0, 1.0, 0.3)
 def test_frame_window_and_momentum(v, a, m_i, hbar, n, box_length, t, p_prime, z):
-    ft = _outcome(lambda: PhysicalSystem(m_i=m_i, m_g=m_i, v=v, a=a, hbar=hbar))
-    if ft is None:
+    system = _outcome(lambda: PhysicalSystem(m_i=m_i, m_g=m_i, v=v, a=a, hbar=hbar))
+    if system is None:
         return
-    window = _outcome(lambda: falling_box_window(n, box_length, ft, t))
+    window = _outcome(lambda: falling_box_window(n, box_length, system, t))
     assert window is None or _finite(*window)
-    momentum = _outcome(lambda: momentum_eigenvalue(p_prime, ft, t))
+    momentum = _outcome(lambda: momentum_eigenvalue(p_prime, system, t))
     assert momentum is None or _finite(momentum)
-    energy = _outcome(lambda: energy_eigenvalue(p_prime, ft, z, t))
+    energy = _outcome(lambda: energy_eigenvalue(p_prime, system, z, t))
     assert energy is None or _finite(energy)
-    box = _outcome(lambda: box_eigenvalues(n, box_length, ft, z, t))
+    box = _outcome(lambda: box_eigenvalues(n, box_length, system, z, t))
     assert box is None or _finite(*box)
 
 
@@ -153,14 +153,13 @@ _FALLING = PhysicalSystem(m_i=1.0, m_g=1.0, g=1.0, v=0.3, a=1.0)
 @example(1.2, math.nan, 0.5, 1, 1.0)
 @example(1.2, 0.4, -(10**400), 1, 1.0)
 def test_plane_wave_phase_and_box_state(p_prime, z, t, n, box_length):
-    ft = _FALLING
-    phase = _outcome(lambda: phase_s(ft, z, t))
+    phase = _outcome(lambda: phase_s(_FALLING, z, t))
     assert phase is None or _finite(phase)
-    box = _outcome(lambda: falling_box_state(n, box_length, ft, _FALLING, z, t))
+    box = _outcome(lambda: falling_box_state(n, box_length, _FALLING, _FALLING, z, t))
     assert box is None or cmath.isfinite(box)
-    plane = _outcome(lambda: plane_wave_stationary(p_prime, ft, z, t))
+    plane = _outcome(lambda: plane_wave_stationary(p_prime, _FALLING, z, t))
     assert plane is None or cmath.isfinite(plane)
-    momentum = _outcome(lambda: momentum_eigenvalue(p_prime, ft, t))
+    momentum = _outcome(lambda: momentum_eigenvalue(p_prime, _FALLING, t))
     assert momentum is None or _finite(momentum)
 
 

@@ -39,23 +39,23 @@ def natural(v=0.0, a=0.0, g=None):
 
 
 def test_phase_vanishes_without_motion():
-    ft = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=0.0, hbar=1.0)
+    s = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=0.0, hbar=1.0)
     for z, t in [(0.0, 0.0), (3.0, 0.5), (-7.0, 2.0)]:
-        assert phase_s(ft, z, t) == 0.0
+        assert phase_s(s, z, t) == 0.0
 
 
 def test_phase_reduces_to_boost_without_acceleration():
-    ft = PhysicalSystem(m_i=1.3, m_g=1.3, v=0.7, a=0.0, hbar=0.9)
+    s = PhysicalSystem(m_i=1.3, m_g=1.3, v=0.7, a=0.0, hbar=0.9)
     for z, t in [(1.0, 0.2), (-2.0, 1.5)]:
-        boost = -(ft.m_i * ft.v / ft.hbar) * (z - 0.5 * ft.v * t)
-        assert phase_s(ft, z, t) == pytest.approx(boost, rel=1e-14)
+        boost = -(s.m_i * s.v / s.hbar) * (z - 0.5 * s.v * t)
+        assert phase_s(s, z, t) == pytest.approx(boost, rel=1e-14)
 
 
 def test_phase_generic_monomial_expansion():
     # independent term-by-term evaluation of the closed form
     m, hbar, v, a = 1.0, 1.0, 1.0, 2.0
     z, t = 3.0, 0.5
-    ft = PhysicalSystem(m_i=m, m_g=m, v=v, a=a, hbar=hbar)
+    s = PhysicalSystem(m_i=m, m_g=m, v=v, a=a, hbar=hbar)
     expected = (
         -(m * v / hbar) * z
         + (m * v * v / (2.0 * hbar)) * t
@@ -63,18 +63,18 @@ def test_phase_generic_monomial_expansion():
         + (m * a * v / hbar) * t * t
         + (m * a * a / (3.0 * hbar)) * t**3
     )
-    assert phase_s(ft, z, t) == pytest.approx(expected, rel=1e-14)
+    assert phase_s(s, z, t) == pytest.approx(expected, rel=1e-14)
 
 
 def test_map_is_identity_at_rest_and_t_zero():
     grid = Grid(-5.0, 5.0, 256)
     rng = np.random.default_rng(3)
     field = ComplexField(grid, rng.normal(size=256) + 1j * rng.normal(size=256))
-    ft = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=1.0, hbar=1.0)
-    out = to_stationary_frame(ft, field, 0.0)
+    s = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=1.0, hbar=1.0)
+    out = to_stationary_frame(s, field, 0.0)
     np.testing.assert_array_equal(out.values, field.values)
-    ft2 = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=0.0, hbar=1.0)
-    out2 = to_stationary_frame(ft2, field, 0.7)
+    s2 = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=0.0, hbar=1.0)
+    out2 = to_stationary_frame(s2, field, 0.7)
     np.testing.assert_array_equal(out2.values, field.values)
 
 
@@ -82,8 +82,8 @@ def test_map_preserves_modulus_to_rounding():
     grid = Grid(-8.0, 8.0, 512)
     rng = np.random.default_rng(5)
     field = ComplexField(grid, rng.normal(size=512) + 1j * rng.normal(size=512))
-    ft = PhysicalSystem(m_i=2.0, m_g=2.0, v=0.4, a=1.7, hbar=0.5)
-    out = to_stationary_frame(ft, field, 1.3)
+    s = PhysicalSystem(m_i=2.0, m_g=2.0, v=0.4, a=1.7, hbar=0.5)
+    out = to_stationary_frame(s, field, 1.3)
     # unit-modulus factor: agreement limited only by complex multiply rounding
     assert float(np.max(np.abs(np.abs(out.values) - np.abs(field.values)))) <= 1e-14
 
@@ -111,12 +111,12 @@ def test_galilean_boost_contract():
     grid = Grid(-5.0, 5.0, 128)
     rng = np.random.default_rng(13)
     field = ComplexField(grid, rng.normal(size=128) + 1j * rng.normal(size=128))
-    ft = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.9, a=0.0, hbar=1.0)
-    boosted = to_stationary_frame(ft, field, 0.4)
-    explicit = field.values * np.exp(-1j * (ft.m_i * ft.v / ft.hbar) * (grid.z + 0.5 * ft.v * 0.4))
+    s = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.9, a=0.0, hbar=1.0)
+    boosted = to_stationary_frame(s, field, 0.4)
+    explicit = field.values * np.exp(-1j * (s.m_i * s.v / s.hbar) * (grid.z + 0.5 * s.v * 0.4))
     np.testing.assert_allclose(boosted.values, explicit, rtol=0.0, atol=1e-12)
-    ft0 = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=0.0, hbar=1.0)
-    np.testing.assert_array_equal(to_stationary_frame(ft0, field, 2.0).values, field.values)
+    s0 = PhysicalSystem(m_i=1.0, m_g=1.0, v=0.0, a=0.0, hbar=1.0)
+    np.testing.assert_array_equal(to_stationary_frame(s0, field, 2.0).values, field.values)
 
 
 # ------------------------------------------------------------- plane waves
@@ -141,61 +141,55 @@ def test_plane_wave_momentum_out_of_double_range(call):
 
 def test_plane_wave_on_arrays_matches_scalar_calls():
     s = natural(v=0.3, a=1.0)
-    ft = s
     rng = np.random.default_rng(23)
     z = rng.uniform(-3.0, 3.0, 16)
     t = rng.uniform(0.0, 2.0, 16)
-    on_arrays = plane_wave_stationary(1.2, ft, z, t)
+    on_arrays = plane_wave_stationary(1.2, s, z, t)
     assert on_arrays.shape == (16,)
-    scalar = [plane_wave_stationary(1.2, ft, float(zz), float(tt)) for zz, tt in zip(z, t)]
+    scalar = [plane_wave_stationary(1.2, s, float(zz), float(tt)) for zz, tt in zip(z, t)]
     assert all(isinstance(value, complex) for value in scalar)
     np.testing.assert_allclose(on_arrays, scalar, rtol=0.0, atol=1e-15)
 
 
 def test_momentum_eigenvalue_examples():
     s = natural(v=0.0, a=1.0)
-    ft = s
-    assert momentum_eigenvalue(1.0, ft, 0.0) == pytest.approx(1.0)
+    assert momentum_eigenvalue(1.0, s, 0.0) == pytest.approx(1.0)
     s2 = natural(v=0.2, a=1.0)
-    ft2 = s2
-    assert momentum_eigenvalue(1.0, ft2, 0.3) == pytest.approx(0.5, rel=1e-14)
+    assert momentum_eigenvalue(1.0, s2, 0.3) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_momentum_eigenvalue_matches_log_derivative():
     s = natural(v=0.3, a=1.0)
-    ft = s
     h = 1e-6
     rng = np.random.default_rng(17)
     for _ in range(5):
         z = float(rng.uniform(-2.0, 2.0))
         t = float(rng.uniform(0.0, 1.0))
-        up = plane_wave_stationary(1.2, ft, z + h, t)
-        dn = plane_wave_stationary(1.2, ft, z - h, t)
-        mid = plane_wave_stationary(1.2, ft, z, t)
-        numeric = (-1j * ft.hbar * (up - dn) / (2.0 * h) / mid).real
-        assert numeric == pytest.approx(momentum_eigenvalue(1.2, ft, t), abs=1e-6)
+        up = plane_wave_stationary(1.2, s, z + h, t)
+        dn = plane_wave_stationary(1.2, s, z - h, t)
+        mid = plane_wave_stationary(1.2, s, z, t)
+        numeric = (-1j * s.hbar * (up - dn) / (2.0 * h) / mid).real
+        assert numeric == pytest.approx(momentum_eigenvalue(1.2, s, t), abs=1e-6)
 
 
 def test_energy_eigenvalue_examples():
     s = natural(v=0.0, a=1.0)
-    ft = s
-    assert energy_eigenvalue(1.4, ft, 0.0, 0.0) == pytest.approx(1.4**2 / (2.0 * s.m_i), rel=1e-14)
+    assert energy_eigenvalue(1.4, s, 0.0, 0.0) == pytest.approx(1.4**2 / (2.0 * s.m_i), rel=1e-14)
     # potential difference is exactly linear in separation
     for z in (0.5, 2.0, -3.0):
-        diff = energy_eigenvalue(1.4, ft, z, 0.7) - energy_eigenvalue(1.4, ft, 0.0, 0.7)
+        diff = energy_eigenvalue(1.4, s, z, 0.7) - energy_eigenvalue(1.4, s, 0.0, 0.7)
         assert diff == pytest.approx(s.m_i * s.a * z, rel=1e-14)
 
 
 def test_energy_eigenvalue_matches_time_derivative():
     s = natural(v=0.25, a=0.8)
-    ft = s
     h = 1e-6
     z, t = 0.6, 0.4
-    up = plane_wave_stationary(0.9, ft, z, t + h)
-    dn = plane_wave_stationary(0.9, ft, z, t - h)
-    mid = plane_wave_stationary(0.9, ft, z, t)
-    numeric = (1j * ft.hbar * (up - dn) / (2.0 * h) / mid).real
-    assert numeric == pytest.approx(energy_eigenvalue(0.9, ft, z, t), abs=1e-6)
+    up = plane_wave_stationary(0.9, s, z, t + h)
+    dn = plane_wave_stationary(0.9, s, z, t - h)
+    mid = plane_wave_stationary(0.9, s, z, t)
+    numeric = (1j * s.hbar * (up - dn) / (2.0 * h) / mid).real
+    assert numeric == pytest.approx(energy_eigenvalue(0.9, s, z, t), abs=1e-6)
 
 
 # ----------------------------------------------------- frequency / redshift
@@ -218,11 +212,10 @@ def test_frequency_shift_time_independent_via_energy_difference():
     # the detector-frequency difference extracted from the energy eigenvalue
     # is the same at any time
     s = natural(v=0.2, a=1.3)
-    ft = s
     z = 2.0
     extracted = []
     for t in (0.0, 1.7):
-        diff = energy_eigenvalue(0.8, ft, z, t) - energy_eigenvalue(0.8, ft, 0.0, t)
+        diff = energy_eigenvalue(0.8, s, z, t) - energy_eigenvalue(0.8, s, 0.0, t)
         extracted.append(diff / s.hbar)
     assert extracted[0] == pytest.approx(extracted[1], rel=1e-12)
     assert extracted[0] == pytest.approx(frequency_shift(s, z), rel=1e-12)
@@ -320,7 +313,6 @@ def test_geometry_validation():
 
 def test_falling_box_reduces_to_static_box():
     s = natural()
-    ft = s
     n, box = 2, 1.5
     e_free = (n * math.pi * s.hbar / box) ** 2 / (2.0 * s.m_i)
     for z, t in [(0.3, 0.0), (0.7, 0.8), (1.1, 2.0)]:
@@ -329,35 +321,33 @@ def test_falling_box_reduces_to_static_box():
             * math.sin(n * math.pi * z / box)
             * cmath.exp(-1j * e_free * t / s.hbar)
         )
-        assert falling_box_state(n, box, ft, s, z, t) == pytest.approx(expected, rel=1e-12)
+        assert falling_box_state(n, box, s, s, z, t) == pytest.approx(expected, rel=1e-12)
 
 
 def test_falling_box_density_translates():
     s = natural(v=0.4, a=1.0)
-    ft = s
     n, box, t = 3, 2.0, 0.6
     shift = s.v * t + 0.5 * s.a * t * t
-    lo, hi = falling_box_window(n, box, ft, t)
+    lo, hi = falling_box_window(n, box, s, t)
     assert lo == pytest.approx(-shift)
     assert hi == pytest.approx(box - shift)
     # nodes sit at k*L/n - shift
     for k in range(n + 1):
         node = k * box / n - shift
-        assert abs(falling_box_state(n, box, ft, s, node, t)) <= 1e-12
+        assert abs(falling_box_state(n, box, s, s, node, t)) <= 1e-12
     # sin^2 profile translated by the shift
     for z in np.linspace(lo + 0.05, hi - 0.05, 7):
-        density = abs(falling_box_state(n, box, ft, s, float(z), t)) ** 2
+        density = abs(falling_box_state(n, box, s, s, float(z), t)) ** 2
         expected = (2.0 / box) * math.sin(n * math.pi * (z + shift) / box) ** 2
         assert density == pytest.approx(expected, rel=1e-12, abs=1e-13)
     # outside the window the state vanishes identically
-    assert falling_box_state(n, box, ft, s, lo - 0.01, t) == 0.0
-    assert falling_box_state(n, box, ft, s, hi + 0.01, t) == 0.0
+    assert falling_box_state(n, box, s, s, lo - 0.01, t) == 0.0
+    assert falling_box_state(n, box, s, s, hi + 0.01, t) == 0.0
 
 
 def _box_call(box_length, hbar):
     s = dataclasses.replace(natural(), hbar=hbar)
-    ft = s
-    return lambda: falling_box_state(1, box_length, ft, s, 0.5 * box_length, 0.0)
+    return lambda: falling_box_state(1, box_length, s, s, 0.5 * box_length, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -381,7 +371,7 @@ def test_frame_squares_out_of_double_range(call):
 
 
 def _plane_wave_call(z, t):
-    return lambda: plane_wave_stationary(1.2, _free_frame()[1], z, t)
+    return lambda: plane_wave_stationary(1.2, _free_system(), z, t)
 
 
 @pytest.mark.parametrize(
@@ -406,18 +396,17 @@ def test_stationary_states_out_of_double_range(call):
 
 
 
-def _free_frame():
-    s = natural(v=0.3, a=1.0)
-    return s, s
+def _free_system():
+    return natural(v=0.3, a=1.0)
 
 
 def _wave_calls(p_prime):
     """Both plane-wave entry points with this p': each must raise ParameterError."""
     def call():
-        ft = _free_frame()[1]
+        s = _free_system()
         with pytest.raises(ParameterError, match="p_prime"):
-            momentum_eigenvalue(p_prime, ft, 0.0)
-        plane_wave_stationary(p_prime, ft, 0.0, 0.0)
+            momentum_eigenvalue(p_prime, s, 0.0)
+        plane_wave_stationary(p_prime, s, 0.0, 0.0)
     return call
 
 
@@ -426,16 +415,16 @@ def _wave_calls(p_prime):
     [
         _wave_calls(10**400),
         _wave_calls(math.nan),
-        lambda: momentum_eigenvalue(10**400, _free_frame()[1], 0.0),
-        lambda: plane_wave_stationary(1.2, _free_frame()[1], 10**400, 0.0),
-        lambda: plane_wave_stationary(1.2, _free_frame()[1], 0.0, math.nan),
-        lambda: phase_s(_free_frame()[1], math.nan, 0.0),
-        lambda: phase_s(_free_frame()[1], 0.0, -(10**400)),
+        lambda: momentum_eigenvalue(10**400, _free_system(), 0.0),
+        lambda: plane_wave_stationary(1.2, _free_system(), 10**400, 0.0),
+        lambda: plane_wave_stationary(1.2, _free_system(), 0.0, math.nan),
+        lambda: phase_s(_free_system(), math.nan, 0.0),
+        lambda: phase_s(_free_system(), 0.0, -(10**400)),
         lambda: to_stationary_frame(
-            _free_frame()[1], ComplexField(Grid(-1.0, 1.0, 5), np.ones(5)), 10**400
+            _free_system(), ComplexField(Grid(-1.0, 1.0, 5), np.ones(5)), 10**400
         ),
-        lambda: falling_box_state(1, 1.0, _free_frame()[1], _free_frame()[0], math.nan, 0.0),
-        lambda: falling_box_state(1, 1.0, _free_frame()[1], _free_frame()[0], 0.5, 10**400),
+        lambda: falling_box_state(1, 1.0, _free_system(), _free_system(), math.nan, 0.0),
+        lambda: falling_box_state(1, 1.0, _free_system(), _free_system(), 0.5, 10**400),
     ],
     ids=["wave-huge-int", "wave-nan", "momentum-huge-int", "plane-wave-z",
          "plane-wave-t-nan", "phase-z-nan", "phase-t-huge-int", "to-stationary-t", "box-z-nan",
@@ -450,23 +439,21 @@ def test_plane_wave_state_stores_floats():
     # an int p' squares as a float, whose overflow is a NumericError, not as
     # an exact int whose quotient by 2*m_i raises OverflowError
     with pytest.raises(NumericError, match="p_prime"):
-        plane_wave_stationary(10**300, _free_frame()[1], 1.0, 1.0)
+        plane_wave_stationary(10**300, _free_system(), 1.0, 1.0)
 
 def test_box_eigenvalue_examples():
     s = natural()
-    ft = s
     n, box = 2, 1.0
-    p, e = box_eigenvalues(n, box, ft, 0.0, 0.0)
+    p, e = box_eigenvalues(n, box, s, 0.0, 0.0)
     assert p == pytest.approx(n * math.pi * s.hbar / box, rel=1e-14)
     assert e == pytest.approx(p * p / (2.0 * s.m_i), rel=1e-14)
 
 
 def test_box_energy_linear_in_height():
     s = natural(v=0.2, a=0.9)
-    ft = s
     for z in (0.4, 1.7):
-        _, e_z = box_eigenvalues(2, 1.2, ft, z, 0.5)
-        _, e_0 = box_eigenvalues(2, 1.2, ft, 0.0, 0.5)
+        _, e_z = box_eigenvalues(2, 1.2, s, z, 0.5)
+        _, e_0 = box_eigenvalues(2, 1.2, s, 0.0, 0.5)
         assert e_z - e_0 == pytest.approx(s.m_i * s.a * z, rel=1e-13)
 
 
@@ -476,16 +463,15 @@ def test_box_momentum_pieces_from_finite_differences():
     # antinode (where the amplitude gradient vanishes); the wavenumber is
     # fixed by the node spacing L/n checked in the density test above.
     s = natural(v=0.3, a=0.8)
-    ft = s
     n, box, t = 2, 2.0, 0.4
-    lo, _ = falling_box_window(n, box, ft, t)
+    lo, _ = falling_box_window(n, box, s, t)
     z0 = lo + box / (2.0 * n)  # first antinode of the translated sine
     h = 1e-6
-    up = falling_box_state(n, box, ft, s, z0 + h, t)
-    dn = falling_box_state(n, box, ft, s, z0 - h, t)
-    mid = falling_box_state(n, box, ft, s, z0, t)
+    up = falling_box_state(n, box, s, s, z0 + h, t)
+    dn = falling_box_state(n, box, s, s, z0 - h, t)
+    mid = falling_box_state(n, box, s, s, z0, t)
     numeric_drift = (-1j * s.hbar * (up - dn) / (2.0 * h) / mid).real
-    p, _ = box_eigenvalues(n, box, ft, z0, t)
+    p, _ = box_eigenvalues(n, box, s, z0, t)
     standing = n * math.pi * s.hbar / box
     assert numeric_drift == pytest.approx(p - standing, abs=1e-6)
     assert p == pytest.approx(standing - s.m_i * (s.v + s.a * t), rel=1e-13)
@@ -493,21 +479,19 @@ def test_box_momentum_pieces_from_finite_differences():
 
 def test_box_validation():
     s = natural()
-    ft = s
     with pytest.raises(ParameterError):
-        falling_box_state(0, 1.0, ft, s, 0.5, 0.0)
+        falling_box_state(0, 1.0, s, s, 0.5, 0.0)
     with pytest.raises(ParameterError):
-        falling_box_state(1, -1.0, ft, s, 0.5, 0.0)
+        falling_box_state(1, -1.0, s, s, 0.5, 0.0)
     with pytest.raises(ParameterError):
-        box_eigenvalues(1, 0.0, ft, 0.5, 0.0)
+        box_eigenvalues(1, 0.0, s, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("field", ["m_i", "hbar"])
 def test_falling_box_state_refuses_a_system_unlike_its_transform(field):
     s = natural(v=0.3, a=0.8)
-    ft = s
     with pytest.raises(ParameterError, match="disagree"):
-        falling_box_state(1, 1.0, ft, dataclasses.replace(s, **{field: 2.0}), 0.5, 0.0)
+        falling_box_state(1, 1.0, s, dataclasses.replace(s, **{field: 2.0}), 0.5, 0.0)
 
 
 # ------------------------------------------------------------- error contract

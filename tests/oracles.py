@@ -77,19 +77,25 @@ def numerov_cn_oracle(psi, z, dt, steps, hbar, m, slope):
     The scheme as written: M = tridiag(1, 10, 1)/12, K = T + M diag(V) with
     T = -hbar^2/(2m) times the three-point second difference (Dirichlet
     zeros outside the grid), and each step solves
-    (M + r K) psi_new = (M - r K) psi with r = i dt/(2 hbar).
+    (M + r K) psi_new = (M - r K) psi with r = i dt/(2 hbar).  V is
+    referenced to the packet: V = slope*(z - z_ref) with z_ref the
+    trapezoid <z> of the initial samples, and the result is multiplied by
+    exp(-i slope z_ref steps dt/hbar), the exact effect of the constant
+    slope*z_ref that V leaves out.
     """
     n = z.size
     dz = z[1] - z[0]
+    psi = np.asarray(psi, dtype=complex)
+    density = np.abs(psi) ** 2
+    z_ref = np.trapezoid(z * density, dx=dz) / np.trapezoid(density, dx=dz)
     ones = np.ones(n - 1)
     mass = (np.diag(np.full(n, 10.0)) + np.diag(ones, 1) + np.diag(ones, -1)) / 12.0
     second = (np.diag(np.full(n, -2.0)) + np.diag(ones, 1) + np.diag(ones, -1)) / dz**2
-    k = -(hbar**2) / (2.0 * m) * second + mass @ np.diag(slope * z)
+    k = -(hbar**2) / (2.0 * m) * second + mass @ np.diag(slope * (z - z_ref))
     r = 1j * dt / (2.0 * hbar)
-    psi = np.asarray(psi, dtype=complex)
     for _ in range(steps):
         psi = np.linalg.solve(mass + r * k, (mass - r * k) @ psi)
-    return psi
+    return psi * np.exp(-1j * slope * z_ref * steps * dt / hbar)
 
 
 def trapezoid_moments(psi, z, dz, hbar):

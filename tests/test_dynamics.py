@@ -8,6 +8,7 @@ import re
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -271,11 +272,11 @@ def test_propagate_input_validation():
     for slope in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError, match="slope"):
             propagate_linear_potential(psi0, system, slope)
-    with pytest.raises(NumericError, match=r"slope\*z"):  # 1e308 * 10 overflows
+    with pytest.raises(NumericError, match=r"slope\*\(z - z_ref\)"):  # 1e308 * 10 overflows
         propagate_linear_potential(psi0, system, 1e308)
     # zero steps take the stepping path too: no report before the range check
     still = gaussian_packet(Grid(-12.0, 12.0, 128, dt=1e-3, n_steps=0), 0.0, 0.5)
-    with pytest.raises(NumericError, match=r"slope\*z"):
+    with pytest.raises(NumericError, match=r"slope\*\(z - z_ref\)"):
         propagate_linear_potential(still, system, 1e308)
 
 
@@ -790,6 +791,28 @@ def test_heisenberg_residuals_at_the_ci_scale():
     assert all(residuals[name] <= bound for name, bound in bounds.items()), residuals
 
 
+@pytest.mark.parametrize("z0", [-4.0, -2.0, 2.0])
+def test_heisenberg_checks_off_centre(z0):
+    # the potential is referenced to the packet, so where V = m_g g z is zero
+    # does not enter the time error: a packet at rest started off z = 0
+    # passes the unchanged bounds and reads what one at z = 0 reads
+    # (1.38e-7, 8.95e-8, 7.1e-12 and 2.80e-8)
+    system = PhysicalSystem(m_i=1.3, m_g=0.7, g=2.0, hbar=0.9)
+    grid = Grid(-14.0, 13.0, 2048, dt=1e-3, n_steps=600)
+    centred, off = (
+        heisenberg_checks(
+            propagate_linear_potential(
+                gaussian_packet(grid, center, 0.6), system, system.weight, sample_every=10
+            ),
+            system,
+        )
+        for center in (0.0, z0)
+    )
+    assert all(oc.passed for oc in off.values()), off
+    for name in ("mean_momentum", "mean_position", "position_spread"):
+        assert off[name].residual == pytest.approx(centred[name].residual, rel=0.01), name
+
+
 def test_heisenberg_checks_out_of_double_range():
     # the bouncer-moments packet, one step of 1e300: F*T^2/(2 m_i) overflows,
     # a numeric failure rather than a nan residual
@@ -853,11 +876,12 @@ def test_frame_equivalence_detects_violated_condition():
 def test_frame_equivalence_fourth_order_in_time():
     # the reference spatial configuration at a dt pair where the time error
     # dominates the fixed spatial floor: after the Richardson step, halving
-    # dt must reduce the mismatch by about 16x, while the correction it made
-    # (the fine runs' own second-order error) drops by about 4x
+    # dt must reduce the mismatch by about 16x (15.4 measured), while the
+    # correction it made (the fine runs' own second-order error) drops by
+    # about 4x (4.00)
     system = natural(a=1.0)
     results = []
-    for dt in (1e-2, 5e-3):
+    for dt in (2e-2, 1e-2):
         grid = Grid(-20.0, 30.0, REFERENCE_FRAME_RUN["n_points"], dt=dt, n_steps=round(1.0 / dt))
         results.append(frame_equivalence(gaussian_packet(grid, 8.0, 0.5), system))
     coarse, fine = results
@@ -869,10 +893,11 @@ def test_extrapolated_run_fourth_order_against_avron_herbst():
     # one path alone, no frame map: V = F z moves a free packet along
     # z0 - F t^2/(2m) and multiplies it by exp(-i F t z/hbar) (up to a global
     # phase, which the mismatch aligns); the extrapolated error must fall
-    # about 16x per halving of dt, the plain one about 4x
+    # about 16x per halving of dt (15.6 measured, 9.9e-6 at dt 2e-2), the
+    # plain one about 4x (4.00)
     system = natural(a=1.0)
     extrapolated, plain = [], []
-    for dt in (1e-2, 5e-3):
+    for dt in (2e-2, 1e-2):
         grid = Grid(-20.0, 30.0, 2048, dt=dt, n_steps=round(1.0 / dt))
         z, t = grid.z, grid.total_time
         exact = ComplexField(
@@ -972,6 +997,37 @@ def test_frame_equivalence_samples_and_checks_only_the_fine_runs(monkeypatch):
     assert counts == {"samplers": 2, "samples": 4, "initial checks": 2, "norms": 4}
 
 
+@pytest.mark.parametrize(
+    "grid, center, sigma, slope, named",
+    [
+        # z_ref = 6: |V| reaches 16*slope at z = -10, past double range,
+        # though slope*z alone would reach only 1.5e308
+        (Grid(-10.0, 10.0, 512, dt=1e-300, n_steps=2), 6.0, 0.3, 1.5e307,
+         r"potential slope\*\(z - z_ref\) = inf"),
+        # |V| <= 10 and the step coefficients fit, slope*z_ref*T/hbar does not
+        (Grid(99990.0, 100010.0, 512, dt=1e303, n_steps=3), 1e5, 0.8, 1.0,
+         r"potential phase slope\*z_ref\*T/hbar = inf"),
+    ],
+    ids=["potential", "phase"],
+)
+def test_referenced_potential_range_is_checked_before_either_kernel(
+    monkeypatch, grid, center, sigma, slope, named
+):
+    # the range checks read the potential and the phase the stepped kernel
+    # builds, so neither kernel runs and numpy warns of nothing
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(dynamics, "_lapack_tridiagonal", no_kernel)
+    monkeypatch.setattr(dynamics, "_free_run", no_kernel)
+    psi0 = gaussian_packet(grid, center, sigma)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match=named):
+            propagate_linear_potential(psi0, natural(), slope)
+    assert [str(w.message) for w in caught] == []
+
+
 def test_coarse_run_checks_its_own_time_step():
     # 3 steps of dt pass the coefficient checks, the 2 coarse steps of
     # 1.5 dt do not: the coarse run must refuse its step, not end in a
@@ -1007,8 +1063,9 @@ def test_frame_equivalence_single_step_is_compared_plainly():
 
 def test_frame_equivalence_three_steps_extrapolates_with_ratio_one_and_a_half():
     # n = 3 pairs with m = 2 coarse steps, q = 1.5: a weight other than
-    # 1/(q^2 - 1) would leave most of the 1.4e-6 dt^2 error in place
-    grid = Grid(-20.0, 30.0, 2048, dt=2e-3, n_steps=3)
+    # 1/(q^2 - 1) would leave most of the 1.2e-6 dt^2 error in place (the
+    # mismatch reads 6.8e-10 and the plain one 5.3e-7)
+    grid = Grid(-20.0, 30.0, 2048, dt=7e-3, n_steps=3)
     system = natural(a=1.0)
     psi0 = gaussian_packet(grid, 8.0, 0.5)
     result = frame_equivalence(psi0, system)

@@ -342,7 +342,11 @@ _DEMOS = {
 
 
 def _run_demo(name, n_points=None, dt=None, t_final=None):
-    """Run one entry of ``_DEMOS``: (columns, results, parameters with n_steps)."""
+    """Run one entry of ``_DEMOS``: (columns, results, parameters with n_steps and t_end).
+
+    ``n_steps`` is t_final/dt rounded, so the run ends at t_end = n_steps*dt,
+    which differs from t_final when dt does not divide it.
+    """
     defaults, system, run = _DEMOS[name]
     overrides = {"n_points": n_points, "dt": dt, "t_final": t_final}
     cfg = {**defaults, **{key: value for key, value in overrides.items() if value is not None}}
@@ -356,14 +360,15 @@ def _run_demo(name, n_points=None, dt=None, t_final=None):
     grid = Grid(cfg["z_min"], cfg["z_max"], cfg["n_points"], dt=cfg["dt"], n_steps=n_steps)
     psi0 = gaussian_packet(grid, center=cfg["center"], sigma=cfg["sigma0"])
     columns, results = run(psi0, system, cfg)
-    return columns, results, {**cfg, "n_steps": n_steps}
+    return columns, results, {**cfg, "n_steps": n_steps, "t_end": grid.total_time}
 
 
 def cmd_evolve(demo, n_points, dt, t_final):
     """Time-dependent demos in natural units (m = g = hbar = 1).
 
-    Emits a data series plus a summary line; the summary statistics are
-    recomputable from the emitted series.
+    Emits a data series plus summary lines; the summary statistics are
+    recomputable from the emitted series, and the last line gives t_end,
+    the time the rounded step count reaches.
     """
     columns, results, parameters = _run_demo(demo, n_points, dt, t_final)
     summary = [
@@ -371,6 +376,7 @@ def cmd_evolve(demo, n_points, dt, t_final):
         if isinstance(r, CheckOutcome) else f"{name}={_fmt(r)}"
         for name, r in results.items()
     ]
+    summary.append(f"t_end={_fmt(parameters['t_end'])}")
     return columns, "natural", {"demo": demo, **parameters}, [], summary
 
 

@@ -26,9 +26,12 @@ error naming the time).
 
 The step loop allocates no grid-sized array: it updates one state buffer and
 one right-hand side in place, and moments are sampled by one kernel
-(``_Moments``, a sixth-order first difference for the momentum) whose
-weights, padded buffer and work arrays are built once per propagation.  The
-public :func:`moments` is the same kernel built for a single call.
+(``_Moments``, a sixth-order first difference for the momentum) whose padded
+buffer and work arrays are built once per propagation.  It reads the complex
+samples through their float view, reduces with numpy's pairwise sum (no
+BLAS) and takes the trapezoid's two half-weight end terms off in Python
+arithmetic.  The public :func:`moments` is the same kernel built for a
+single call.
 
 :func:`propagate_linear_potential` checks the initial state, samples the
 moments and builds the report.  The run itself is ``_evolve``'s, which
@@ -237,24 +240,42 @@ def _check_initial_state(psi0: ComplexField) -> float:
     return norm0
 
 
+def _trapezoid(total: float, terms: np.ndarray, per_point: int = 1) -> float:
+    """``total``, the plain sum of ``terms``, less half of both end points' terms.
+
+    A point has ``per_point`` consecutive terms (2 for the float view of a
+    complex array).  The arithmetic is Python's, so it raises no numpy
+    warning.
+    """
+    return total - 0.5 * sum(terms[:per_point].tolist() + terms[-per_point:].tolist())
+
+
 class _Moments:
     """Moment kernel for one (grid, system): (<z>, <p>, dz, dp) of samples.
 
     Position moments use trapezoidal quadrature.  Momentum moments use the
     antisymmetric sixth-order first difference D, with weights 3/4, -3/20 and
     1/60 over dz and Dirichlet zeros past both edges (Fornberg, Math. Comp.
-    51, 699 (1988)): <p> = hbar sum w Im(conj(psi) D psi) and <p^2> =
-    hbar^2 sum w |D psi|^2 with trapezoid weights w.  The weights, a
-    zero-padded copy of the samples and the work arrays are built once; a call
-    fills them with ``out=`` ufuncs and reduces them with numpy's pairwise
-    ``sum``, so sampling a propagation allocates no grid-sized array and
-    starts no BLAS threads.  (A BLAS dot product from about 10^4 points may
-    hand the work to its threads, which costs more than the product and
-    stalls on a busy host.)  Position and momentum moments are both taken in
-    units of the grid spacing (positions as u = (z - z_mid)/dz, D psi as
-    dz D psi) and scaled by dz and hbar/dz in Python arithmetic, so any
-    spread that is a double comes out right, and <p^2> out of double range
-    raises NumericError instead of overflowing in numpy.
+    51, 699 (1988)): <p> = hbar sum w Re(conj(psi) (-i D psi)) and <p^2> =
+    hbar^2 sum w |D psi|^2 with trapezoid weights w.  No pass multiplies by
+    w: each sum is the plain sum of its terms less half of the two end
+    points' terms, taken off in Python arithmetic (``_trapezoid``), and each
+    moment is a ratio of two such sums, in which dz cancels.  No pass takes
+    a complex modulus, conjugate or product either: the samples are read
+    through their float view (re, im, re, im, ...), so |psi|^2 adds the
+    squares of a point's two parts, and with e = -i dz D psi (the stencil
+    run on -i psi/60), Re(conj(psi) e) and |e|^2 are sums of products of
+    float views.  A zero-padded copy of the samples and the work arrays are
+    built once; a call fills them with ``out=`` ufuncs and reduces them with
+    numpy's pairwise ``sum``, so sampling a propagation allocates no
+    grid-sized array and starts no BLAS threads.  (A BLAS dot product from
+    about 10^4 points may hand the work to its threads, which costs more
+    than the product and stalls on a busy host.)  Position and momentum
+    moments are both taken in units of the grid spacing (positions as
+    u = (z - z_mid)/dz, D psi as dz D psi) and scaled by dz and hbar/dz in
+    Python arithmetic, so any spread that is a double comes out right, and
+    <p^2> out of double range raises NumericError instead of overflowing in
+    numpy.
     """
 
     def __init__(self, grid: Grid, system: PhysicalSystem):
@@ -263,35 +284,38 @@ class _Moments:
         self._dz = dz
         self._z_mid = 0.5 * grid.z_min + 0.5 * grid.z_max
         self._u = np.arange(n) - (n - 1) / 2.0
-        self._weights = np.full(n, dz)
-        self._weights[[0, -1]] = dz / 2.0
-        # psi/60 with three Dirichlet zeros on each side
+        # -i psi/60 with three Dirichlet zeros on each side
         self._padded = np.zeros(n + 6, dtype=complex)
-        self._density = np.empty(n)
-        self._work = np.empty(n)
-        self._complex_work = np.empty(n, dtype=complex)
+        # e = -i dz D psi
+        self._difference = np.empty(n, dtype=complex)
+        # 2n floats: the density and a scratch half, then the squares of e's float view
+        self._work = np.empty(2 * n)
 
     def __call__(self, psi: np.ndarray) -> tuple[float, float, float, float]:
-        rho, work, d, pad = self._density, self._work, self._complex_work, self._padded
-        # trapezoid-weighted density: its sum is the norm
-        np.abs(psi, out=rho)
-        rho *= rho
-        rho *= self._weights
-        nrm = float(rho.sum())
+        pad, d, work = self._padded, self._difference, self._work
+        n = psi.size
+        rho, scratch = work[:n], work[n:]
+        parts = psi.view(float)
+        np.square(parts[0::2], out=rho)
+        np.square(parts[1::2], out=scratch)
+        rho += scratch
+        # sum |psi|^2 over the trapezoid, in units of 1/dz
+        total = _trapezoid(float(rho.sum()), rho)
+        nrm = total * self._dz
         # written so that a NaN norm fails the check
         if not abs(nrm - 1.0) <= 1e-6:
             if not np.all(np.isfinite(psi)):
                 raise NumericError("field contains NaN or infinite samples")
             raise ParameterError("moments require a normalized field")
-        np.multiply(self._u, rho, out=work)
-        mean_u = float(work.sum()) / nrm
-        np.subtract(self._u, mean_u, out=work)
-        work *= work
-        work *= rho
-        var_u = float(work.sum()) / nrm
+        np.multiply(self._u, rho, out=scratch)
+        mean_u = _trapezoid(float(scratch.sum()), scratch) / total
+        np.subtract(self._u, mean_u, out=scratch)
+        scratch *= scratch
+        scratch *= rho
+        var_u = _trapezoid(float(scratch.sum()), scratch) / total
         # dz D psi = (45 (psi[j+1] - psi[j-1]) - 9 (psi[j+2] - psi[j-2])
-        # + (psi[j+3] - psi[j-3]))/60, nested in one buffer on psi/60
-        np.multiply(psi, 1.0 / 60.0, out=pad[3:-3])
+        # + (psi[j+3] - psi[j-3]))/60, nested in one buffer on -i psi/60
+        np.multiply(psi, -1j / 60.0, out=pad[3:-3])
         np.subtract(pad[4:-2], pad[2:-4], out=d)
         d *= 5.0
         d -= pad[5:-1]
@@ -299,15 +323,12 @@ class _Moments:
         d *= 9.0
         d += pad[6:]
         d -= pad[:-6]
-        np.abs(d, out=work)
-        work *= work
-        work *= self._weights
-        q_sq = float(work.sum()) / nrm
-        # Im(conj(psi) D psi) = -Im(conj(D psi) psi)
-        np.conjugate(d, out=d)
-        d *= psi
-        np.multiply(self._weights, d.imag, out=work)
-        mean_q = -float(work.sum()) / nrm
+        e = d.view(float)
+        np.square(e, out=work)
+        q_sq = _trapezoid(float(work.sum()), work, 2) / total
+        # Re(conj(psi) e) = re(psi) re(e) + im(psi) im(e)
+        e *= parts
+        mean_q = _trapezoid(float(e.sum()), e, 2) / total
         scale = self._hbar / self._dz
         # Python floats: an overflow gives inf, not a numpy warning
         p_sq = scale * scale * q_sq
@@ -327,8 +348,10 @@ def moments(field: ComplexField, system: PhysicalSystem) -> tuple[float, float, 
 
     Position moments use trapezoidal quadrature, momentum moments -i*hbar
     times the sixth-order first difference with Dirichlet zeros past both
-    edges.  This is the kernel that :func:`propagate_linear_potential`
-    samples with, built for one call.  Raises ParameterError for an
+    edges.  Every sum is numpy's pairwise sum over the float view of the
+    samples, with the trapezoid's end terms taken off in Python arithmetic.
+    This is the kernel that :func:`propagate_linear_potential` samples with,
+    built for one call.  Raises ParameterError for an
     unnormalized field and NumericError for non-finite samples or momentum
     moments out of double range.
     """

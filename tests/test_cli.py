@@ -501,7 +501,7 @@ JSON_META = {
     "redshift --z 1 --omega-prime 2": _expected_meta("redshift", "natural", z=1.0, si=False),
     "evolve --demo free-dispersion --n-points 256 --dt 1e-2 --t-final 0.05": _expected_meta(
         "evolve", "natural", demo="free-dispersion", z_min=-12.0, z_max=12.0, n_points=256,
-        dt=0.01, t_final=0.05, sigma0=0.5, center=0.0, n_steps=5,
+        dt=0.01, t_final=0.05, sigma0=0.5, center=0.0, n_steps=5, t_end=0.05,
     ),
 }
 
@@ -552,6 +552,10 @@ CONSOLE_CONTRACT = {
     "airy --eval 11.9": (0, None, None),
     "evolve --demo free-dispersion --n-points 256 --dt 1e-2 --t-final 0.05 --out FILE": (
         0, None, None,
+    ),
+    # 1/0.6 rounds to 2 steps: the run ends at t = 1.2, and says so
+    "evolve --demo free-dispersion --n-points 512 --dt 0.6 --t-final 1 --out FILE": (
+        0, None, ("t_end=1.2", True),
     ),
     # one step leaves nothing to extrapolate in time, three steps do
     "evolve --demo frame-equivalence --n-points 2048 --dt 1e-2 --t-final 0.01 --out FILE": (

@@ -9,20 +9,22 @@ A psi_new = (M - r K) psi with A = M + r K and r = i dt/(2 hbar).  As
 M - r K = 2M - A, the step is psi_new = (6A)^-1 (12 M psi) - psi (Goldberg,
 Schey and Schwartz, Am. J. Phys. 35, 177 (1967)): 12 M = tridiag(1, 10, 1)
 holds no V, so the potential enters only 6A, factored once since the
-Hamiltonian is time independent.  The factorization and the solve are
-LAPACK's zgttrf and zgttrs, loaded at the first stepped propagation from
-scipy's extension module alone, without the scipy.linalg package (whose
-import would cost more than a small run).  The spatial error is fourth order
-and the time error second order (:func:`frame_equivalence` extrapolates its
-comparison to fourth order).  The stepped run references V to the packet
-(see ``_evolve``), so that error does not grow with the packet's distance
-from the potential's zero.  K is not Hermitian when V varies, but the step
-equals (I + r H)^-1 (I - r H) with H = M^-1 T + diag(V), which is real and
-symmetric because M and T commute (the sine vectors diagonalize both).  So
-the step is unitary and the norm drifts by rounding alone (2.5e-13 over
-10^4 steps of 1e-4 on 2048 points on [-12, 12]).  The caller sizes the
-domain so the packet never reaches the edges (a contact is reported as an
-error naming the time).
+Hamiltonian is time independent.  LAPACK's zgttrf factors it; when it
+interchanged no rows, as in every shipped run, each solve scales by the
+inverse of U's diagonal and makes two unit-diagonal banded sweeps (ztbtrs),
+which divide by nothing, else it is zgttrs.  The routines are loaded at the
+first stepped propagation from scipy's extension module alone, without the
+scipy.linalg package (whose import would cost more than a small run).  The
+spatial error is fourth order and the time error second order
+(:func:`frame_equivalence` extrapolates its comparison to fourth order).
+The stepped run references V to the packet (see ``_evolve``), so that
+error does not grow with the packet's distance from the potential's zero.
+K is not Hermitian when V varies, but the step equals (I + r H)^-1 (I - r H)
+with H = M^-1 T + diag(V), which is real and symmetric because M and T
+commute (the sine vectors diagonalize both).  So the step is unitary and
+the norm drifts by rounding alone (3.3e-13 over 10^4 steps of 1e-4 on 2048
+points on [-12, 12]).  The caller sizes the domain so the packet never
+reaches the edges (a contact is reported as an error naming the time).
 
 The step loop allocates no grid-sized array: it updates one state buffer and
 one right-hand side in place, and moments are sampled by one kernel
@@ -359,14 +361,16 @@ def moments(field: ComplexField, system: PhysicalSystem) -> tuple[float, float, 
 
 
 def _lapack_tridiagonal():
-    """LAPACK's complex tridiagonal factorization and solve, ``(zgttrf, zgttrs)``.
+    """LAPACK's routines of the step, ``(zgttrf, zgttrs, ztbtrs)``.
 
-    Both come from scipy's f2py extension module ``scipy.linalg._flapack``,
-    loaded here on its own: the ``scipy.linalg`` package import would also
-    run scipy's array-API layer (numpy.testing, unittest, numpy.f2py, ...),
-    several times the cost of a small propagation.  The module is registered
-    under its full name, so either import order shares one module and
-    ``scipy.linalg.lapack.zgttrs`` is the same object.  ``import scipy``
+    The complex tridiagonal factorization and solve, and the triangular
+    banded solve (see :func:`_tridiagonal_solver`).  All three come from
+    scipy's f2py extension module ``scipy.linalg._flapack``, loaded here on
+    its own: the ``scipy.linalg`` package import would also run scipy's
+    array-API layer (numpy.testing, unittest, numpy.f2py, ...), several
+    times the cost of a small propagation.  The module is registered under
+    its full name, so either import order shares one module and
+    ``scipy.linalg.lapack.ztbtrs`` is the same object.  ``import scipy``
     loads no subpackage; on Windows it adds the directory of scipy's bundled
     OpenBLAS to the DLL search path.
     """
@@ -386,7 +390,54 @@ def _lapack_tridiagonal():
         )
         sys.modules[name] = flapack
         loader.exec_module(flapack)
-    return flapack.zgttrf, flapack.zgttrs
+    return flapack.zgttrf, flapack.zgttrs, flapack.ztbtrs
+
+
+def _tridiagonal_solver(lower: np.ndarray, diagonal: np.ndarray, upper: np.ndarray):
+    """Factor a complex tridiagonal matrix A once: ``(routine, solve)``.
+
+    ``solve(b)`` overwrites a contiguous complex128 vector b with A^-1 b and
+    returns LAPACK's info; ``routine`` names the LAPACK solve it calls.  A
+    is factored by zgttrf as L U with partial pivoting (NumericError when U
+    is singular), and a factorization that interchanged rows is solved by
+    zgttrs.
+
+    Without an interchange (ipiv = 1..n, du2 = 0), L is unit lower
+    bidiagonal and U upper bidiagonal with diagonal d and A's own
+    super-diagonal, so A = D L' U' with D = diag(d), L' = D^-1 L D and
+    U' = D^-1 U, both unit bidiagonal: L' has the sub-diagonal
+    lower[i]/d[i+1] (L's multiplier times d[i] is A's sub-diagonal) and U'
+    the super-diagonal upper[i]/d[i].  The solve is then b *= 1/d and two
+    ztbtrs sweeps with a unit diagonal, which divide by nothing, while the
+    back substitution of zgttrs divides by d[i] at every point, most of its
+    time.  One Fortran-ordered (2, n) band serves both sweeps: row 1 holds
+    L''s sub-diagonal and row 0 U''s super-diagonal, and a sweep with a unit
+    diagonal never reads its own diagonal row, which is the other's.  1/d
+    and the band are all that is kept, 3n values against 4n and the pivots
+    for zgttrs.  ztbtrs runs BLAS ztbsv, which OpenBLAS does not thread, so
+    the sweeps run on one thread whatever the BLAS thread count.
+    """
+    # Loaded here, not at import, so that importing gravqm and every CLI
+    # command other than evolve load no scipy.
+    zgttrf, zgttrs, ztbtrs = _lapack_tridiagonal()
+    dl, d, du, du2, ipiv, info = zgttrf(lower, diagonal, upper)
+    if info != 0:
+        raise NumericError(f"Crank-Nicolson matrix factorization failed (zgttrf info={info})")
+    if du2.any() or not np.array_equal(ipiv, np.arange(1, d.size + 1)):
+        return "zgttrs", lambda b: zgttrs(dl, d, du, du2, ipiv, b, overwrite_b=True)[1]
+    band = np.zeros((2, d.size), dtype=complex, order="F")
+    np.divide(upper, d[:-1], out=band[0, 1:])
+    np.divide(lower, d[1:], out=band[1, :-1])
+    inverse = np.divide(1.0, d, out=d)
+
+    def solve(b: np.ndarray) -> int:
+        b *= inverse
+        # (lower | upper, not transposed, unit diagonal, in place): f2py
+        # parses these positionally faster than as keywords
+        info = ztbtrs(band, b, "L", "N", "U", 1)[1]
+        return info or ztbtrs(band, b, "U", "N", "U", 1)[1]
+
+    return "ztbtrs", solve
 
 
 def _check_edges(low: np.ndarray, high: np.ndarray, time: float) -> None:
@@ -480,11 +531,15 @@ def _evolve(
     ``sample_every >= n_steps`` samples only its two ends, so it is made in
     the sine eigenbasis of the step (:func:`_free_run`), which gives the
     same fields to rounding.  Every other run is stepped: 6A is factored
-    once with LAPACK's zgttrf and each step psi = (6A)^-1 (12 M psi) - psi
-    is one zgttrs solve, with V in 6A alone.  Both kernels check the samples
-    nearest each edge at every step.  The stepped loop calls
-    ``record(t, psi)`` every ``sample_every`` steps before the last, so a
-    run with ``sample_every >= n_steps`` may pass None.
+    once (:func:`_tridiagonal_solver`) and each step
+    psi = (6A)^-1 (12 M psi) - psi is one solve, with V in 6A alone.  The
+    solve is 1/d and two unit-diagonal ztbtrs sweeps, which run on one
+    thread whatever the BLAS thread count, unless zgttrf interchanged rows
+    (from 3*dt*|V|/hbar of about 12 to 20 at the grid's edge on the grids
+    measured, far past every shipped time step), when it is zgttrs.  Both
+    kernels check the samples nearest each edge at every step.  The stepped
+    loop calls ``record(t, psi)`` every ``sample_every`` steps before the
+    last, so a run with ``sample_every >= n_steps`` may pass None.
     """
     dt = grid.dt
     kin = checked_square("hbar", system.hbar) / (2.0 * system.m_i * checked_square("dz", grid.dz))
@@ -507,21 +562,16 @@ def _evolve(
         )
     if slope == 0.0 and 0 < grid.n_steps <= sample_every:
         return _free_run(values, grid, kin, system.hbar)
-    # Loaded here, not at import, so that importing gravqm and every CLI
-    # command other than evolve load no scipy.
-    zgttrf, zgttrs = _lapack_tridiagonal()
     potential = grid.z - z_ref
     potential *= slope
     # 6A = 6M + 6r K with r = i dt/(2 hbar): the diagonals below, on and
     # above, from K[j+1, j], K[j, j] and K[j, j+1] of K = T + M diag(V)
     r6 = 3j * dt / system.hbar
-    dl, d, du, du2, ipiv, info = zgttrf(
+    routine, solve = _tridiagonal_solver(
         0.5 + r6 * (potential[:-1] / 12.0 - kin),
         5.0 + r6 * (potential * (10.0 / 12.0) + 2.0 * kin),
         0.5 + r6 * (potential[1:] / 12.0 - kin),
     )
-    if info != 0:
-        raise NumericError(f"Crank-Nicolson matrix factorization failed (zgttrf info={info})")
 
     psi = values.copy()
     rhs = np.empty_like(psi)
@@ -532,13 +582,12 @@ def _evolve(
         np.multiply(psi, 10.0, out=rhs)
         rhs_head += psi_tail
         rhs_tail += psi_head
-        # zgttrs solves in place for a contiguous complex128 right-hand side
-        solution, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+        info = solve(rhs)
         if info != 0:
             raise NumericError(
-                f"tridiagonal solve failed at t={step * dt:.6g} (zgttrs info={info})"
+                f"tridiagonal solve failed at t={step * dt:.6g} ({routine} info={info})"
             )
-        np.subtract(solution, psi, out=psi)
+        np.subtract(rhs, psi, out=psi)
         _check_edges(low, high, step * dt)
         if step % sample_every == 0 and step < grid.n_steps:
             record(step * dt, psi)

@@ -39,7 +39,7 @@ from gravqm import (
     to_stationary_frame,
 )
 from gravqm import dynamics
-from gravqm.cli import _run_demo
+from gravqm.cli import _DEMOS, _run_demo
 from gravqm.dynamics import _lapack_tridiagonal
 from oracles import free_gaussian_analytic, fsum_moments, numerov_cn_oracle, run_fresh
 from oracles import trapezoid_moments
@@ -244,20 +244,44 @@ def test_both_kernels_check_the_same_edge_samples(monkeypatch, n_points):
 def test_non_finite_field_fails_at_the_step_it_appears(monkeypatch):
     # a solve that returns NaN turns the field into NaN on the first step; the
     # per-step edge check must stop the run there, not at the next moment sample
-    zgttrf, zgttrs = _lapack_tridiagonal()
+    zgttrf, zgttrs, ztbtrs = _lapack_tridiagonal()
 
-    def nan_solve(*args, **kwargs):
-        solution, info = zgttrs(*args, **kwargs)
+    def nan_sweep(*args, **kwargs):
+        solution, info = ztbtrs(*args, **kwargs)
         solution[:] = math.nan
         return solution, info
 
-    monkeypatch.setattr(dynamics, "_lapack_tridiagonal", lambda: (zgttrf, nan_solve))
+    monkeypatch.setattr(dynamics, "_lapack_tridiagonal", lambda: (zgttrf, zgttrs, nan_sweep))
     grid = Grid(-10.0, 10.0, 512, dt=1e-3, n_steps=50)
     psi0 = gaussian_packet(grid, 0.0, 0.5)
     # slope 1: a free run sampled at its ends alone is not stepped
     with pytest.raises(NumericError, match=r"non-finite samples at t=0\.001\b") as err:
         propagate_linear_potential(psi0, natural(), 1.0, sample_every=50)
     assert not isinstance(err.value, BoundaryContactError)
+
+
+# Grids whose 6A zgttrf factors without and with a row interchange, with
+# slope 1 and a packet at 0: 3 dt |V|/hbar reaches 0.03 and 18 at the edges
+# (interchanges begin at about 12 to 20).
+UNPIVOTED_GRID = Grid(-10.0, 10.0, 512, dt=1e-3, n_steps=3)
+PIVOTED_GRID = Grid(-12.0, 12.0, 128, dt=0.5, n_steps=3)
+
+
+@pytest.mark.parametrize(
+    "grid, routine", [(UNPIVOTED_GRID, "ztbtrs"), (PIVOTED_GRID, "zgttrs")], ids=["ztbtrs", "zgttrs"]
+)
+def test_solve_failure_names_the_routine_that_ran(monkeypatch, grid, routine):
+    routines = dict(zip(("zgttrf", "zgttrs", "ztbtrs"), _lapack_tridiagonal()))
+
+    def failing(*args, **kwargs):
+        return routines[routine](*args, **kwargs)[0], -6
+
+    monkeypatch.setattr(
+        dynamics, "_lapack_tridiagonal", lambda: tuple({**routines, routine: failing}.values())
+    )
+    psi0 = gaussian_packet(grid, 0.0, 0.5)
+    with pytest.raises(NumericError, match=rf"solve failed at t={grid.dt:g} \({routine} info=-6\)"):
+        propagate_linear_potential(psi0, natural(), 1.0, sample_every=1)
 
 
 def test_phase_alignment_of_a_non_finite_field_is_a_numeric_error():
@@ -316,40 +340,78 @@ def test_last_moment_sample_is_the_final_field():
     assert tuple(report.moment_series[-1]) == last
 
 
-def test_lapack_solve_writes_in_place():
-    # the propagation loop solves into its right-hand side buffer and
-    # subtracts the state from the solution in place
-    zgttrf, zgttrs = _lapack_tridiagonal()
+def test_unpivoted_solve_is_two_unit_sweeps_in_place():
+    # a diagonally dominant matrix factors without an interchange, so its
+    # solve is 1/d and the two ztbtrs sweeps, written into the right-hand side
     rng = np.random.default_rng(5)
     n = 64
     lower, upper = (rng.random(n - 1) + 1j * rng.random(n - 1) for _ in range(2))
     diag = 4.0 + rng.random(n) + 1j * rng.random(n)
-    dl, d, du, du2, ipiv, info = zgttrf(lower, diag, upper)
-    assert info == 0
+    routine, solve = dynamics._tridiagonal_solver(lower, diag, upper)
+    assert routine == "ztbtrs"
     rhs = rng.random(n) + 1j * rng.random(n)
     expected = np.linalg.solve(np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1), rhs)
-    solution, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
-    assert info == 0
-    assert solution is rhs
-    assert np.allclose(solution, expected, rtol=1e-12, atol=0.0)
+    assert solve(rhs) == 0
+    assert np.allclose(rhs, expected, rtol=1e-12, atol=0.0)
 
 
-# Prints whether the propagator's LAPACK pair is scipy.linalg.lapack's, with
-# the package imported before the loader (argv[1] == "package first") or after.
+def _record_routines(monkeypatch):
+    routines = []
+    solver = dynamics._tridiagonal_solver
+
+    def recording(*args):
+        routine, solve = solver(*args)
+        routines.append(routine)
+        return routine, solve
+
+    monkeypatch.setattr(dynamics, "_tridiagonal_solver", recording)
+    return routines
+
+
+def test_pivoted_factorization_is_solved_by_zgttrs(monkeypatch):
+    routines = _record_routines(monkeypatch)
+    grid = dataclasses.replace(PIVOTED_GRID, n_steps=1)
+    system = natural(a=1.0)
+    psi0 = gaussian_packet(grid, 0.0, 1.0)
+    report = propagate_linear_potential(psi0, system, system.weight)
+    assert routines == ["zgttrs"]
+    expected = numerov_cn_oracle(
+        psi0.values, grid.z, grid.dt, 1, system.hbar, system.m_i, system.weight
+    )
+    assert np.max(np.abs(report.final_field.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_shipped_runs_take_the_unit_sweeps(monkeypatch):
+    # the benchmark times these grids, so they must factor without an
+    # interchange: each evolve demo at its default grid and time step, run
+    # for two steps (the factorization depends on neither the step count
+    # nor t_final); the frame-equivalence demo, REFERENCE_FRAME_RUN, is
+    # criterion 3, whose direct path factors at dt and, in its coarse run
+    # of half the steps, at 2 dt
+    routines = _record_routines(monkeypatch)
+    for name, (defaults, _, _) in _DEMOS.items():
+        _run_demo(name, t_final=2 * defaults["dt"])
+    assert _DEMOS["frame-equivalence"][0] is REFERENCE_FRAME_RUN
+    assert routines == ["ztbtrs"] * 4
+
+
+# Prints whether the propagator's LAPACK routines are scipy.linalg.lapack's,
+# with the package imported before the loader (argv[1] == "package first") or
+# after.
 SHARED_LAPACK = """
 import json, sys
 from gravqm.dynamics import _lapack_tridiagonal
 if sys.argv[1] == "package first":
     import scipy.linalg
-zgttrf, zgttrs = _lapack_tridiagonal()
+zgttrf, zgttrs, ztbtrs = _lapack_tridiagonal()
 from scipy.linalg import lapack
-print(json.dumps([zgttrf is lapack.zgttrf, zgttrs is lapack.zgttrs]))
+print(json.dumps([zgttrf is lapack.zgttrf, zgttrs is lapack.zgttrs, ztbtrs is lapack.ztbtrs]))
 """
 
 
 @pytest.mark.parametrize("order", ["package first", "loader first"])
 def test_lapack_loader_shares_scipy_linalg_module(order):
-    assert json.loads(run_fresh(SHARED_LAPACK, order).splitlines()[-1]) == [True, True]
+    assert json.loads(run_fresh(SHARED_LAPACK, order).splitlines()[-1]) == [True, True, True]
 
 
 def test_lapack_loader_names_a_missing_extension(monkeypatch, tmp_path):
@@ -363,41 +425,44 @@ def test_lapack_loader_names_a_missing_extension(monkeypatch, tmp_path):
     assert "scipy.linalg._flapack" not in sys.modules
 
 
-# Prints the minor page faults of two warm propagations at 12288 points with
-# moments every step, of 100 and 400 steps, and whether scipy.linalg was
-# loaded.  Both calls allocate the same arrays, so the difference is what
-# the 300 extra steps cost.  A run's own arrays can land on fresh pages in
-# one call and on reused ones in the other, by up to one 12288-point complex
-# array (48 pages): over 300 steps that moves per_step by 0.16, while a
-# grid-sized array mapped fresh at every step adds 24 or more.  glibc may
-# serve a freed block of that size again from its heap instead, so a
-# per-sample temporary need not show here; the tracemalloc test below
-# counts those.
-PAGE_FAULTS = """
-import dataclasses, json, resource, sys
-from gravqm import Grid, gaussian_packet, make_natural_system, propagate_linear_potential
+# Prints, for stepped runs at 12288 points of 100 and 400 steps with a moment
+# sample at every step, the traced peak of the loop above the traced memory
+# at its first sample, and whether scipy.linalg was loaded.  Measured from
+# the first sample, the peak leaves out the factorization's transient
+# arrays, which could hide a scratch array made at every step; numpy
+# reports its buffers to tracemalloc, so such an array shows even when glibc
+# serves it again from its heap, which a page-fault count misses.
+LOOP_PEAK = """
+import dataclasses, json, sys, tracemalloc
+from gravqm import Grid, dynamics, gaussian_packet, make_natural_system
 system = dataclasses.replace(make_natural_system(1.0), g=1.0)
-def faults(steps):
-    psi0 = gaussian_packet(Grid(-30.0, 30.0, 12288, dt=1e-3, n_steps=steps), 0.0, 1.0)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    propagate_linear_potential(psi0, system, system.weight)
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-faults(100)
-short, long = faults(100), faults(400)
-print(json.dumps({"per_step": (long - short) / 300, "scipy.linalg": "scipy.linalg" in sys.modules}))
+def loop_peak(steps):
+    grid = Grid(-30.0, 30.0, 12288, dt=1e-3, n_steps=steps)
+    psi0 = gaussian_packet(grid, 0.0, 1.0)
+    sample = dynamics._Moments(grid, system)
+    start = []
+    def record(time, values):
+        sample(values)
+        if not start:
+            start.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+    tracemalloc.start()
+    try:
+        dynamics._evolve(psi0.values, grid, system, system.weight, 1, record)
+        return tracemalloc.get_traced_memory()[1] - start[0]
+    finally:
+        tracemalloc.stop()
+print(json.dumps({"peaks": [loop_peak(100), loop_peak(400)], "scipy.linalg": "scipy.linalg" in sys.modules}))
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's mmap behaviour")
-def test_moment_sampling_faults_in_no_fresh_pages():
-    # a step and its moment sample must fill buffers built once, not
-    # scratch arrays that glibc maps fresh from the kernel on every call
-    # (above its 128 KiB mmap threshold a 12288-point complex array is one
-    # such block); scipy.linalg, whose import raises that threshold as a
-    # side effect and so would hide such an array, must stay unloaded
-    report = json.loads(run_fresh(PAGE_FAULTS).splitlines()[-1])
+def test_stepped_loop_allocates_no_grid_sized_array():
+    # a step and its moment sample must fill buffers built once, at any run
+    # length; and the run must not import the scipy.linalg package, which
+    # costs more than a small run (see _lapack_tridiagonal)
+    report = json.loads(run_fresh(LOOP_PEAK).splitlines()[-1])
     assert not report["scipy.linalg"]
-    assert report["per_step"] < 1.0
+    assert max(report["peaks"]) < 12288 * 16 / 8
 
 
 def test_moment_sample_allocates_no_grid_sized_array():
@@ -1000,14 +1065,16 @@ def test_frame_equivalence_steps_only_the_direct_path(monkeypatch):
     # show only as a slower benchmark.  Each stepped run factors 6A once; a
     # free run sampled at its ends alone factors nothing, one sampled along
     # the way is stepped.
-    zgttrf, zgttrs = _lapack_tridiagonal()
+    zgttrf, zgttrs, ztbtrs = _lapack_tridiagonal()
     factorizations = []
 
     def counting_zgttrf(*args):
         factorizations.append(args)
         return zgttrf(*args)
 
-    monkeypatch.setattr(dynamics, "_lapack_tridiagonal", lambda: (counting_zgttrf, zgttrs))
+    monkeypatch.setattr(
+        dynamics, "_lapack_tridiagonal", lambda: (counting_zgttrf, zgttrs, ztbtrs)
+    )
     system = natural(a=1.0)
     grid = Grid(-15.0, 15.0, 1024, dt=2e-3, n_steps=100)
     psi0 = gaussian_packet(grid, 2.0, 0.5)

@@ -35,11 +35,11 @@ BLAS) and takes the trapezoid's two half-weight end terms off in Python
 arithmetic.  The public :func:`moments` is the same kernel built for a
 single call.
 
-:func:`propagate_linear_potential` checks the initial state, samples the
-moments and builds the report.  The run itself is ``_evolve``'s, which
-checks the time step and picks the kernel: the stepped loop, or the sine
-eigenbasis of the free step.  The coarse run of the extrapolation in
-:func:`frame_equivalence` is a bare ``_evolve`` call.
+:func:`propagate_linear_potential` samples the moments with the run's only
+reader of |psi|^2: the first sample gives the initial norm^2 check and z_ref,
+the first and last the norm drift.  The run is ``_evolve``'s, which checks
+the time step and picks the kernel: the stepped loop, or the sine eigenbasis
+of the free step.  The extrapolation's coarse run is a bare ``_evolve`` call.
 
 On top of the propagator sit the consistency checks used throughout the
 package: a finite-difference residual of the governing equation for
@@ -59,7 +59,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .core import ComplexField, Grid, PhysicalSystem, checked_square, finite_result, norm_squared, np
+from .core import ComplexField, Grid, PhysicalSystem, checked_square, finite_result, np
 from .core import require_count, require_finite, require_positive
 from .errors import BoundaryContactError, NumericError, ParameterError
 from .frames import to_stationary_frame
@@ -115,8 +115,8 @@ _MOMENTUM_SPREAD_RTOL = 1e-8
 class PropagationReport:
     """Outcome of one propagation: final field, drift, sampled moments.
 
-    ``moment_series`` has one row (t, <z>, <p>, dz, dp) per sample, taken
-    by the kernel of :func:`moments`.
+    ``moment_series`` has one row (t, <z>, <p>, dz, dp) per sample of the
+    kernel of :func:`moments`, whose first and last norm^2 give ``norm_drift``.
     """
 
     final_field: ComplexField
@@ -223,9 +223,8 @@ def max_pointwise_mismatch(a: ComplexField, b: ComplexField) -> float:
     return float(np.max(np.abs(aligned.values - b.values)))
 
 
-def _check_initial_state(psi0: ComplexField) -> float:
-    """Refuse a state that is not normalized or not clear of both edges; return its norm^2."""
-    norm0 = norm_squared(psi0)
+def _check_initial_state(psi0: ComplexField, norm0: float) -> None:
+    """Refuse a state whose norm^2 ``norm0`` is not 1 or that is not clear of both edges."""
     if not abs(norm0 - 1.0) <= 1e-8:
         raise ParameterError(
             f"initial state must be normalized (|norm^2 - 1| = {abs(norm0 - 1.0):.3e})"
@@ -239,7 +238,6 @@ def _check_initial_state(psi0: ComplexField) -> float:
             f"initial state has amplitude {edge:.3e} within 5 points of a "
             "boundary; enlarge the domain"
         )
-    return norm0
 
 
 def _trapezoid(total: float, terms: np.ndarray, per_point: int = 1) -> float:
@@ -253,7 +251,7 @@ def _trapezoid(total: float, terms: np.ndarray, per_point: int = 1) -> float:
 
 
 class _Moments:
-    """Moment kernel for one (grid, system): (<z>, <p>, dz, dp) of samples.
+    """Moment kernel for one (grid, system): (<z>, <p>, dz, dp, norm^2) of samples.
 
     Position moments use trapezoidal quadrature.  Momentum moments use the
     antisymmetric sixth-order first difference D, with weights 3/4, -3/20 and
@@ -277,7 +275,8 @@ class _Moments:
     u = (z - z_mid)/dz, D psi as dz D psi) and scaled by dz and hbar/dz in
     Python arithmetic, so any spread that is a double comes out right, and
     <p^2> out of double range raises NumericError instead of overflowing in
-    numpy.
+    numpy.  The norm^2 that every moment divides by is refused more than 1e-6
+    from 1 or, under ``np.errstate(over="ignore")``, out of double range.
     """
 
     def __init__(self, grid: Grid, system: PhysicalSystem):
@@ -293,7 +292,7 @@ class _Moments:
         # 2n floats: the density and a scratch half, then the squares of e's float view
         self._work = np.empty(2 * n)
 
-    def __call__(self, psi: np.ndarray) -> tuple[float, float, float, float]:
+    def __call__(self, psi: np.ndarray) -> tuple[float, float, float, float, float]:
         pad, d, work = self._padded, self._difference, self._work
         n = psi.size
         rho, scratch = work[:n], work[n:]
@@ -308,7 +307,9 @@ class _Moments:
         if not abs(nrm - 1.0) <= 1e-6:
             if not np.all(np.isfinite(psi)):
                 raise NumericError("field contains NaN or infinite samples")
-            raise ParameterError("moments require a normalized field")
+            if not math.isfinite(nrm):  # inf, or inf - inf in the trapezoid's end terms
+                raise NumericError("norm^2 = inf is out of double range")
+            raise ParameterError(f"field is not normalized (|norm^2 - 1| = {abs(nrm - 1.0):.3e})")
         np.multiply(self._u, rho, out=scratch)
         mean_u = _trapezoid(float(scratch.sum()), scratch) / total
         np.subtract(self._u, mean_u, out=scratch)
@@ -342,22 +343,21 @@ class _Moments:
             scale * mean_q,
             math.sqrt(max(var_u, 0.0)) * dz,
             scale * math.sqrt(max(q_sq - mean_q * mean_q, 0.0)),
+            nrm,
         )
 
 
 def moments(field: ComplexField, system: PhysicalSystem) -> tuple[float, float, float, float]:
     """(<z>, <p>, dz, dp) of a normalized field.
 
-    Position moments use trapezoidal quadrature, momentum moments -i*hbar
-    times the sixth-order first difference with Dirichlet zeros past both
-    edges.  Every sum is numpy's pairwise sum over the float view of the
-    samples, with the trapezoid's end terms taken off in Python arithmetic.
-    This is the kernel that :func:`propagate_linear_potential` samples with,
-    built for one call.  Raises ParameterError for an
-    unnormalized field and NumericError for non-finite samples or momentum
-    moments out of double range.
+    Trapezoidal position moments and sixth-order momentum moments by the
+    kernel that :func:`propagate_linear_potential` samples with, built for
+    one call.  Raises ParameterError for an unnormalized field and
+    NumericError for non-finite samples, a norm^2 or momentum moments out of
+    double range.
     """
-    return _Moments(field.grid, system)(field.values)
+    with np.errstate(over="ignore"):  # the kernel refuses a norm^2 out of double range
+        return _Moments(field.grid, system)(field.values)[:4]
 
 
 def _lapack_tridiagonal():
@@ -472,12 +472,12 @@ def propagate_linear_potential(
 
     ``slope`` is the potential slope F (m_g*g for the field, 0 for free).
     The grid, with its time step and step count, is the grid of ``psi0``.
-    Moments are sampled at t = 0 and every ``sample_every`` steps, and at
-    the last step.  A slope that is not finite, or an initial state that is
-    not normalized or not clear of both edges, is a ParameterError.  The run
-    is ``_evolve``'s, which picks the kernel and raises NumericError before
-    either kernel runs when the potential it builds, its phase or a step
-    coefficient on the grid leaves double range.
+    Moments and norm^2 are sampled at t = 0, every ``sample_every`` steps
+    and at the last step.  A slope that is not finite, or an initial state
+    that is not normalized (by its first sample) or not clear of both edges,
+    is a ParameterError.  The run is ``_evolve``'s, which picks the kernel
+    and raises NumericError before either kernel runs when the potential it
+    builds, its phase or a step coefficient on the grid leaves double range.
 
     ``momentum_method`` is accepted for the benchmark harness alone, which
     still passes ``"spectral"``; there is one moment kernel, so None,
@@ -489,32 +489,34 @@ def propagate_linear_potential(
         raise ParameterError(f"unknown momentum method {momentum_method!r}")
     require_count("sample_every", sample_every, 1)
     slope = require_finite("slope", slope)
-    norm0 = _check_initial_state(psi0)
     sample = _Moments(grid, system)
-    rows = []
+    rows = []  # (t, <z>, <p>, dz, dp, norm^2) per sample
 
     def record(time: float, values: np.ndarray) -> None:
         rows.append((time, *sample(values)))
 
-    record(0.0, psi0.values)
-    psi = _evolve(psi0.values, grid, system, slope, sample_every, record)
+    with np.errstate(over="ignore"):  # outside input; a unitary run keeps |psi_j|^2 <= 2/dz
+        record(0.0, psi0.values)
+    _check_initial_state(psi0, rows[0][5])
+    psi = _evolve(psi0.values, grid, system, slope, rows[0][1], sample_every, record)
     if grid.n_steps:
         record(grid.n_steps * grid.dt, psi)
-    final = ComplexField(grid, psi)
+    series = np.array(rows)
     return PropagationReport(
-        final_field=final,
-        norm_drift=abs(norm_squared(final) - norm0),
-        moment_series=np.array(rows),
+        final_field=ComplexField(grid, psi),
+        norm_drift=abs(float(series[-1, 5] - series[0, 5])),
+        moment_series=series[:, :5],
     )
 
 
 def _evolve(
-    values: np.ndarray, grid: Grid, system: PhysicalSystem, slope: float, sample_every: int, record
+    values: np.ndarray, grid: Grid, system: PhysicalSystem, slope: float, z_ref: float,
+    sample_every: int, record,
 ) -> np.ndarray:
     """Final samples of a run from ``values`` in V = slope * z: the one kernel entry.
 
     The stepped kernel builds V = slope * (z - z_ref), zero at the packet's
-    mean z_ref = <z> of ``values`` rather than at z = 0.  The two differ by
+    mean z_ref (given by the caller) rather than at z = 0.  The two differ by
     the constant slope * z_ref, whose exact effect is the global phase
     exp(-i slope z_ref T/hbar) (Avron and Herbst, Commun. Math. Phys. 52,
     239 (1977)); the final samples are multiplied by it, so the run is
@@ -543,10 +545,7 @@ def _evolve(
     """
     dt = grid.dt
     kin = checked_square("hbar", system.hbar) / (2.0 * system.m_i * checked_square("dz", grid.dz))
-    z_ref = phase = 0.0
-    if slope:
-        density = np.abs(values) ** 2
-        z_ref = float(np.sum(grid.z * density) / np.sum(density))
+    phase = 0.0
     # the largest |V| on the grid, so that slope * (z - z_ref) below cannot overflow
     v_max = finite_result(
         "potential slope*(z - z_ref)", abs(slope) * max(grid.z_max - z_ref, z_ref - grid.z_min)
@@ -726,7 +725,7 @@ def _extrapolated_run(
     ``report`` is the run on the given grid and ``change`` the largest
     change the extrapolation made; fewer than two steps are returned plainly,
     with a change of 0.  The coarse run is a bare :func:`_evolve` call: it
-    checks its own time step, and samples no moments and builds no report.
+    checks its own time step, samples no moments and takes the fine run's z_ref.
     """
     grid = psi0.grid
     n = grid.n_steps
@@ -736,7 +735,8 @@ def _extrapolated_run(
         return report, fine, 0.0
     m = (n + 1) // 2
     coarse_grid = Grid(grid.z_min, grid.z_max, grid.n_points, dt=grid.total_time / m, n_steps=m)
-    coarse = _evolve(psi0.values, coarse_grid, system, slope, m, None)
+    z_ref = float(report.moment_series[0, 1])
+    coarse = _evolve(psi0.values, coarse_grid, system, slope, z_ref, m, None)
     # times the reciprocal: dividing by q^2 - 1 can round the last bit differently
     correction = (fine - coarse) * (1.0 / ((n / m) ** 2 - 1.0))
     return report, fine + correction, float(np.max(np.abs(correction)))
@@ -829,8 +829,8 @@ def heisenberg_checks(
 
     The bounds (1e-6 relative for the means and dz^2, 1e-8 for dp) are set
     for packets started near rest, as in criterion 5 and the bouncer-moments
-    demo, whose sixth-order momentum moments (:func:`moments`) keep dp to
-    6e-14 at the demo's 12288 points and to 4.7e-13 at 2048.  The
+    demo, whose sixth-order momentum moments (:func:`moments`) keep dp
+    below 1e-13 at the demo's 12288 points and to 4.7e-13 at 2048.  The
     Crank-Nicolson time error grows with the packet's kinetic energy, so a
     moving packet can fail on working code; where the potential is zero does
     not enter it, since the propagator references V to the packet.  With

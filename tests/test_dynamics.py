@@ -38,7 +38,7 @@ from gravqm import (
     shift_field,
     to_stationary_frame,
 )
-from gravqm import dynamics
+from gravqm import core, dynamics
 from gravqm.cli import _DEMOS, _run_demo
 from gravqm.dynamics import _lapack_tridiagonal
 from oracles import free_gaussian_analytic, fsum_moments, numerov_cn_oracle, run_fresh
@@ -328,6 +328,48 @@ def test_propagate_input_validation():
         propagate_linear_potential(still, system, 1e308)
 
 
+def _initial_state(scale=1.0, sigma=0.5, at=None, value=0.0):
+    grid = Grid(-10.0, 10.0, 256, dt=1e-2, n_steps=2)
+    values = scale * gaussian_packet(grid, 0.0, sigma).values
+    if at is not None:
+        values[at] = value
+    return ComplexField(grid, values)
+
+
+@pytest.mark.parametrize(
+    "psi0, error, message",
+    [
+        (_initial_state(at=100, value=math.nan), NumericError, "NaN or infinite"),
+        # a sigma 1 packet reaches 8.8e-12 at the edges, yet its non-finite
+        # samples are named, as the first sample reads them before the edges
+        (_initial_state(sigma=1.0, at=100, value=math.nan), NumericError, "NaN or infinite"),
+        (_initial_state(at=0, value=math.inf), NumericError, "NaN or infinite"),
+        # |psi|^2 overflows: refused, with no RuntimeWarning (pyproject.toml
+        # turns one into an error)
+        (_initial_state(scale=1e200), NumericError, r"norm\^2 = inf is out of double range"),
+        (_initial_state(scale=1e200, sigma=1.0), NumericError, r"norm\^2 = inf"),
+        # past 1e-6 the sampler refuses it, up to it the initial check
+        (_initial_state(scale=1.001), ParameterError, r"\|norm\^2 - 1\| = 2\.001e-03"),
+        (_initial_state(scale=1.0 + 1e-7), ParameterError,
+         r"initial state must be normalized \(\|norm\^2 - 1\| = 2\.000e-07\)"),
+        (_initial_state(sigma=1.0), ParameterError, "within 5 points"),
+    ],
+    ids=["nan", "nan-near-edges", "inf-at-edge", "overflow", "overflow-near-edges",
+         "unnormalized", "slightly-unnormalized", "edge"],
+)
+def test_initial_state_refusals(psi0, error, message):
+    for slope in (0.0, 1.0):
+        with pytest.raises(error, match=message):
+            propagate_linear_potential(psi0, natural(), slope)
+
+
+def test_moments_of_an_overflowing_field_is_a_numeric_error():
+    # no RuntimeWarning from squaring the samples (pyproject.toml turns one
+    # into an error)
+    with pytest.raises(NumericError, match=r"norm\^2 = inf"):
+        moments(_initial_state(scale=1e200, sigma=1.0), natural())
+
+
 def test_last_moment_sample_is_the_final_field():
     grid = Grid(-10.0, 10.0, 512, dt=1e-3, n_steps=40)
     system = natural(a=1.0)
@@ -379,6 +421,27 @@ def test_pivoted_factorization_is_solved_by_zgttrs(monkeypatch):
         psi0.values, grid.z, grid.dt, 1, system.hbar, system.m_i, system.weight
     )
     assert np.max(np.abs(report.final_field.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_pivoted_run_is_as_accurate_as_an_unpivoted_one(monkeypatch):
+    # 10 steps of 0.1 from a packet at rest in V = z on [-100, 100], where
+    # 3 dt |V|/hbar reaches 30 at the edges: zgttrf interchanges rows on
+    # 2048 points and not on 1024, so the interchange does not mark a step
+    # the scheme cannot resolve.  Against the Avron-Herbst closed form both
+    # read the Crank-Nicolson time error (1.5084e-3 and 1.5107e-3)
+    routines = _record_routines(monkeypatch)
+    system = natural(a=1.0)
+    errors = []
+    for n_points in (2048, 1024):
+        grid = Grid(-100.0, 100.0, n_points, dt=0.1, n_steps=10)
+        z, t = grid.z, grid.total_time
+        exact = ComplexField(
+            grid, free_gaussian_analytic(z + 0.5 * t**2, t, 1.0) * np.exp(-1j * t * z)
+        )
+        report = propagate_linear_potential(gaussian_packet(grid, 0.0, 1.0), system, 1.0)
+        errors.append(max_pointwise_mismatch(report.final_field, exact))
+    assert routines == ["zgttrs", "ztbtrs"]
+    assert errors[0] == pytest.approx(errors[1], rel=0.01)
 
 
 def test_shipped_runs_take_the_unit_sweeps(monkeypatch):
@@ -448,7 +511,7 @@ def loop_peak(steps):
             tracemalloc.reset_peak()
     tracemalloc.start()
     try:
-        dynamics._evolve(psi0.values, grid, system, system.weight, 1, record)
+        dynamics._evolve(psi0.values, grid, system, system.weight, 0.0, 1, record)
         return tracemalloc.get_traced_memory()[1] - start[0]
     finally:
         tracemalloc.stop()
@@ -1092,9 +1155,11 @@ def test_frame_equivalence_steps_only_the_direct_path(monkeypatch):
 
 def test_frame_equivalence_samples_and_checks_only_the_fine_runs(monkeypatch):
     # the coarse run of each path is a bare kernel call: the two fine runs
-    # alone check the initial state, sample their two ends and take a norm
-    # at each end
+    # alone check the initial state and sample their two ends, and the
+    # samples are the only reader of |psi|^2: no norm_squared call, and the
+    # coarse run takes the fine run's z_ref, the <z> of its first sample
     counts = collections.Counter()
+    z_refs = []
 
     class CountingMoments(dynamics._Moments):
         def __init__(self, *args):
@@ -1112,15 +1177,28 @@ def test_frame_equivalence_samples_and_checks_only_the_fine_runs(monkeypatch):
 
         return call
 
+    run = dynamics._evolve
+
+    def evolve(values, grid, system, slope, z_ref, *rest):
+        z_refs.append((slope, grid.n_steps, z_ref))
+        return run(values, grid, system, slope, z_ref, *rest)
+
     system = natural(a=1.0)
     psi0 = gaussian_packet(Grid(-15.0, 15.0, 1024, dt=2e-3, n_steps=100), 2.0, 0.5)
+    monkeypatch.setattr(dynamics, "_evolve", evolve)
     monkeypatch.setattr(dynamics, "_Moments", CountingMoments)
     monkeypatch.setattr(
         dynamics, "_check_initial_state", counting("initial checks", dynamics._check_initial_state)
     )
-    monkeypatch.setattr(dynamics, "norm_squared", counting("norms", dynamics.norm_squared))
-    frame_equivalence(psi0, system)
-    assert counts == {"samplers": 2, "samples": 4, "initial checks": 2, "norms": 4}
+    monkeypatch.setattr(core, "norm_squared", counting("norms", core.norm_squared))
+    result = frame_equivalence(psi0, system)
+    assert counts == {"samplers": 2, "samples": 4, "initial checks": 2}
+    assert not hasattr(dynamics, "norm_squared")
+    firsts = [float(r.moment_series[0, 1]) for r in (result.free_report, result.direct_report)]
+    assert z_refs == [
+        (0.0, 100, firsts[0]), (0.0, 50, firsts[0]),
+        (system.weight, 100, firsts[1]), (system.weight, 50, firsts[1]),
+    ]
 
 
 @pytest.mark.parametrize(

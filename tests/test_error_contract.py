@@ -6,12 +6,13 @@ arguments of the entry points (a plane wave's momentum p' and a shift offset
 among them) and the derived scalars ``Grid.total_time`` and
 ``PhysicalSystem.weight`` are drawn from or built on values at and beyond
 the edges of double range: nan, infinities, +-1e308, subnormals, an int
-beyond double range, numpy integers, bools and floats passed as counts.
+beyond double range, numpy integers, bools and floats passed as counts.  An
+initial state is a unit packet times any finite number.
 Every call must return finite numbers or raise ParameterError or
 NumericError.  Any other exception fails the test, and so does a
 RuntimeWarning, which pyproject.toml turns into an error.  Grids have at
 most 4096 points, or the 2**20 points of the bound itself (8 MiB of
-coordinates), and the one propagation takes two steps on 128 points, so no
+coordinates), and each propagation takes two steps on 128 points, so no
 example allocates a large array.
 """
 
@@ -41,6 +42,7 @@ from gravqm import (
     frequency_shift,
     gaussian_packet,
     level,
+    moments,
     momentum_eigenvalue,
     pde_residual,
     phase_s,
@@ -223,6 +225,27 @@ def test_propagation_slope(slope, sample_every):
     if report is not None:
         assert _finite(report.norm_drift) and np.isfinite(report.moment_series).all()
         assert np.isfinite(report.final_field.values).all()
+
+
+@_SETTINGS
+@given(
+    st.one_of(
+        st.sampled_from([x for x in _EDGES if isinstance(x, float) and math.isfinite(x)]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+@example(1e200)  # |psi|^2 overflows
+@example(1.0 + 1e-7)  # normalized to 1e-6, not to 1e-8
+def test_scaled_initial_state(scale):
+    # the moment kernel alone reads |psi|^2 of an initial state, scaled here
+    # by any finite number
+    psi0 = ComplexField(_SHORT_RUN.grid, scale * _SHORT_RUN.values)
+    values = _outcome(lambda: moments(psi0, _UNIT))
+    assert values is None or _finite(*values)
+    for slope in (0.0, 1.0):
+        report = _outcome(lambda: propagate_linear_potential(psi0, _UNIT, slope))
+        if report is not None:
+            assert _finite(report.norm_drift) and np.isfinite(report.moment_series).all()
 
 
 @_SETTINGS

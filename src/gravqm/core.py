@@ -21,7 +21,8 @@ the first grid, field or propagation does.
 Scalars are checked here, one helper per kind of check: :func:`require_finite`,
 :func:`require_positive` and :func:`require_count` raise ParameterError for a bad
 input, :func:`finite_result`, :func:`positive_result` and :func:`checked_square`
-NumericError for a result out of double range.
+NumericError for a result out of double range.  A field's samples are checked
+once, as a :class:`ComplexField` is built: a NaN or infinite one is a NumericError.
 """
 
 from __future__ import annotations
@@ -223,7 +224,9 @@ class ComplexField:
     """A complex wave function sampled on a uniform grid.
 
     Instances are immutable: the sample array is copied in and marked
-    read-only, so fields can be shared freely between threads.
+    read-only, so fields can be shared freely between threads.  Samples of the
+    wrong shape are a ParameterError, then a NaN or infinite one a NumericError,
+    so an operation that builds a field lets its arithmetic overflow quietly.
     """
 
     grid: Grid
@@ -235,20 +238,20 @@ class ComplexField:
             raise ParameterError(
                 f"values must have shape ({self.grid.n_points},), got {values.shape}"
             )
+        if not np.isfinite(values).all():
+            raise NumericError("field contains NaN or infinite samples")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     def normalized(self) -> "ComplexField":
-        """Rescaled copy with unit norm.
+        """Rescaled copy with unit norm, or NumericError for a zero field.
 
-        The samples are first divided by their largest real or imaginary part,
-        so a field whose norm^2 is beyond double range normalizes as the same
-        field at unit peak does.
+        The samples, finite as every field's are, are first divided by their
+        largest real or imaginary part, so a field whose norm^2 is beyond
+        double range normalizes as the same field at unit peak does.
         """
         values = self.values
         peak = max(float(np.max(np.abs(values.real))), float(np.max(np.abs(values.imag))))
-        if not math.isfinite(peak):
-            raise NumericError("field contains NaN or infinite samples")
         if peak == 0.0:
             raise NumericError("cannot normalize a zero field")
         unit = values / peak
@@ -262,7 +265,5 @@ def _trapezoid_norm_squared(values: np.ndarray, dz: float) -> float:
 
 
 def norm_squared(f: ComplexField) -> float:
-    """Trapezoidal integral of |psi|^2 over the grid, or NumericError past double range."""
-    if not np.all(np.isfinite(f.values)):
-        raise NumericError("field contains NaN or infinite samples")
+    """Trapezoidal integral of |psi|^2 over the grid, or NumericError where it overflows."""
     return finite_result("norm^2", _trapezoid_norm_squared(f.values, f.grid.dz))

@@ -75,7 +75,6 @@ __all__ = [
     "free_dispersion_width",
     "gaussian_packet",
     "heisenberg_checks",
-    "max_pointwise_mismatch",
     "moments",
     "pde_residual",
     "propagate_linear_potential",
@@ -140,7 +139,9 @@ class FrameEquivalenceResult:
     ``transformed`` and ``direct`` are the final fields extrapolated in
     time, ``transformed`` rotated to the global phase of ``direct``;
     ``time_correction`` is max |extrapolated - fine| over both paths, the
-    Richardson estimate of the fine runs' time error.
+    Richardson estimate of the fine runs' time error.  An extrapolation of two
+    unitary runs is not unitary: on ``REFERENCE_FRAME_RUN`` both fields' norm^2
+    is off 1 by about 3e-9, which a unitary fourth-order step would remove.
     """
 
     max_mismatch: float
@@ -158,7 +159,7 @@ def gaussian_packet(
     center, k0 = require_finite("center", center), require_finite("k0", k0)
     sigma_sq = checked_square("sigma", require_positive("sigma", sigma))
     z = grid.z
-    with np.errstate(over="ignore", invalid="ignore"):  # normalized() raises below instead
+    with np.errstate(over="ignore", invalid="ignore"):  # the constructor raises below instead
         psi = (2.0 * math.pi * sigma_sq) ** -0.25 * np.exp(
             -((z - center) ** 2) / (4.0 * sigma_sq) + 1j * k0 * z
         )
@@ -195,7 +196,8 @@ def shift_field(field: ComplexField, offset: float) -> ComplexField:
             "grid edge; enlarge the domain"
         )
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dz)
-    shifted = np.fft.ifft(np.fft.fft(field.values) * np.exp(1j * k * offset))
+    with np.errstate(over="ignore", invalid="ignore"):  # the constructor raises instead
+        shifted = np.fft.ifft(np.fft.fft(field.values) * np.exp(1j * k * offset))
     return ComplexField(grid, shifted)
 
 
@@ -206,21 +208,16 @@ def align_global_phase(field: ComplexField, reference: ComplexField) -> ComplexF
     phase, so comparisons are made after this alignment.  The fields must
     share their sample points (z_min, z_max, n_points), else ParameterError;
     the time step and step count of their grids may differ.  NumericError
-    when the fields' inner product is not finite (a NaN or infinite sample).
+    when the fields' inner product overflows.
     """
     a, b = field.grid, reference.grid
     if (a.z_min, a.z_max, a.n_points) != (b.z_min, b.z_max, b.n_points):
         raise ParameterError("fields live on different grids")
-    inner = np.sum(np.conj(field.values) * reference.values) * field.grid.dz
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
+        inner = np.sum(np.conj(field.values) * reference.values) * field.grid.dz
     if not np.isfinite(inner):
         raise NumericError(f"inner product of the fields is not finite ({inner})")
     return ComplexField(field.grid, field.values * np.exp(1j * np.angle(inner)))
-
-
-def max_pointwise_mismatch(a: ComplexField, b: ComplexField) -> float:
-    """Max |a_k - b_k| after global-phase alignment of a to b."""
-    aligned = align_global_phase(a, b)
-    return float(np.max(np.abs(aligned.values - b.values)))
 
 
 def _check_initial_state(psi0: ComplexField, norm0: float) -> None:
@@ -276,7 +273,8 @@ class _Moments:
     Python arithmetic, so any spread that is a double comes out right, and
     <p^2> out of double range raises NumericError instead of overflowing in
     numpy.  The norm^2 that every moment divides by is refused more than 1e-6
-    from 1 or, under ``np.errstate(over="ignore")``, out of double range.
+    from 1 or, under ``np.errstate(over="ignore")``, out of double range.  The
+    samples are finite: a field's are, and the loop samples after ``_check_edges``.
     """
 
     def __init__(self, grid: Grid, system: PhysicalSystem):
@@ -305,8 +303,6 @@ class _Moments:
         nrm = total * self._dz
         # written so that a NaN norm fails the check
         if not abs(nrm - 1.0) <= 1e-6:
-            if not np.all(np.isfinite(psi)):
-                raise NumericError("field contains NaN or infinite samples")
             if not math.isfinite(nrm):  # inf, or inf - inf in the trapezoid's end terms
                 raise NumericError("norm^2 = inf is out of double range")
             raise ParameterError(f"field is not normalized (|norm^2 - 1| = {abs(nrm - 1.0):.3e})")
@@ -353,8 +349,7 @@ def moments(field: ComplexField, system: PhysicalSystem) -> tuple[float, float, 
     Trapezoidal position moments and sixth-order momentum moments by the
     kernel that :func:`propagate_linear_potential` samples with, built for
     one call.  Raises ParameterError for an unnormalized field and
-    NumericError for non-finite samples, a norm^2 or momentum moments out of
-    double range.
+    NumericError for a norm^2 or momentum moments out of double range.
     """
     with np.errstate(over="ignore"):  # the kernel refuses a norm^2 out of double range
         return _Moments(field.grid, system)(field.values)[:4]

@@ -119,7 +119,9 @@ def to_stationary_frame(system: PhysicalSystem, psi_free: ComplexField, t: float
     """
     t = require_finite("t", t)
     phase = phase_s(system, psi_free.grid.z + system.shift(t), t)
-    return ComplexField(psi_free.grid, psi_free.values * np.exp(1j * phase))
+    with np.errstate(over="ignore", invalid="ignore"):  # the constructor raises instead
+        values = psi_free.values * np.exp(1j * phase)
+    return ComplexField(psi_free.grid, values)
 
 
 def _stationary_image(free_phase, system: PhysicalSystem, z_prime, t):

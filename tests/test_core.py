@@ -130,6 +130,19 @@ def test_field_is_immutable():
         f.values[0] = 2.0
 
 
+def test_field_refuses_non_finite_samples():
+    grid = Grid(0.0, 1.0, 11)
+    for bad in (math.nan, math.inf, -math.inf, complex(1.0, math.nan)):
+        for at in (0, 5, 10):
+            values = np.ones(11, dtype=complex)
+            values[at] = bad
+            with pytest.raises(NumericError, match="field contains NaN or infinite samples"):
+                ComplexField(grid, values)
+    # the shape is checked first
+    with pytest.raises(ParameterError, match="values must have shape"):
+        ComplexField(grid, np.full(10, math.nan))
+
+
 def test_normalized_flag_contract():
     grid = Grid(-8.0, 8.0, 801)
     z = grid.z

@@ -7,7 +7,8 @@ among them) and the derived scalars ``Grid.total_time`` and
 ``PhysicalSystem.weight`` are drawn from or built on values at and beyond
 the edges of double range: nan, infinities, +-1e308, subnormals, an int
 beyond double range, numpy integers, bools and floats passed as counts.  An
-initial state is a unit packet times any finite number.
+initial state, and a field given to the frame map's steps, is a unit packet
+times any finite number.
 Every call must return finite numbers or raise ParameterError or
 NumericError.  Any other exception fails the test, and so does a
 RuntimeWarning, which pyproject.toml turns into an error.  Grids have at
@@ -31,6 +32,7 @@ from gravqm import (
     ParameterError,
     PhysicalSystem,
     ai_negative_zero,
+    align_global_phase,
     box_eigenvalues,
     cow_phase_shift,
     cow_phase_shift_time_route,
@@ -49,6 +51,7 @@ from gravqm import (
     plane_wave_stationary,
     propagate_linear_potential,
     shift_field,
+    to_stationary_frame,
 )
 
 _EDGES = [
@@ -62,6 +65,10 @@ _COUNT = st.one_of(
         [True, False, 2.5, 3.0, 10.5, math.nan, np.int64(3), np.int32(1), np.uint8(50),
          np.int64(51), np.int64(-1), np.True_, np.float64(3.0)]
     ),
+)
+_FINITE = st.one_of(
+    st.sampled_from([x for x in _EDGES if isinstance(x, float) and math.isfinite(x)]),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 _SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -228,12 +235,7 @@ def test_propagation_slope(slope, sample_every):
 
 
 @_SETTINGS
-@given(
-    st.one_of(
-        st.sampled_from([x for x in _EDGES if isinstance(x, float) and math.isfinite(x)]),
-        st.floats(allow_nan=False, allow_infinity=False),
-    )
-)
+@given(_FINITE)
 @example(1e200)  # |psi|^2 overflows
 @example(1.0 + 1e-7)  # normalized to 1e-6, not to 1e-8
 def test_scaled_initial_state(scale):
@@ -246,6 +248,27 @@ def test_scaled_initial_state(scale):
         report = _outcome(lambda: propagate_linear_potential(psi0, _UNIT, slope))
         if report is not None:
             assert _finite(report.norm_drift) and np.isfinite(report.moment_series).all()
+
+
+_WIDE_PACKET = gaussian_packet(Grid(-40.0, 40.0, 4096), 0.0, 0.5)
+_BOOSTED = PhysicalSystem(m_i=1.0, m_g=1.0, v=1.0)
+
+
+@_SETTINGS
+@given(_FINITE)
+@example(1e200)  # the inner product's |psi|^2 overflows
+@example(1e307)  # the shift's FFT overflows
+@example(1.5e308)  # |psi| overflows, so the frame map's rotation does
+def test_scaled_field_through_the_frame_map(scale):
+    # the steps of the dual-path comparison on any finite field; equal real
+    # and imaginary parts let a rotation take one past double range
+    field = ComplexField(_WIDE_PACKET.grid, scale * (1.0 + 1.0j) * _WIDE_PACKET.values)
+    for result in (
+        _outcome(lambda: align_global_phase(field, field)),
+        _outcome(lambda: shift_field(field, 0.5)),
+        _outcome(lambda: to_stationary_frame(_BOOSTED, field, 1.0)),
+    ):
+        assert result is None or np.isfinite(result.values).all()
 
 
 @_SETTINGS

@@ -39,7 +39,12 @@ single call.
 reader of |psi|^2: the first sample gives the initial norm^2 check and z_ref,
 the first and last the norm drift.  The run is ``_evolve``'s, which checks
 the time step and picks the kernel: the stepped loop, or the sine eigenbasis
-of the free step.  The extrapolation's coarse run is a bare ``_evolve`` call.
+of the free step.  The sine kernel forms its final coefficients at once and
+checks every step's edge samples on the few sine modes that can reach the
+edges, with a bound on the rest; a block of steps that bound cannot clear
+is checked again step by step on every mode, as the stepped loop checks its
+steps (see ``_check_free_edges``).  The extrapolation's coarse run is a bare
+``_evolve`` call.
 
 On top of the propagator sit the consistency checks used throughout the
 package: a finite-difference residual of the governing equation for
@@ -84,6 +89,12 @@ __all__ = [
 
 # Edge amplitude required of the initial state (within 5 points of each edge).
 _INITIAL_EDGE_AMPLITUDE = 1e-12
+
+# The free kernel's edge check (see _check_free_edges): the most summed reach
+# of the sine modes it drops, and the bytes of one block of steps' kept
+# coefficients and samples.
+_EDGE_TAIL_BUDGET = 1e-3 * BoundaryContactError.limit
+_EDGE_BLOCK_BYTES = 128 * 1024
 
 # Reference configuration of the dual-path equivalence run (natural units,
 # m = g = hbar = 1, packet at rest).  frame_equivalence extrapolates each
@@ -273,8 +284,10 @@ class _Moments:
     Python arithmetic, so any spread that is a double comes out right, and
     <p^2> out of double range raises NumericError instead of overflowing in
     numpy.  The norm^2 that every moment divides by is refused more than 1e-6
-    from 1 or, under ``np.errstate(over="ignore")``, out of double range.  The
-    samples are finite: a field's are, and the loop samples after ``_check_edges``.
+    from 1 or, under ``np.errstate(over="ignore")``, when it is not finite:
+    inf, or nan where the trapezoid takes inf off inf, is a NumericError
+    naming the value.  The samples are finite: a field's are, and the loop
+    samples after ``_check_edges``.
     """
 
     def __init__(self, grid: Grid, system: PhysicalSystem):
@@ -303,8 +316,8 @@ class _Moments:
         nrm = total * self._dz
         # written so that a NaN norm fails the check
         if not abs(nrm - 1.0) <= 1e-6:
-            if not math.isfinite(nrm):  # inf, or inf - inf in the trapezoid's end terms
-                raise NumericError("norm^2 = inf is out of double range")
+            # inf, or nan from inf - inf in the trapezoid's end terms
+            finite_result("norm^2", nrm)
             raise ParameterError(f"field is not normalized (|norm^2 - 1| = {abs(nrm - 1.0):.3e})")
         np.multiply(self._u, rho, out=scratch)
         mean_u = _trapezoid(float(scratch.sum()), scratch) / total
@@ -534,9 +547,13 @@ def _evolve(
     thread whatever the BLAS thread count, unless zgttrf interchanged rows
     (from 3*dt*|V|/hbar of about 12 to 20 at the grid's edge on the grids
     measured, far past every shipped time step), when it is zgttrs.  Both
-    kernels check the samples nearest each edge at every step.  The stepped
-    loop calls ``record(t, psi)`` every ``sample_every`` steps before the
-    last, so a run with ``sample_every >= n_steps`` may pass None.
+    kernels check the three samples nearest each edge at every step, with
+    the same errors at the same step: the stepped loop by ``_check_edges``
+    after each solve, the sine kernel by bounding the samples from its kept
+    modes in blocks of steps and running ``_check_edges`` on every mode at
+    each step of a block it cannot clear.  The stepped loop calls
+    ``record(t, psi)`` every ``sample_every`` steps before the last, so a
+    run with ``sample_every >= n_steps`` may pass None.
     """
     dt = grid.dt
     kin = checked_square("hbar", system.hbar) / (2.0 * system.m_i * checked_square("dz", grid.dz))
@@ -666,6 +683,15 @@ def _sine_transform(values: np.ndarray) -> np.ndarray:
     return -0.5 * (spectrum[0] + 1j * spectrum[1])
 
 
+def _edges_clear(samples: np.ndarray, tail: float) -> bool:
+    """Whether edge samples, each within ``tail`` of the one it stands for, all clear the limit.
+
+    ``samples`` holds one block of steps of :func:`_check_free_edges`'
+    kept-mode edge sums; a NaN sample does not clear.
+    """
+    return bool(np.max(np.abs(samples)) + tail <= BoundaryContactError.limit)
+
+
 def _free_run(values: np.ndarray, grid: Grid, kin: float, hbar: float) -> np.ndarray:
     """Final samples of a free run from ``values``, in the sine eigenbasis of the step.
 
@@ -675,35 +701,98 @@ def _free_run(values: np.ndarray, grid: Grid, kin: float, hbar: float) -> np.nda
     psi <- (6A)^-1 (12 M psi) - psi exactly, with eigenvalues
     lambda_k = (5 + cos theta_k - i kappa_k)/(5 + cos theta_k + i kappa_k),
     kappa_k = 3 dt kin (2 - 2 cos theta_k)/hbar, kin = hbar^2/(2 m_i dz^2),
-    and |lambda_k| = 1.  One transform of ``values`` gives its coefficients,
-    each of the grid's steps multiplies them by lambda, and one inverse
-    transform gives the final samples: a step costs an elementwise product,
-    not a tridiagonal solve.
-
-    Every step is checked as the stepped kernel checks it, with the same
-    errors at the same step: the six samples nearest the edges are one
-    product of a real 6 x N table with the coefficients.  Its rows 1-3 are
-    sin(j theta_k) 2/(N+1), j = 1, 2, 3, for psi[:3]; rows 4-6 are the same
-    rows reversed and signed, as sin((N+1-j) theta_k) = (-1)^(k+1) sin(j theta_k),
-    for psi[N-3], psi[N-2], psi[N-1], the order of ``psi[-3:]``.
+    so lambda_k = exp(i a_k) with a_k = -2 atan(kappa_k/(5 + cos theta_k)).
+    One transform of ``values`` gives its coefficients w, the final ones are
+    w exp(i n a) for the grid's n steps, and one inverse transform gives the
+    final samples: no step is solved, and the coefficients are not stepped.
+    Every step's edge samples are still checked (:func:`_check_free_edges`),
+    with the errors the stepped kernel raises at the same step.
     """
-    n = grid.n_points
-    theta = np.arange(1, n + 1) * (math.pi / (n + 1))
-    near = np.sin(np.outer([1.0, 2.0, 3.0], theta)) * (2.0 / (n + 1))
-    table = np.vstack([near, near[::-1] * (-1.0) ** np.arange(n)])
+    theta = np.arange(1, grid.n_points + 1) * (math.pi / (grid.n_points + 1))
     cos = np.cos(theta)
     kappa = 3.0 * grid.dt * kin * (2.0 - 2.0 * cos) / hbar
-    lam = (5.0 + cos - 1j * kappa) / (5.0 + cos + 1j * kappa)
+    angle = -2.0 * np.arctan2(kappa, 5.0 + cos)
     w = _sine_transform(values)
-    # (real, imaginary) columns, so the sums are a real matrix product
-    parts = w.view(float).reshape(n, 2)
+    _check_free_edges(w, theta, angle, grid)
+    final = np.exp(angle * (1j * grid.n_steps))
+    final *= w
+    return _sine_transform(final) * (2.0 / (grid.n_points + 1))
+
+
+def _check_free_edges(w: np.ndarray, theta: np.ndarray, angle: np.ndarray, grid: Grid) -> None:
+    """Check the edges at each step of a free run from sine coefficients ``w``.
+
+    After s steps of the run of :func:`_free_run` the six samples nearest
+    the edges are the product of a real 6 x N table T with w lambda^s,
+    lambda_k = exp(i angle_k).  T's rows 1-3 are sin(j theta_k) 2/(N+1),
+    j = 1, 2, 3, for psi[:3]; rows 4-6 are the same rows reversed and
+    signed, as sin((N+1-j) theta_k) = (-1)^(k+1) sin(j theta_k), for
+    psi[N-3], psi[N-2], psi[N-1], the order of ``psi[-3:]``.  As
+    |lambda_k| = 1, mode k's reach max_j |T_jk| |w_k| bounds its share of
+    every edge sample at every step, so the modes of least reach whose reach
+    sums to at most ``_EDGE_TAIL_BUDGET`` are dropped from the check (135 of
+    2048 modes are kept on ``REFERENCE_FRAME_RUN``, 47 of 1024 for a packet
+    of sigma 0.5 moving at k0 = 4 on [-6, 6]).  Each kept-mode sum is then
+    within a tail of the full one: the dropped reach, plus 8 (n + N) eps
+    times the summed reach of all modes, a margin for the rounding of both
+    this sum and the full one.
+
+    The steps go in blocks whose kept coefficients and six samples per step
+    fill at most ``_EDGE_BLOCK_BYTES`` (one step when the kept modes alone
+    fill it).  The first block's coefficients are one cumulative product of
+    the kept lambda, times w; each later block's are the last block's times
+    lambda^block, and its samples one real product of them with the kept
+    columns of T.  The block is cleared when every |sample| plus the tail is
+    at most the contact limit (``_edges_clear``).  A block that is not
+    cleared is run again step by step with all N coefficients and the whole
+    of T, checked by ``_check_edges`` as the stepped kernel checks its
+    steps, so a contact or a non-finite sample is reported at its step,
+    with its amplitude.
+    """
+    n, steps = w.size, grid.n_steps
+    near = np.sin(np.outer([1.0, 2.0, 3.0], theta)) * (2.0 / (n + 1))
+    table = np.vstack([near, near[::-1]])
+    table[3:, 1::2] *= -1.0
+    reach = np.max(np.abs(near), axis=0) * np.abs(w)
+    # the modes of reach at most budget/N drop together, being the least and
+    # summing to at most the budget; what it leaves goes to the least of the
+    # others in turn, few enough to sort in Python (np.argsort would load
+    # about 0.2 MiB more of numpy into the process)
+    budget = _EDGE_TAIL_BUDGET
+    kept = reach > budget / n
+    dropped = float(reach[~kept].sum())
+    for k in sorted(np.flatnonzero(kept & (reach <= budget)).tolist(), key=reach.item):
+        if dropped + reach[k] > budget:
+            break
+        dropped += reach[k]
+        kept[k] = False
+    tail = dropped + 8.0 * (steps + n) * sys.float_info.epsilon * float(reach.sum())
+    kept_table, kept_angle, kept_w = table[:, kept], angle[kept], w[kept]
+    block = min(steps, max(1, _EDGE_BLOCK_BYTES // (16 * (kept_w.size + 6))))
+    # column s: the kept w lambda^(start + s + 1), advanced a block at a time
+    chain = np.multiply.accumulate(
+        np.broadcast_to(np.exp(1j * kept_angle)[:, None], (kept_w.size, block)), axis=1
+    )
+    chain *= kept_w[:, None]
+    advance = np.exp(kept_angle * (1j * block))[:, None]
+    sums = np.empty((6, 2 * block))
     edges = np.empty((6, 2))
     low, high = edges.view(complex)[:, 0].reshape(2, 3)
-    for step in range(1, grid.n_steps + 1):
-        w *= lam
-        np.matmul(table, parts, out=edges)
-        _check_edges(low, high, step * grid.dt)
-    return _sine_transform(w) * (2.0 / (n + 1))
+    for start in range(0, steps, block):
+        if start:
+            chain *= advance
+        size = min(block, steps - start)
+        # (real, imaginary) columns, so the sums are a real matrix product
+        samples = np.matmul(kept_table, chain[:, :size].view(float), out=sums[:, : 2 * size])
+        if _edges_clear(samples.view(complex), tail):
+            continue
+        current = w * np.exp(1j * start * angle)
+        parts = current.view(float).reshape(n, 2)
+        lam = np.exp(1j * angle)
+        for step in range(start + 1, start + size + 1):
+            current *= lam
+            np.matmul(table, parts, out=edges)
+            _check_edges(low, high, step * grid.dt)
 
 
 def _extrapolated_run(

@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravqm import (
     REFERENCE_FRAME_RUN,
@@ -224,26 +226,102 @@ def test_free_path_diagnoses_boundary_contact_at_the_stepped_step():
     assert free.value.amplitude == pytest.approx(stepped.value.amplitude, rel=1e-6)
 
 
+def _free_edge_samples(patch, psi0, budget=None, clear=None):
+    """Each step's kept-mode edge samples of a free run and the tails they came with.
+
+    The samples, in the order psi[:3], psi[-3:], one row per step, are those
+    ``_edges_clear`` receives; ``budget`` replaces the tail budget, and
+    ``clear`` decides the blocks in place of ``_edges_clear``.
+    """
+    blocks, tails = [], []
+    decide = clear or dynamics._edges_clear
+
+    def spy(samples, tail):
+        blocks.append(samples.T.copy())
+        tails.append(tail)
+        return decide(samples, tail)
+
+    patch.setattr(dynamics, "_edges_clear", spy)
+    if budget is not None:
+        patch.setattr(dynamics, "_EDGE_TAIL_BUDGET", budget)
+    grid = psi0.grid
+    propagate_linear_potential(psi0, natural(), 0.0, sample_every=grid.n_steps)
+    return np.concatenate(blocks), tails
+
+
 @pytest.mark.parametrize("n_points", [1024, 1023])
 def test_both_kernels_check_the_same_edge_samples(monkeypatch, n_points):
     # the packet of test_boundary_contact_is_diagnosed, run for 300 steps,
-    # short of its contact at t=0.371: the sine kernel (sampled at its ends)
-    # and the stepped one must hand the edge check the same six samples, in
-    # the order psi[:3], psi[-3:], at odd and even N
+    # short of its contact at t=0.371: with no tail budget the sine kernel
+    # (sampled at its ends) keeps every mode, and its blocks must hold the
+    # six samples the stepped kernel checks, in the order psi[:3], psi[-3:],
+    # at odd and even N.  At the shipped budget each kept-mode sample lies
+    # within the kernel's tail of the sample of every mode.
     grid = Grid(-6.0, 6.0, n_points, dt=1e-3, n_steps=300)
     psi0 = gaussian_packet(grid, 0.0, 0.5, k0=4.0)
-    seen = {}
-    for sample_every in (300, 299):
-        calls = seen[sample_every] = []
-        monkeypatch.setattr(
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
             dynamics, "_check_edges", lambda low, high, t: calls.append((t, *low, *high))
         )
-        propagate_linear_potential(psi0, natural(), 0.0, sample_every=sample_every)
-    free, stepped = np.array(seen[300]), np.array(seen[299])
+        propagate_linear_potential(psi0, natural(), 0.0, sample_every=299)
+    stepped = np.array(calls)
+    with monkeypatch.context() as patch:
+        every, _ = _free_edge_samples(patch, psi0, budget=0.0)
+    free = np.column_stack([grid.dt * np.arange(1, 301), every])
     assert free.shape == stepped.shape == (300, 7)
     assert np.array_equal(free[:, 0], stepped[:, 0])
     peak = np.max(np.abs(psi0.values))
     assert np.max(np.abs(free[:, 1:] - stepped[:, 1:])) <= 1e-12 * peak
+    with monkeypatch.context() as patch:
+        kept, tails = _free_edge_samples(patch, psi0)
+    tail = tails[0]
+    assert tails == [tail] * len(tails) and 0.0 < tail <= 1.01 * dynamics._EDGE_TAIL_BUDGET
+    assert np.max(np.abs(kept - every)) <= tail
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    center=st.floats(-2.0, 2.0),
+    sigma=st.floats(0.3, 0.8),
+    k0=st.floats(-6.0, 6.0),
+    n_points=st.integers(256, 1024),
+    n_steps=st.integers(1, 200),
+)
+def test_kept_mode_samples_are_within_the_tail(center, sigma, k0, n_points, n_steps):
+    # every block is refused, so each step is also checked with all modes by
+    # _check_edges, recorded here instead of raising: at every step the six
+    # sums of all modes and the kept-mode samples differ by at most the tail
+    grid = Grid(-12.0, 12.0, n_points, dt=1e-3, n_steps=n_steps)
+    psi0 = gaussian_packet(grid, center, sigma, k0)
+    full = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_check_edges", lambda low, high, t: full.append((*low, *high)))
+        kept, tails = _free_edge_samples(patch, psi0, clear=lambda samples, tail: False)
+    assert kept.shape == (n_steps, 6) and len(full) == n_steps
+    assert np.max(np.abs(kept - np.array(full))) <= tails[0]
+
+
+def test_reference_free_paths_make_no_per_step_check(monkeypatch):
+    # the free paths of REFERENCE_FRAME_RUN and of its a = 1.5 control on
+    # 4096 points clear every block: the exact per-step check runs only on
+    # the stepped direct path's fine and coarse steps
+    counts = collections.Counter()
+    check = dynamics._check_edges
+
+    def counting(low, high, t):
+        counts["steps"] += 1
+        check(low, high, t)
+
+    monkeypatch.setattr(dynamics, "_check_edges", counting)
+    cfg = REFERENCE_FRAME_RUN
+    for n_points, dt, a in ((cfg["n_points"], cfg["dt"], 1.0), (4096, 1e-3, 1.5)):
+        steps = round(cfg["t_final"] / dt)
+        grid = Grid(cfg["z_min"], cfg["z_max"], n_points, dt=dt, n_steps=steps)
+        psi0 = gaussian_packet(grid, cfg["center"], cfg["sigma0"])
+        counts.clear()
+        frame_equivalence(psi0, natural(a=a))
+        assert counts["steps"] == steps + (steps + 1) // 2
 
 
 def test_non_finite_field_fails_at_the_step_it_appears(monkeypatch):
@@ -347,11 +425,12 @@ def _initial_state(scale=1.0, sigma=0.5, at=None, value=0.0):
         (lambda: _initial_state(sigma=1.0, at=100, value=math.nan), NumericError,
          "NaN or infinite"),
         (lambda: _initial_state(at=0, value=math.inf), NumericError, "NaN or infinite"),
-        # |psi|^2 overflows: refused, with no RuntimeWarning (pyproject.toml
-        # turns one into an error)
+        # |psi|^2 overflows, at the end points too, so the trapezoid reads
+        # inf - inf: refused, naming nan, with no RuntimeWarning
+        # (pyproject.toml turns one into an error)
         (lambda: _initial_state(scale=1e200), NumericError,
-         r"norm\^2 = inf is out of double range"),
-        (lambda: _initial_state(scale=1e200, sigma=1.0), NumericError, r"norm\^2 = inf"),
+         r"norm\^2 = nan is out of double range"),
+        (lambda: _initial_state(scale=1e200, sigma=1.0), NumericError, r"norm\^2 = nan"),
         # past 1e-6 the sampler refuses it, up to it the initial check
         (lambda: _initial_state(scale=1.001), ParameterError,
          r"\|norm\^2 - 1\| = 2\.001e-03"),
@@ -370,9 +449,20 @@ def test_initial_state_refusals(state, error, message):
 
 def test_moments_of_an_overflowing_field_is_a_numeric_error():
     # no RuntimeWarning from squaring the samples (pyproject.toml turns one
-    # into an error)
-    with pytest.raises(NumericError, match=r"norm\^2 = inf"):
+    # into an error); the end points overflow too, so the trapezoid reads nan
+    with pytest.raises(NumericError, match=r"norm\^2 = nan"):
         moments(_initial_state(scale=1e200, sigma=1.0), natural())
+
+
+@pytest.mark.parametrize("ends, value", [(1e160, "nan"), (1.0, "inf")])
+def test_moments_name_a_norm_out_of_double_range(ends, value):
+    # |psi|^2 = 1e320 overflows at every point inside: with the two end
+    # points too, the trapezoid takes inf off inf and reads nan
+    values = np.full(101, 1e160, dtype=complex)
+    values[[0, -1]] = ends
+    field = ComplexField(Grid(-10.0, 10.0, 101), values)
+    with pytest.raises(NumericError, match=rf"norm\^2 = {value} is out of double range"):
+        moments(field, natural())
 
 
 def test_last_moment_sample_is_the_final_field():
@@ -714,14 +804,6 @@ def test_moments_of_packet_wider_than_its_square_range(momentum_method):
     # it, where dz^2 = 1.6e397 leaves double range
     with pytest.raises(NumericError, match=r"dz\^2 = inf"):
         propagate_linear_potential(field, natural(), 0.0, momentum_method=momentum_method)
-
-
-def test_moments_of_non_finite_field_are_a_numeric_error():
-    grid = Grid(-10.0, 10.0, 101)
-    values = gaussian_packet(grid, 0.0, 1.0).values.copy()
-    values[50] = math.nan
-    with pytest.raises(NumericError):
-        moments(ComplexField(grid, values), natural())
 
 
 def test_moments_with_hbar_out_of_double_range():

@@ -40,11 +40,11 @@ reader of |psi|^2: the first sample gives the initial norm^2 check and z_ref,
 the first and last the norm drift.  The run is ``_evolve``'s, which checks
 the time step and picks the kernel: the stepped loop, or the sine eigenbasis
 of the free step.  The sine kernel forms its final coefficients at once and
-checks every step's edge samples on the few sine modes that can reach the
-edges, with a bound on the rest; a block of steps that bound cannot clear
-is checked again step by step on every mode, as the stepped loop checks its
-steps (see ``_check_free_edges``).  The extrapolation's coarse run is a bare
-``_evolve`` call.
+clears every step's edge samples on the few sine modes that can reach the
+edges, with a bound on the rest; when a block of steps fails that bound,
+the whole run is handed to the stepped loop, the one code path that
+reports a contact or a non-finite sample (see ``_check_free_edges``).  The
+extrapolation's coarse run is a bare ``_evolve`` call.
 
 On top of the propagator sit the consistency checks used throughout the
 package: a finite-difference residual of the governing equation for
@@ -546,12 +546,13 @@ def _evolve(
     solve is 1/d and two unit-diagonal ztbtrs sweeps, which run on one
     thread whatever the BLAS thread count, unless zgttrf interchanged rows
     (from 3*dt*|V|/hbar of about 12 to 20 at the grid's edge on the grids
-    measured, far past every shipped time step), when it is zgttrs.  Both
-    kernels check the three samples nearest each edge at every step, with
-    the same errors at the same step: the stepped loop by ``_check_edges``
-    after each solve, the sine kernel by bounding the samples from its kept
-    modes in blocks of steps and running ``_check_edges`` on every mode at
-    each step of a block it cannot clear.  The stepped loop calls
+    measured, far past every shipped time step), when it is zgttrs.  The
+    stepped loop checks the three samples nearest each edge after each
+    solve (``_check_edges``), the one code path that raises for a contact
+    or a non-finite sample.  The sine kernel only clears: it bounds every
+    step's edge samples from its kept modes in blocks of steps and returns
+    None at the first block it cannot clear, when the whole run is stepped
+    instead, so its errors are the stepped run's.  The stepped loop calls
     ``record(t, psi)`` every ``sample_every`` steps before the last, so a
     run with ``sample_every >= n_steps`` may pass None.
     """
@@ -572,7 +573,9 @@ def _evolve(
             "potential phase slope*z_ref*T/hbar", slope * z_ref * grid.total_time / system.hbar
         )
     if slope == 0.0 and 0 < grid.n_steps <= sample_every:
-        return _free_run(values, grid, kin, system.hbar)
+        free = _free_run(values, grid, kin, system.hbar)
+        if free is not None:
+            return free
     potential = grid.z - z_ref
     potential *= slope
     # 6A = 6M + 6r K with r = i dt/(2 hbar): the diagonals below, on and
@@ -692,7 +695,7 @@ def _edges_clear(samples: np.ndarray, tail: float) -> bool:
     return bool(np.max(np.abs(samples)) + tail <= BoundaryContactError.limit)
 
 
-def _free_run(values: np.ndarray, grid: Grid, kin: float, hbar: float) -> np.ndarray:
+def _free_run(values: np.ndarray, grid: Grid, kin: float, hbar: float) -> np.ndarray | None:
     """Final samples of a free run from ``values``, in the sine eigenbasis of the step.
 
     With V = 0 and Dirichlet walls, 12 M = tridiag(1, 10, 1) and 6A are
@@ -705,22 +708,23 @@ def _free_run(values: np.ndarray, grid: Grid, kin: float, hbar: float) -> np.nda
     One transform of ``values`` gives its coefficients w, the final ones are
     w exp(i n a) for the grid's n steps, and one inverse transform gives the
     final samples: no step is solved, and the coefficients are not stepped.
-    Every step's edge samples are still checked (:func:`_check_free_edges`),
-    with the errors the stepped kernel raises at the same step.
+    Every step's edge samples are still cleared (:func:`_check_free_edges`);
+    when they cannot all be, None is returned and the caller steps the run.
     """
     theta = np.arange(1, grid.n_points + 1) * (math.pi / (grid.n_points + 1))
     cos = np.cos(theta)
     kappa = 3.0 * grid.dt * kin * (2.0 - 2.0 * cos) / hbar
     angle = -2.0 * np.arctan2(kappa, 5.0 + cos)
     w = _sine_transform(values)
-    _check_free_edges(w, theta, angle, grid)
+    if not _check_free_edges(w, theta, angle, grid):
+        return None
     final = np.exp(angle * (1j * grid.n_steps))
     final *= w
     return _sine_transform(final) * (2.0 / (grid.n_points + 1))
 
 
-def _check_free_edges(w: np.ndarray, theta: np.ndarray, angle: np.ndarray, grid: Grid) -> None:
-    """Check the edges at each step of a free run from sine coefficients ``w``.
+def _check_free_edges(w: np.ndarray, theta: np.ndarray, angle: np.ndarray, grid: Grid) -> bool:
+    """Whether the edges clear at each step of a free run from sine coefficients ``w``.
 
     After s steps of the run of :func:`_free_run` the six samples nearest
     the edges are the product of a real 6 x N table T with w lambda^s,
@@ -743,11 +747,9 @@ def _check_free_edges(w: np.ndarray, theta: np.ndarray, angle: np.ndarray, grid:
     the kept lambda, times w; each later block's are the last block's times
     lambda^block, and its samples one real product of them with the kept
     columns of T.  The block is cleared when every |sample| plus the tail is
-    at most the contact limit (``_edges_clear``).  A block that is not
-    cleared is run again step by step with all N coefficients and the whole
-    of T, checked by ``_check_edges`` as the stepped kernel checks its
-    steps, so a contact or a non-finite sample is reported at its step,
-    with its amplitude.
+    at most the contact limit (``_edges_clear``).  False is returned at the
+    first block that is not cleared, whether for a contact, a non-finite
+    sample or a bound too loose to tell, and True when every block clears.
     """
     n, steps = w.size, grid.n_steps
     near = np.sin(np.outer([1.0, 2.0, 3.0], theta)) * (2.0 / (n + 1))
@@ -776,23 +778,15 @@ def _check_free_edges(w: np.ndarray, theta: np.ndarray, angle: np.ndarray, grid:
     chain *= kept_w[:, None]
     advance = np.exp(kept_angle * (1j * block))[:, None]
     sums = np.empty((6, 2 * block))
-    edges = np.empty((6, 2))
-    low, high = edges.view(complex)[:, 0].reshape(2, 3)
     for start in range(0, steps, block):
         if start:
             chain *= advance
         size = min(block, steps - start)
         # (real, imaginary) columns, so the sums are a real matrix product
         samples = np.matmul(kept_table, chain[:, :size].view(float), out=sums[:, : 2 * size])
-        if _edges_clear(samples.view(complex), tail):
-            continue
-        current = w * np.exp(1j * start * angle)
-        parts = current.view(float).reshape(n, 2)
-        lam = np.exp(1j * angle)
-        for step in range(start + 1, start + size + 1):
-            current *= lam
-            np.matmul(table, parts, out=edges)
-            _check_edges(low, high, step * grid.dt)
+        if not _edges_clear(samples.view(complex), tail):
+            return False
+    return True
 
 
 def _extrapolated_run(

@@ -213,9 +213,9 @@ def test_boundary_contact_is_diagnosed():
 
 
 def test_free_path_diagnoses_boundary_contact_at_the_stepped_step():
-    # the packet of test_boundary_contact_is_diagnosed: the free path checks
-    # the edges at every step, as the stepped run (sampled before its end,
-    # so stepped) does
+    # the packet of test_boundary_contact_is_diagnosed: the free path cannot
+    # clear the block of the contact, so the run is stepped, and the error is
+    # the stepped run's (sampled before its end, so stepped) to the bit
     grid = Grid(-6.0, 6.0, 1024, dt=1e-3, n_steps=3000)
     psi0 = gaussian_packet(grid, 0.0, 0.5, k0=4.0)
     with pytest.raises(BoundaryContactError) as stepped:
@@ -223,7 +223,7 @@ def test_free_path_diagnoses_boundary_contact_at_the_stepped_step():
     with pytest.raises(BoundaryContactError) as free:
         dynamics._extrapolated_run(psi0, natural(), 0.0)
     assert free.value.time == stepped.value.time
-    assert free.value.amplitude == pytest.approx(stepped.value.amplitude, rel=1e-6)
+    assert free.value.amplitude == stepped.value.amplitude
 
 
 def _free_edge_samples(patch, psi0, budget=None, clear=None):
@@ -289,17 +289,31 @@ def test_both_kernels_check_the_same_edge_samples(monkeypatch, n_points):
     n_steps=st.integers(1, 200),
 )
 def test_kept_mode_samples_are_within_the_tail(center, sigma, k0, n_points, n_steps):
-    # every block is refused, so each step is also checked with all modes by
-    # _check_edges, recorded here instead of raising: at every step the six
-    # sums of all modes and the kept-mode samples differ by at most the tail
+    # every block is cleared, so the kernel sums every step: with no tail
+    # budget it keeps all modes, and at every step the six sums of all
+    # modes and the kept-mode samples differ by at most the tail
     grid = Grid(-12.0, 12.0, n_points, dt=1e-3, n_steps=n_steps)
     psi0 = gaussian_packet(grid, center, sigma, k0)
-    full = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_check_edges", lambda low, high, t: full.append((*low, *high)))
-        kept, tails = _free_edge_samples(patch, psi0, clear=lambda samples, tail: False)
-    assert kept.shape == (n_steps, 6) and len(full) == n_steps
-    assert np.max(np.abs(kept - np.array(full))) <= tails[0]
+        full, _ = _free_edge_samples(patch, psi0, budget=0.0, clear=lambda samples, tail: True)
+    with pytest.MonkeyPatch.context() as patch:
+        kept, tails = _free_edge_samples(patch, psi0, clear=lambda samples, tail: True)
+    assert kept.shape == full.shape == (n_steps, 6)
+    assert np.max(np.abs(kept - full)) <= tails[0]
+
+
+def test_refused_free_run_is_stepped(monkeypatch):
+    # a free run sampled at its ends whose first block is refused is handed
+    # whole to the stepped kernel: one factorization of 6A, and the final
+    # field of the run sampled before its end (so stepped) to the bit
+    grid = Grid(-6.0, 6.0, 1024, dt=1e-3, n_steps=300)
+    psi0 = gaussian_packet(grid, 0.0, 0.5, k0=4.0)
+    stepped = propagate_linear_potential(psi0, natural(), 0.0, sample_every=299)
+    routines = _record_routines(monkeypatch)
+    monkeypatch.setattr(dynamics, "_edges_clear", lambda samples, tail: False)
+    free = propagate_linear_potential(psi0, natural(), 0.0, sample_every=300)
+    assert routines == ["ztbtrs"]
+    assert np.array_equal(free.final_field.values, stepped.final_field.values)
 
 
 def test_reference_free_paths_make_no_per_step_check(monkeypatch):

@@ -85,13 +85,14 @@ def probability_outside(n: int) -> float:
 def level(system: PhysicalSystem, n: int) -> BouncerLevel:
     """Fully populated level n of the given system."""
     e_tilde = -ai_negative_zero(n)
-    norm_sq = 1.0 / ai_squared_tail(-e_tilde)
+    tail = ai_squared_tail(-e_tilde)
     return BouncerLevel(
         n=n,
         e_tilde=e_tilde,
         energy=e_tilde * energy_scale(system),
-        norm_const=math.sqrt(norm_sq),
-        p_outside=ai_squared_tail(0.0) * norm_sq,
+        norm_const=math.sqrt(1.0 / tail),
+        # the quotient probability_outside forms, bit for bit
+        p_outside=ai_squared_tail(0.0) / tail,
     )
 
 

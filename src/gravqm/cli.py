@@ -64,9 +64,9 @@ def _emit(command: str, fmt: str, out: str | None, result: tuple) -> None:
     columns, units, parameters, table, summary = result
     # one exit code per result, whatever the format: a non-finite number
     # fails before anything is printed or written
-    numbers = [v for values in columns.values() for v in values]
-    numbers += parameters.values()
-    bad = [v for v in numbers if isinstance(v, float) and not math.isfinite(v)]
+    scalars = [v for values in columns.values() for v in values]
+    scalars += parameters.values()
+    bad = [v for v in scalars if isinstance(v, float) and not math.isfinite(v)]
     if bad:
         raise NumericError(f"result is not finite ({bad[0]})")
     if fmt == "table":

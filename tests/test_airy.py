@@ -33,6 +33,17 @@ def test_ai_prime_at_origin_series_oracle():
     assert airy_ai_prime(0.0) == pytest.approx(-0.2588194038, abs=1e-9)
 
 
+def test_bi_at_origin_series_oracle():
+    # the closed forms of the series' leading coefficients, which the tables
+    # never use: Bi is marched from the oscillatory expansion at the band edge
+    bi0 = 3.0 ** (-1.0 / 6.0) / math.gamma(2.0 / 3.0)
+    bi_prime0 = 3.0 ** (1.0 / 6.0) / math.gamma(1.0 / 3.0)
+    assert airy_bi(0.0) == pytest.approx(bi0, abs=1e-14)
+    assert airy_bi_prime(0.0) == pytest.approx(bi_prime0, abs=1e-14)
+    assert airy_bi(0.0) == pytest.approx(0.6149266274, abs=1e-9)
+    assert airy_bi_prime(0.0) == pytest.approx(0.4482883574, abs=1e-9)
+
+
 def test_ai_against_series_oracle_on_central_band():
     for x in np.linspace(-4.0, 3.0, 29):
         assert airy_ai(float(x)) == pytest.approx(ai_series_oracle(float(x), 60), abs=1e-12)
@@ -132,12 +143,51 @@ def test_accuracy_against_scipy():
     # check it here too, so its own path cannot drift from scipy unseen
     assert np.array_equal([airy_ai(float(x)) for x in xs], ai)
     # each bound is about twice the error measured with scipy 1.17: Ai 7.8e-15,
-    # Ai' 4.1e-14, Bi 3.5e-14 and Bi' 7.3e-14 (relative above 1), Wronskian 1.6e-15
+    # Ai' 4.1e-14, Bi 3.1e-14 and Bi' 6.6e-14 (relative above 1), Wronskian 1.7e-15
     assert np.max(np.abs(ai - ref_ai)) <= 1.6e-14
     assert np.max(np.abs(aip - ref_aip)) <= 8e-14
     assert np.max(np.abs(bi - ref_bi) / np.maximum(1.0, np.abs(ref_bi))) <= 7e-14
     assert np.max(np.abs(bip - ref_bip) / np.maximum(1.0, np.abs(ref_bip))) <= 1.5e-13
     assert np.max(np.abs(wronskian - 1.0 / math.pi)) <= 3.2e-15
+
+
+def test_bi_on_the_central_band_against_scipy():
+    # the bouncer's low levels and the tunnelling barriers read [-10, 5],
+    # 64 to 124 cells of march from Bi's seed at -26; each bound is about
+    # twice the error measured with scipy 1.17 on a grid 1e-3 apart and every
+    # cell boundary +- 1e-9: Bi 5.9e-15 and Bi' 1.6e-14 (relative above 1),
+    # Wronskian 1.7e-15
+    nodes = TABLE_NODES[(TABLE_NODES >= -10.0) & (TABLE_NODES <= 5.0)]
+    xs = np.r_[np.linspace(-10.0, 5.0, 15001), nodes - 1e-9, nodes + 1e-9]
+    _, _, ref_bi, ref_bip = airy(xs)
+    values = [airy_values(float(x)) for x in xs]
+    bi = np.array([v.bi for v in values])
+    bip = np.array([v.bi_prime for v in values])
+    wronskian = np.array([v.wronskian() for v in values])
+    assert np.max(np.abs(bi - ref_bi) / np.maximum(1.0, np.abs(ref_bi))) <= 1.2e-14
+    assert np.max(np.abs(bip - ref_bip) / np.maximum(1.0, np.abs(ref_bip))) <= 3.2e-14
+    assert np.max(np.abs(wronskian - 1.0 / math.pi)) <= 3.5e-15
+
+
+def test_asymptotic_branches_beyond_thirty_against_scipy():
+    # the zeros past n = 28 and the deep bouncer levels sit here (zero 50 is
+    # at -38.02); each bound is about twice the error measured on these
+    # points with scipy 1.17.  Up to Bi's overflow the error is relative
+    # (Ai 1.4e-13, the others 1.1e-13: exp(-+zeta) carries the rounding of
+    # zeta, up to 667 at x = 100); below -30 it is relative above 1 (Ai and
+    # Bi 2.7e-14, Ai' and Bi' 2.6e-13)
+    for xs, scale, bounds in (
+        (np.linspace(30.0, 100.0, 7001), np.abs, (2.5e-13,) * 4),
+        (
+            np.linspace(-100.0, -30.0, 7001),
+            lambda ref: np.maximum(1.0, np.abs(ref)),
+            (6e-14, 5e-13, 6e-14, 5e-13),
+        ),
+    ):
+        values = [airy_values(float(x)) for x in xs]
+        ours = np.array([[v.ai, v.ai_prime, v.bi, v.bi_prime] for v in values]).T
+        for got, ref, bound in zip(ours, airy(xs), bounds, strict=True):
+            assert np.max(np.abs(got - ref) / scale(ref)) <= bound
 
 
 @pytest.mark.parametrize("table", ["_AI_CELLS", "_BI_CELLS"], ids=["ai", "bi"])
@@ -162,9 +212,11 @@ def test_cells_solve_the_airy_equation_on_their_cell(table):
 
 def test_asymptotic_sums_end_at_their_cut():
     # replay _asym_sums' stopping rule for each table on |x| from its
-    # expansion's own band edge up to 200: every sum must stop at the
-    # smallest-term or 1e-18 cut, before the table ends (larger |x| shrinks
-    # every term, so the cut only comes sooner)
+    # expansion's own band edge up to 200: every sum must stop at the 1e-18
+    # cut before the table ends (larger |x| shrinks every term, so the cut
+    # only comes sooner), and every term it sums must be smaller than the one
+    # before, so the sum never reaches the terms of an asymptotic series that
+    # grow again
     for terms, edge in (
         (kernel._AI_POS_TERMS, kernel._ASYM_POS),
         (kernel._BI_POS_TERMS, kernel._ASYM_POS),
@@ -173,12 +225,13 @@ def test_asymptotic_sums_end_at_their_cut():
         xs = np.linspace(edge, 200.0, 200001)
         zinv = np.array([1.0 / ((2.0 / 3.0) * float(x) ** 1.5) for x in xs])
         power = np.ones_like(zinv)
-        prev = np.full_like(zinv, np.inf)
+        prev = np.ones_like(zinv)  # the k = 0 term
         running = np.ones(zinv.shape, dtype=bool)
         for _, u, _ in terms:
             power *= zinv
             size = np.abs(u * power)
-            running &= (size < prev) & (size >= 1e-18)
+            assert np.all(size[running] < prev[running])
+            running &= size >= 1e-18
             prev = size
         assert not running.any()
 

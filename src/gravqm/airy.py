@@ -7,43 +7,43 @@ representations of the solutions of y'' = x*y:
   for x << 0, truncated after the first term below 1e-18, which past the
   band edges comes before the smallest term, with the coefficients u_k, v_k
   (DLMF 9.7.2) tabulated once at import;
-* Taylor polynomials of the ODE about the centres of cells _CELL = 0.25 wide.
+* Taylor polynomials of the ODE about the centres of cells _CELL = 0.125 wide.
 
 The Taylor band is (-26, 12), so it holds the arguments of the bouncer
-eigenfunctions chi_1..chi_20 (E_20 = 25.67).  At the first evaluation on the
-band, each of its 152 cells [j, j+1)*_CELL gets the Taylor coefficients of
-Ai and of Bi about its centre, cut after three successive terms at the
-radius _CELL/2 fall below 1e-19 of the centre's |y| + |y'|: 16 to 21
-coefficients (18.4 on average for Ai, 18.7 for Bi).  Each table has one seed
-and is marched cell to cell, each centre's value and slope one Horner step
-of the polynomial before it, in the direction in which the wanted solution
-is not recessive, so the recessive/dominant dichotomy of Ai and Bi never
-amplifies errors.  Both are seeded by the asymptotic expansion at a band
-edge: Ai at 12, marched down to -26, and Bi at -26, marched up to 12.  The
-whole build takes 1.2 ms (median of 12 processes, best of 15 builds each;
-2-core Intel Xeon, Python 3.11), so it waits for the first call that reads
-a table: importing the package, and commands that never evaluate Ai or Bi,
-do not pay for it.
+eigenfunctions chi_1..chi_28 (E_28 = 25.76).  Each of its 304 cells
+[j, j+1)*_CELL gets the Taylor coefficients of Ai and of Bi about its
+centre, cut after three successive terms at the radius _CELL/2 fall below
+1e-19 of the centre's |y| + |y'|: 14 to 18 coefficients (16.0 on average
+for Ai, 16.2 for Bi).  Each table has one seed and is marched cell to cell,
+each centre's value and slope one Horner step of the polynomial before it,
+in the direction in which the wanted solution is not recessive, so the
+recessive/dominant dichotomy of Ai and Bi never amplifies errors.  Both are
+seeded by the asymptotic expansion at a band edge: Ai at 12, marched down
+to -26, and Bi at -26, marched up to 12.  Each march takes about 1.0 ms
+(median of 12 processes, best of 15 builds each; 2-core Intel Xeon, Python
+3.11), so it waits for the first call that reads its table: importing the
+package, and commands that never evaluate Ai or Bi, pay for neither, and
+work that reads Ai alone (zeros, levels, eigenfunctions) never marches Bi.
 
 A call on (-26, 12) is then one table lookup and one Horner evaluation of
 value and slope: Ai and Bi both read cell floor(x/_CELL) and step at most
 _CELL/2 from its centre.  Calls with x >= 12 or x <= -26 sum the asymptotic
-expansion.  :func:`airy_ai` runs the same Horner step on the value alone,
-which never reads the slope, so on (-26, 12) it returns exactly
-``airy_values(x).ai`` at about half the cost; past the band it takes the
-value of the full expansion.
+expansion.  :func:`airy_ai` reads the Ai table itself and runs the same
+Horner step on the value alone, which never reads the slope, so on
+(-26, 12) it returns exactly ``airy_values(x).ai`` at about half the cost;
+past the band it takes the value of the full expansion.
 
 Against scipy.special.airy on [-30, 30], densely on the band and on both
 asymptotic branches, including every cell boundary and the points 1e-9
 either side of them (tests/test_airy.py), the absolute error of Ai stays
 below 1.6e-14 and that of Ai' below 8e-14 (measured 7.8e-15 and 4.1e-14),
 the error of Bi below 7e-14 * max(1, |value|) and that of Bi' below
-1.5e-13 * max(1, |value|) (measured 3.1e-14 and 6.6e-14; Bi(12) is about
+1.5e-13 * max(1, |value|) (measured 3.5e-14 and 6.7e-14; Bi(12) is about
 1e11, so an absolute bound on it means nothing), and the Wronskian
-Ai*Bi' - Ai'*Bi within 3.2e-15 of 1/pi (measured 1.7e-15).  On the central
-band [-10, 5], 64 to 124 cells of march from Bi's seed, Bi stays within
-1.2e-14 and Bi' within 3.2e-14 (relative above 1; measured 5.9e-15 and
-1.6e-14), and the Wronskian within 3.5e-15 (measured 1.7e-15).
+Ai*Bi' - Ai'*Bi within 3.2e-15 of 1/pi (measured 3.9e-16).  On the central
+band [-10, 5], 128 to 248 cells of march from Bi's seed, Bi stays within
+1.2e-14 and Bi' within 3.2e-14 (relative above 1; measured 4.6e-15 and
+1.9e-14), and the Wronskian within 3.5e-15 (measured 2.8e-16).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ _SQRT_PI = math.sqrt(math.pi)
 # Band edges of the evaluation scheme.
 _ASYM_POS = 12.0     # exponential asymptotics trusted from here up
 _ASYM_NEG = -26.0    # trigonometric asymptotics trusted from here down
-_CELL = 0.25         # width of a table cell, and the step of the marches
+_CELL = 0.125        # width of a table cell, and the step of the marches
 
 # exp(2/3 * x**1.5) overflows past this point; only Bi is affected.
 _BI_OVERFLOW_X = (709.0 * 1.5) ** (2.0 / 3.0)
@@ -256,30 +256,24 @@ def _march(x: float, y: float, yp: float, stop: float) -> tuple[tuple[float, ...
 _CELL_LO = round(_ASYM_NEG / _CELL)
 
 
-def _build_cells() -> None:
-    """Bind _AI_CELLS and _BI_CELLS to the tuples of cell polynomials."""
-    global _AI_CELLS, _BI_CELLS
-    _AI_CELLS = _march(_ASYM_POS, *_asym_pos_ai(_ASYM_POS), _ASYM_NEG)
-    _BI_CELLS = _march(_ASYM_NEG, *_asym_neg(_ASYM_NEG)[2:], _ASYM_POS)
-
-
 class _Unbuilt:
-    """Stands in for a cell table until its first lookup, which builds both.
+    """Stands in for a cell table until its first lookup, which marches it.
 
-    The build rebinds the module names to the tuples, so every later lookup
-    indexes a tuple: a call on the band pays nothing for the late build.
+    The build rebinds the module name to the tuple, so every later lookup
+    indexes a tuple: a call on the band pays nothing for the late build, and
+    work that reads only Ai never marches Bi.
     """
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, name: str, build):
+        self.name, self.build = name, build
 
     def __getitem__(self, j: int) -> tuple[float, ...]:
-        _build_cells()
-        return globals()[self.name][j]
+        cells = globals()[self.name] = self.build()
+        return cells[j]
 
 
-_AI_CELLS = _Unbuilt("_AI_CELLS")
-_BI_CELLS = _Unbuilt("_BI_CELLS")
+_AI_CELLS = _Unbuilt("_AI_CELLS", lambda: _march(_ASYM_POS, *_asym_pos_ai(_ASYM_POS), _ASYM_NEG))
+_BI_CELLS = _Unbuilt("_BI_CELLS", lambda: _march(_ASYM_NEG, *_asym_neg(_ASYM_NEG)[2:], _ASYM_POS))
 
 
 def _eval_ai(x: float) -> tuple[float, float]:
@@ -289,18 +283,6 @@ def _eval_ai(x: float) -> tuple[float, float]:
         return _asym_neg(x)[:2]
     j = math.floor(x / _CELL)
     return _horner(_AI_CELLS[j - _CELL_LO], x - (j + 0.5) * _CELL)
-
-
-def _eval_ai_value(x: float) -> float:
-    """``_eval_ai(x)[0]``; on the table by Horner on the value alone."""
-    if not _ASYM_NEG < x < _ASYM_POS:
-        return _eval_ai(x)[0]
-    j = math.floor(x / _CELL)
-    h = x - (j + 0.5) * _CELL
-    y = 0.0
-    for c in _AI_CELLS[j - _CELL_LO]:
-        y = y * h + c
-    return y
 
 
 def _eval_bi(x: float) -> tuple[float, float]:
@@ -318,7 +300,19 @@ def airy_ai(x: float) -> float:
     Raises NumericError below about -5.7e10, where the phase (2/3)|x|^1.5 is
     past 2**53 and no digit is left; the same holds for Ai', Bi and Bi'.
     """
-    return _eval_ai_value(require_finite("argument", x))
+    # anything but a float on the band is checked and converted first, so a
+    # numpy.float64 or an int also comes back as a float
+    if type(x) is not float or not _ASYM_NEG < x < _ASYM_POS:
+        x = require_finite("argument", x)
+        if not _ASYM_NEG < x < _ASYM_POS:
+            return _eval_ai(x)[0]
+    # the Horner step of _eval_ai on the value alone, which never reads the slope
+    j = math.floor(x / _CELL)
+    h = x - (j + 0.5) * _CELL
+    y = 0.0
+    for c in _AI_CELLS[j - _CELL_LO]:
+        y = y * h + c
+    return y
 
 
 def airy_ai_prime(x: float) -> float:

@@ -100,9 +100,12 @@ def eigenfunction(lvl: BouncerLevel, z_tilde: float) -> float:
     """Normalized spatial wave function A_n*Ai(z_tilde - E_tilde_n).
 
     Region I (z_tilde < 0) is behind the infinite wall; the value there is an
-    exact 0, not a sampled one.
+    exact 0, not a sampled one.  Raises ParameterError for a nan or infinite
+    z_tilde, on either side of the wall.
     """
-    if z_tilde < 0.0:
+    if not 0.0 <= z_tilde < math.inf:
+        if not -math.inf < z_tilde < 0.0:
+            raise ParameterError(f"z_tilde must be finite, got {z_tilde}")
         return 0.0
     try:
         shifted = z_tilde - lvl.e_tilde

@@ -84,6 +84,24 @@ def test_int_beyond_double_range_is_a_parameter_error(evaluate):
             evaluate(x)
 
 
+class _Real(float):
+    pass
+
+
+def test_airy_ai_reads_its_table_for_floats_alone():
+    # a float on the band is read from the table directly; every other type
+    # goes through float() first, and must land on the same value bit for bit
+    for x in (-25, -3, 0, 7, 11):
+        assert airy_ai(x) == airy_ai(float(x))
+        assert type(airy_ai(x)) is float
+    for x in (True, False, np.float64(-2.3381), np.float64(11.9), _Real(-25.97), _Real(0.5)):
+        assert airy_ai(x) == airy_ai(float(x))
+        assert type(airy_ai(x)) is float
+    for x in (math.nan, math.inf, -math.inf, np.float64(math.nan), _Real(math.inf), 10**400):
+        with pytest.raises(ParameterError):
+            airy_ai(x)
+
+
 def test_bi_overflow_raises():
     for x in (120.0, 1e308):
         with pytest.raises(NumericError):
@@ -142,8 +160,8 @@ def test_accuracy_against_scipy():
     # airy_ai is locked to airy_values(x).ai bit for bit by the test below;
     # check it here too, so its own path cannot drift from scipy unseen
     assert np.array_equal([airy_ai(float(x)) for x in xs], ai)
-    # each bound is about twice the error measured with scipy 1.17: Ai 7.8e-15,
-    # Ai' 4.1e-14, Bi 3.1e-14 and Bi' 6.6e-14 (relative above 1), Wronskian 1.7e-15
+    # each bound is twice or more the error measured with scipy 1.17: Ai 7.8e-15,
+    # Ai' 4.1e-14, Bi 3.5e-14 and Bi' 6.7e-14 (relative above 1), Wronskian 3.9e-16
     assert np.max(np.abs(ai - ref_ai)) <= 1.6e-14
     assert np.max(np.abs(aip - ref_aip)) <= 8e-14
     assert np.max(np.abs(bi - ref_bi) / np.maximum(1.0, np.abs(ref_bi))) <= 7e-14
@@ -153,10 +171,10 @@ def test_accuracy_against_scipy():
 
 def test_bi_on_the_central_band_against_scipy():
     # the bouncer's low levels and the tunnelling barriers read [-10, 5],
-    # 64 to 124 cells of march from Bi's seed at -26; each bound is about
-    # twice the error measured with scipy 1.17 on a grid 1e-3 apart and every
-    # cell boundary +- 1e-9: Bi 5.9e-15 and Bi' 1.6e-14 (relative above 1),
-    # Wronskian 1.7e-15
+    # 128 to 248 cells of march from Bi's seed at -26; each bound is 1.7 times
+    # or more the error measured with scipy 1.17 on a grid 1e-3 apart and every
+    # cell boundary +- 1e-9: Bi 4.6e-15 and Bi' 1.9e-14 (relative above 1),
+    # Wronskian 2.8e-16
     nodes = TABLE_NODES[(TABLE_NODES >= -10.0) & (TABLE_NODES <= 5.0)]
     xs = np.r_[np.linspace(-10.0, 5.0, 15001), nodes - 1e-9, nodes + 1e-9]
     _, _, ref_bi, ref_bip = airy(xs)
@@ -190,15 +208,19 @@ def test_asymptotic_branches_beyond_thirty_against_scipy():
             assert np.max(np.abs(got - ref) / scale(ref)) <= bound
 
 
-@pytest.mark.parametrize("table", ["_AI_CELLS", "_BI_CELLS"], ids=["ai", "bi"])
-def test_cells_solve_the_airy_equation_on_their_cell(table):
+@pytest.mark.parametrize(
+    "table, evaluate", [("_AI_CELLS", airy_ai), ("_BI_CELLS", airy_bi)], ids=["ai", "bi"]
+)
+def test_cells_solve_the_airy_equation_on_their_cell(table, evaluate):
     # each cell polynomial is the Taylor expansion about its cell's centre,
     # from which the evaluator steps: over the cell its defect p'' - x*p
-    # stays at rounding level (measured 2.9e-15 for Ai, 3.2e-15 for Bi).
-    # Ai polynomials about a point 0.125 or 0.375 above the centre, cut at
-    # radius 0.25, still meet the accuracy bounds above; read as expansions
-    # about the centre their defect is 0.37, so only this test pins the centre.
-    kernel.airy_ai(0.0)  # the first evaluation builds both tables
+    # stays at rounding level (measured 3.3e-15 for Ai, 3.1e-15 for Bi).
+    # Ai polynomials about their cell's top edge, 0.0625 above the centre and
+    # stepped from there, still meet the accuracy bounds above; read as
+    # expansions about the centre their defect is 0.062, so only this test
+    # pins the centre.
+    evaluate(0.0)  # a table is built at the first evaluation that reads it
+    assert isinstance(getattr(kernel, table), tuple)
     half = kernel._CELL / 2
     h = np.linspace(-half, half, 17)
     worst = 0.0

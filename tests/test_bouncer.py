@@ -222,6 +222,18 @@ def test_eigenfunction_rejects_int_beyond_double_range():
     assert eigenfunction(lv, -(10**400)) == 0.0
 
 
+@pytest.mark.parametrize("z_tilde", [-math.inf, math.nan, math.inf])
+def test_eigenfunction_rejects_non_finite_position(z_tilde):
+    # refused before the wall check, so -inf is no 0 and the error names
+    # z_tilde, not the argument of airy_ai
+    s = unit_scale_system()
+    lv = level(s, 1)
+    with pytest.raises(ParameterError, match="z_tilde must be finite"):
+        eigenfunction(lv, z_tilde)
+    with pytest.raises(ParameterError, match="z_tilde must be finite"):
+        stationary_state(lv, z_tilde, 0.5, s)
+
+
 def test_level_index_validation():
     s = unit_scale_system()
     for bad in (0, 51, -2):

@@ -725,6 +725,11 @@ def test_airy_tables_are_built_at_the_first_evaluation():
     report = loaded_after(idle)
     assert report["codes"] == [0, 0, 2]
     assert report["tables"] == [False, False]
-    report = loaded_after([["airy", "--zeros", "3"]])
+    # zeros and levels read Ai alone, so only its table is marched; Bi's waits
+    # for the first evaluation of Bi
+    report = loaded_after([["airy", "--zeros", "3"], ["bouncer", "--levels", "30"]])
+    assert report["codes"] == [0, 0]
+    assert report["tables"] == [True, False]
+    report = loaded_after([["airy", "--eval", "0"]])
     assert report["codes"] == [0]
     assert report["tables"] == [True, True]

@@ -36,6 +36,7 @@ from gravqm import (
     box_eigenvalues,
     cow_phase_shift,
     cow_phase_shift_time_route,
+    eigenfunction,
     energy_eigenvalue,
     falling_box_state,
     falling_box_window,
@@ -51,6 +52,7 @@ from gravqm import (
     plane_wave_stationary,
     propagate_linear_potential,
     shift_field,
+    stationary_state,
     to_stationary_frame,
 )
 
@@ -132,6 +134,11 @@ def test_system_frequency_shift_and_level(m_i, m_g, g, v, a, hbar, z, n):
     lvl = _outcome(lambda: level(system, n))
     if lvl is not None:
         assert _finite(lvl.e_tilde, lvl.energy, lvl.norm_const, lvl.p_outside)
+        # z doubles as the dimensionless height z_tilde
+        chi = _outcome(lambda: eigenfunction(lvl, z))
+        assert chi is None or _finite(chi)
+        state = _outcome(lambda: stationary_state(lvl, z, 1.0, system))
+        assert state is None or cmath.isfinite(state)
 
 
 @_SETTINGS
